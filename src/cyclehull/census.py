@@ -262,18 +262,6 @@ def matrix_A() -> TMatrix:
     return TMatrix.from_rows([[1, 1, 0], [1, 1, 1], [1, 1, 1]])
 
 
-def matrix_S_even() -> TMatrix:
-    return TMatrix.from_rows([[1, 1], [T, T]])
-
-
-def matrix_Z_even() -> TMatrix:
-    return TMatrix.from_rows([[0, 1], [T, 0]])
-
-
-def matrix_A_even() -> TMatrix:
-    return TMatrix.from_rows([[1, 1], [1, 1]])
-
-
 def matrix_Sm(m: int) -> TMatrix:
     """(m+1)x(m+1) 0/1 matrix with ones on the two lowest antidiagonals.
 

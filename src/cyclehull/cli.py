@@ -8,18 +8,16 @@ error.  No configuration files or environment variables.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
 from .census import count_band, face_count, face_polynomial
 from .hull import (
-    HullComplex,
     build_hull,
+    json_chunks,
     max_cube_decomposition,
     skeleton,
     to_dot,
-    to_json,
 )
 from .moebius import (
     _FIBRE_CAP,
@@ -32,7 +30,7 @@ from .moebius import (
     site_str,
 )
 from .oracle import FiniteMetric, tight_span_edges, tight_span_vertices
-from .partitions import ModelSpace, format_partition, parse_partition
+from .partitions import format_partition, parse_partition
 
 
 def _cmd_census(args) -> int:
@@ -43,32 +41,24 @@ def _cmd_census(args) -> int:
     return 0
 
 
-def _vertex_doc(hull: HullComplex) -> dict:
-    return {
-        "space": hull.space.kind,
-        "n": hull.space.n,
-        "vertices": {
-            format_partition(lam): list(vals)
-            for lam, vals in hull.vertices.items()
-        },
-    }
-
-
 def _cmd_vertices(args) -> int:
     hull = build_hull(args.space, args.n)
     if args.json:
-        print(json.dumps(_vertex_doc(hull), sort_keys=True, indent=1))
+        sys.stdout.writelines(json_chunks(hull, faces=False))
+        print()
         return 0
-    for name in sorted(format_partition(lam) for lam in hull.vertices):
-        vals = hull.vertices[parse_partition(name)]
-        print(f"{name}: {' '.join(str(v) for v in vals)}")
+    for name, vals in sorted(
+        (format_partition(lam), vals) for lam, vals in hull.vertices.items()
+    ):
+        print(f"{name or '()'}: {' '.join(str(v) for v in vals)}")
     return 0
 
 
 def _cmd_skeleton(args) -> int:
     hull = build_hull(args.space, args.n)
     if args.format == "json":
-        print(to_json(hull))
+        sys.stdout.writelines(json_chunks(hull))
+        print()
         return 0
     roles = None
     if args.space == "cycle" and args.n % 2 == 1 and args.n >= 3:

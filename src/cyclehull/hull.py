@@ -3,21 +3,26 @@
 Vertices of the hull of X_N are indexed by all of Y_N, vertices of the
 hull of C_N by the band partitions Y_N°; in both cases the vertex at lam
 is the function j -> |tau^j(lam)| (shifted down by the constant
-o = k(k-1)/2 in the cycle case).  A v-face is stored combinatorially as
-(top, removed): the interval of partitions obtained from top by deleting
-any subset of the v marked corner boxes.  Faces are cubes; the whole
-complex is determined by its vertex partitions and corner sets, and the
-census module predicts every f-vector that is assembled here.
+o = k(k-1)/2 in the cycle case).  A v-face is the cube (top, removed):
+the partitions obtained from top by deleting any subset of v corner
+boxes.  Faces stay implicit in each vertex's corner rows: the f-vector
+and edges are read off the rows, and faces are made on demand or
+streamed straight into the JSON export.  Vertices come from a rim walk
+whose cost follows their number, not the 2^(N-1) of Y_N.
 """
 
 from __future__ import annotations
 
-import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
+from operator import itemgetter
+from typing import Iterable, Iterator
 
+from .census import BadParity
 from .partitions import (
     ModelSpace,
     Partition,
@@ -33,7 +38,6 @@ from .partitions import (
     xn_distance,
 )
 from .moebius import (
-    NotInYNCirc,
     circ_inner_corners,
     enumerate_circ,
     fold,
@@ -58,7 +62,7 @@ def g_vertex(lam: Partition, n: int) -> VertexFunction:
     return tuple(v - o for v in f_vertex(lam, n))
 
 
-def _remove_boxes(top: Partition, rows: frozenset[int]) -> Partition:
+def _remove_boxes(top: Partition, rows: Iterable[int]) -> Partition:
     mu = list(top)
     for r in rows:
         mu[r - 1] -= 1
@@ -82,39 +86,63 @@ class Face:
 
     def members(self) -> frozenset[Partition]:
         """The 2^dim vertex partitions of the face."""
-        out = set()
         rows = tuple(self.removed)
-        for t in range(len(rows) + 1):
-            for sub in combinations(rows, t):
-                out.add(_remove_boxes(self.top, frozenset(sub)))
-        return frozenset(out)
+        return frozenset(
+            _remove_boxes(self.top, sub)
+            for t in range(len(rows) + 1) for sub in combinations(rows, t)
+        )
 
     def sort_key(self):
         return (self.dim, self.top, tuple(sorted(self.removed)))
 
 
 @dataclass
+class Faces:
+    """The faces of a hull, kept as the sorted corner rows of each vertex.
+
+    Every subset of a vertex's corner rows spans one cube face with that
+    vertex on top; faces are made on demand, in Face.sort_key order.
+    """
+
+    corner_rows: dict[Partition, tuple[int, ...]]
+
+    def __len__(self) -> int:
+        return sum(1 << len(rows) for rows in self.corner_rows.values())
+
+    def __iter__(self) -> Iterator[Face]:
+        return (Face(t, frozenset(r)) for t, r in self.keys())
+
+    def keys(self) -> Iterator[tuple[Partition, tuple[int, ...]]]:
+        """(top, sorted removed rows) of every face, in iteration order."""
+        items = sorted(self.corner_rows.items())
+        for v in range(max(map(len, self.corner_rows.values()), default=-1) + 1):
+            for top, rows in items:
+                yield from ((top, sub) for sub in combinations(rows, v))
+
+
+@dataclass
 class HullComplex:
+    """Vertex functions and the implicit faces of one hull."""
+
     space: ModelSpace
     vertices: dict[Partition, VertexFunction]
-    faces: tuple[Face, ...]
+    faces: Faces
 
     def f_vector(self) -> tuple[int, ...]:
-        top = max((f.dim for f in self.faces), default=0)
-        out = [0] * (top + 1)
-        for f in self.faces:
-            out[f.dim] += 1
-        return tuple(out)
-
-    def faces_of_dim(self, v: int) -> tuple[Face, ...]:
-        return tuple(f for f in self.faces if f.dim == v)
+        """Coefficients of the sum over vertices of (1 + t)^(corner count)."""
+        counts = Counter(map(len, self.faces.corner_rows.values()))
+        return tuple(
+            sum(c * comb(s, v) for s, c in counts.items())
+            for v in range(max(counts, default=0) + 1)
+        )
 
     def edges(self) -> tuple[tuple[Partition, Partition], ...]:
-        out = []
-        for f in self.faces_of_dim(1):
-            a, b = sorted((f.top, f.bottom))
-            out.append((a, b))
-        return tuple(sorted(out))
+        # removing a box gives a lexicographically smaller partition
+        return tuple(sorted(
+            (_remove_boxes(lam, (r,)), lam)
+            for lam, rows in self.faces.corner_rows.items()
+            for r in rows
+        ))
 
 
 def build_hull(kind: str, n: int) -> HullComplex:
@@ -126,21 +154,16 @@ def build_hull(kind: str, n: int) -> HullComplex:
     """
     space = ModelSpace(kind, n)
     if kind == "xn":
-        pool = enumerate_YN(n)
-        vertices = {lam: f_vertex(lam, n) for lam in pool}
-        corner_rows = {lam: corners(lam, n).inner for lam in pool}
+        pool, vertex = enumerate_YN(n), f_vertex
+        rows = {lam: corners(lam, n).inner for lam in pool}
     else:
-        pool = enumerate_circ(n)
-        vertices = {lam: g_vertex(lam, n) for lam in pool}
-        corner_rows = {lam: circ_inner_corners(lam, n) for lam in pool}
-    faces = []
-    for lam in pool:
-        rows = tuple(sorted(corner_rows[lam]))
-        for t in range(len(rows) + 1):
-            for sub in combinations(rows, t):
-                faces.append(Face(lam, frozenset(sub)))
-    faces.sort(key=Face.sort_key)
-    return HullComplex(space, vertices, tuple(faces))
+        pool, vertex = enumerate_circ(n), g_vertex
+        rows = {lam: circ_inner_corners(lam, n) for lam in pool}
+    return HullComplex(
+        space,
+        {lam: vertex(lam, n) for lam in pool},
+        Faces({lam: tuple(sorted(r)) for lam, r in rows.items()}),
+    )
 
 
 def retract_face(face: Face, n: int) -> Face:
@@ -200,23 +223,45 @@ def to_dot(graph: Graph, roles: dict[str, str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_list(values, depth: int) -> str:
+    # json.dumps(list(values), indent=1) as it prints nested depth deep
+    items = ",\n".join(f"{' ' * (depth + 1)}{v}" for v in values)
+    return f"[\n{items}\n{' ' * depth}]" if items else "[]"
+
+
+def json_chunks(complex_: HullComplex, faces: bool = True) -> Iterator[str]:
+    """The JSON export in pieces, made as they are written.
+
+    Joined, the pieces are json.dumps(doc, sort_keys=True, indent=1) of
+    {"faces": [{"removed": [...], "top": name}, ...], "n": N,
+    "space": kind, "vertices": {name: values}}, faces in Face.sort_key
+    order; faces=False leaves the "faces" key out.  Partition names are
+    digits and commas, so nothing needs escaping.
+    """
+    names = {lam: format_partition(lam) for lam in complex_.vertices}
+    yield "{\n"
+    if faces:
+        sep = ' "faces": [\n'
+        for top, removed in complex_.faces.keys():
+            rows = _json_list(removed, 3)
+            yield f'{sep}  {{\n   "removed": {rows},\n   "top": "{names[top]}"\n  }}'
+            sep = ",\n"
+        yield "\n ],\n"
+    n, kind = complex_.space.n, complex_.space.kind
+    yield f' "n": {n},\n "space": "{kind}",\n "vertices": {{'
+    sep = "\n"
+    for lam, name in sorted(names.items(), key=itemgetter(1)):
+        yield f'{sep}  "{name}": {_json_list(complex_.vertices[lam], 2)}'
+        sep = ",\n"
+    yield "\n }\n}"
+
+
 def to_json(complex_: HullComplex) -> str:
-    doc = {
-        "space": complex_.space.kind,
-        "n": complex_.space.n,
-        "vertices": {
-            format_partition(lam): list(vals)
-            for lam, vals in sorted(complex_.vertices.items(), key=lambda kv: format_partition(kv[0]))
-        },
-        "faces": [
-            {
-                "top": format_partition(f.top),
-                "removed": sorted(f.removed),
-            }
-            for f in complex_.faces
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, indent=1)
+    return "".join(json_chunks(complex_))
+
+
+class CubeCoverFailure(ValueError):
+    """A shifted base cube is not a hull face, or the cubes miscover."""
 
 
 @lru_cache(maxsize=None)
@@ -227,11 +272,13 @@ def max_cube_decomposition(n: int) -> tuple[tuple[Face, ...], tuple[Partition, .
     (k, .., 1); the others are its translates under the shift.  Returns
     (cubes, extras) where extras are the hull vertices on no maximal cube.
     """
-    assert n % 2 == 1 and n >= 3
+    if n % 2 == 0 or n < 3:
+        raise BadParity(f"maximal cubes need odd N >= 3, got {n}")
     k = n // 2
     staircase = tuple(range(k, 0, -1))
     base = Face(staircase, frozenset(range(1, k + 1)))
-    assert base.removed <= circ_inner_corners(staircase, n)
+    if not base.removed <= circ_inner_corners(staircase, n):
+        raise CubeCoverFailure(f"base cube of C_{n} is not a hull face")
     cubes = []
     current = base.members()
     for j in range(n):
@@ -244,12 +291,12 @@ def max_cube_decomposition(n: int) -> tuple[tuple[Face, ...], tuple[Partition, .
             r for r in range(1, len(top) + 1) if top[r - 1] != pad[r - 1]
         )
         face = Face(top, rows)
-        assert face.members() == current, (n, j)
-        assert rows <= circ_inner_corners(top, n), (n, j)
+        if face.members() != current or not rows <= circ_inner_corners(top, n):
+            raise CubeCoverFailure(f"shift {j} of the C_{n} base cube")
         cubes.append(face)
-    assert len(set(cubes)) == n
     incident = frozenset().union(*(c.members() for c in cubes))
-    assert len(incident) == 1 + n * 2 ** (k - 1)
+    if len(set(cubes)) != n or len(incident) != 1 + n * 2 ** (k - 1):
+        raise CubeCoverFailure(f"C_{n} cubes cover {len(incident)} vertices")
     extras = tuple(sorted(set(enumerate_circ(n)) - incident))
     return tuple(cubes), extras
 

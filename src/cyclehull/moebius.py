@@ -23,15 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 from .partitions import (
     IndexOutOfRange,
-    NotInYN,
     Partition,
     enumerate_YN,
     make_partition,
     require_YN,
-    size,
+    rim_walk,
     tau,
 )
 
@@ -52,6 +52,10 @@ class NotInYNCirc(ValueError):
 
 class ParameterizationFailure(ValueError):
     """Partition does not fit the two-row doubling parameterization."""
+
+
+class FoldFailure(ValueError):
+    """A fold flip or the folded rim broke the band invariants."""
 
 
 def canon_site(i: int, j: int, n: int) -> Site:
@@ -90,32 +94,27 @@ class RimPath:
     lift: tuple[tuple[int, int], ...]
     sites: tuple[Site, ...]
 
-    def site_set(self) -> frozenset[Site]:
-        return frozenset(self.sites)
-
 
 def outer_rim(lam: Partition, n: int) -> RimPath:
     """Boundary staircase of the diagram of lam, read inside the strip.
 
     The diagram is padded to N - lam_1 rows; the path starts at (0, lam_1)
-    and, scanning rows bottom to top, walks right along each row's lower
-    edge and then up one step, ending at (lam_1, N).
+    and, scanning rows bottom to top, walks right along row r's lower edge
+    on the level j = N - r and then up one step, ending at (lam_1, N).
+    Only that end has j = N, so the N sites before it are canonical.
     """
     require_YN(lam, n)
     width = lam[0] if lam else 0
-    rows = n - width
-    p = list(lam) + [0] * (rows + 1 - len(lam))
-    i, j = 0, width
-    pts = [(i, j)]
-    for r in range(rows, 0, -1):
-        for _ in range(p[r - 1] - p[r]):
-            i += 1
-            pts.append((i, j))
-        j += 1
-        pts.append((i, j))
-    assert len(pts) == n + 1 and pts[-1] == (width, n)
-    sites = tuple(canon_site(a, b, n) for a, b in pts[:n])
-    return RimPath(n, tuple(pts), sites)
+    p = list(lam) + [0] * (n + 1 - len(lam))
+    pts = [
+        (i, n - r)
+        for r in range(n - width, 0, -1)
+        for i in range(p[r], p[r - 1] + 1)
+    ]
+    pts.append((width, n))
+    if len(pts) != n + 1:
+        raise InvalidRim(f"rim of {lam} does not close up after {n} steps")
+    return RimPath(n, tuple(pts), tuple(pts[:n]))
 
 
 def rim_to_partition(rim: RimPath, n: int) -> Partition:
@@ -149,7 +148,8 @@ def _partition_from_sites(sites: frozenset[Site], n: int) -> Partition:
             break
         parts.append(best[n - r])
     lam = make_partition(parts)
-    assert len(sites) == n
+    if len(sites) != n:
+        raise InvalidRim(f"a rim has {n} sites, got {len(sites)}")
     return lam
 
 
@@ -167,15 +167,15 @@ def in_band(s: Site, n: int, m: int) -> bool:
 
 
 def _rim_delta_range(lam: Partition, n: int) -> tuple[int, int]:
-    ds = [delta(s) for s in outer_rim(lam, n).sites]
-    return min(ds), max(ds)
+    # lowest and highest delta over the row runs of the rim (see rim_walk)
+    p = list(lam) + [0] * (n + 1 - len(lam))
+    rows = range(1, n - p[0] + 1)
+    return min(n - r - p[r - 1] for r in rows), max(n - r - p[r] for r in rows)
 
 
 def in_circ(lam: Partition, n: int) -> bool:
     """Membership in Y_N°: the rim stays in the band m = 1."""
     require_YN(lam, n)
-    if n < 2:
-        return True
     k = n // 2
     lo, hi = _rim_delta_range(lam, n)
     return k - 1 <= lo and hi <= n - k + 1
@@ -192,12 +192,7 @@ def enumerate_band_partitions(n: int, m: int) -> tuple[Partition, ...]:
     k = n // 2
     if not 1 <= m <= k:
         raise BadBandIndex(f"band index {m} not in [1, {k}]")
-    out = []
-    for lam in enumerate_YN(n):
-        lo, hi = _rim_delta_range(lam, n)
-        if k - m <= lo and hi <= n - k + m:
-            out.append(lam)
-    return tuple(out)
+    return tuple(rim_walk(n, k - m, n - k + m))
 
 
 @lru_cache(maxsize=None)
@@ -208,17 +203,19 @@ def enumerate_circ(n: int) -> tuple[Partition, ...]:
 
 
 def circ_inner_corners(lam: Partition, n: int) -> frozenset[int]:
-    """Rows whose corner box can be removed without leaving Y_N°."""
-    require_circ(lam, n)
-    from .partitions import corners
+    """Rows whose corner box can be removed without leaving Y_N°.
 
-    keep = set()
-    for r in corners(lam, n).inner:
-        mu = list(lam)
-        mu[r - 1] -= 1
-        if in_circ(make_partition(mu), n):
-            keep.add(r)
-    return frozenset(keep)
+    Removing row r's corner box moves one rim site, at delta N - r - lam_r,
+    two levels up (for r = 1 through the gluing; the band is symmetric
+    under delta -> N - delta) and keeps every other site.  So the box may
+    go exactly when N - r - lam_r + 2 <= N - k + 1, i.e. lam_r > k - r.
+    """
+    require_circ(lam, n)
+    k = n // 2
+    p = list(lam) + [0]
+    return frozenset(
+        r for r in range(1, len(lam) + 1) if p[r - 1] > max(p[r], k - r)
+    )
 
 
 FoldStep = tuple[str, Site]
@@ -242,7 +239,8 @@ def fold_trace(lam: Partition, n: int) -> tuple[Partition, tuple[FoldStep, ...]]
 
     def flip(old: Site, new_i: int, new_j: int, part: str) -> None:
         new = canon_site(new_i, new_j, n)
-        assert new not in sites
+        if new in sites:
+            raise FoldFailure(f"flip of {site_str(old)} lands on the rim of {lam}")
         sites.remove(old)
         sites.add(new)
         trace.append((part, old))
@@ -263,7 +261,8 @@ def fold_trace(lam: Partition, n: int) -> tuple[Partition, tuple[FoldStep, ...]]
                 flip(s, c + 1, c + dp - 1, "lower")
 
     out = _partition_from_sites(frozenset(sites), n)
-    assert in_circ(out, n)
+    if not in_circ(out, n):
+        raise FoldFailure(f"fold of {lam} ends outside the band m=1: {out}")
     return out, tuple(trace)
 
 
@@ -308,28 +307,14 @@ def boundary_loop(n: int) -> tuple[Site, ...]:
     return tuple(canon_site(x, x + k - 1, n) for x in range(n))
 
 
-def _boundary_runs(lam0: Partition, n: int) -> list[int]:
-    # lengths of maximal cyclic runs of boundary positions on the rim
-    marks = []
+def _boundary_runs(lam0: Partition, n: int) -> list[tuple[bool, int]]:
+    # maximal cyclic runs along boundary_loop as (on the rim, length),
+    # starting with a run on the rim when there is one
     rim = set(outer_rim(lam0, n).sites)
-    for s in boundary_loop(n):
-        marks.append(s in rim)
-    if not marks or all(not x for x in marks):
-        return []
-    assert not all(marks)
-    runs = []
-    # rotate so the word starts right after an unmarked position
-    start = next(x for x in range(len(marks)) if not marks[x])
-    run = 0
-    for t in range(1, len(marks) + 1):
-        if marks[(start + t) % len(marks)]:
-            run += 1
-        elif run:
-            runs.append(run)
-            run = 0
-    if run:
-        runs.append(run)
-    return runs
+    marks = [s in rim for s in boundary_loop(n)]
+    start = next((x for x, on in enumerate(marks) if on and not marks[x - 1]), 0)
+    marks = marks[start:] + marks[:start]
+    return [(on, len(list(run))) for on, run in groupby(marks)]
 
 
 def fold_fibre_size(lam0: Partition, n: int) -> int:
@@ -339,39 +324,20 @@ def fold_fibre_size(lam0: Partition, n: int) -> int:
     r contributes a factor C_r.
     """
     require_circ(lam0, n)
-    out = 1
-    for r in _boundary_runs(lam0, n):
-        out *= math.comb(2 * r, r) // (r + 1)
-    return out
+    return math.prod(
+        math.comb(2 * r, r) // (r + 1) for on, r in _boundary_runs(lam0, n) if on
+    )
 
 
 def fibre_factorization(lam0: Partition, n: int) -> str:
     """The cyclic Catalan word of lam0, e.g. 'C_2*C_0*C_2*C_0^6'."""
     require_circ(lam0, n)
-    marks = []
-    rim = set(outer_rim(lam0, n).sites)
-    loop = boundary_loop(n)
-    for s in loop:
-        marks.append(s in rim)
-    if not loop:
-        return "C_0^%d" % n if n else ""
-    if not any(marks):
-        return f"C_0^{n}" if n > 1 else "C_0"
-    nn = len(marks)
-    start = next(x for x in range(nn) if marks[x] and not marks[(x - 1) % nn])
-    word: list[str] = []
-    t = 0
-    while t < nn:
-        val = marks[(start + t) % nn]
-        g = 1
-        while t + g < nn and marks[(start + t + g) % nn] == val:
-            g += 1
-        if val:
-            word.append(f"C_{g}")
-        else:
-            word.append(f"C_0^{g}" if g > 1 else "C_0")
-        t += g
-    return "*".join(word)
+    if n < 2:
+        return f"C_0^{n}"
+    return "*".join(
+        f"C_{r}" if on else f"C_0^{r}" if r > 1 else "C_0"
+        for on, r in _boundary_runs(lam0, n)
+    )
 
 
 @lru_cache(maxsize=None)

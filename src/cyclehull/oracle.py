@@ -64,6 +64,8 @@ class FiniteMetric:
     def from_text(cls, text: str) -> "FiniteMetric":
         """Parse 'n' on the first line, then n whitespace-split int rows."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise DimensionMismatch("metric text is empty")
         n = int(lines[0])
         rows = [[int(x) for x in ln.split()] for ln in lines[1 : n + 1]]
         if len(rows) != n:

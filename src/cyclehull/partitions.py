@@ -92,14 +92,34 @@ def young_distance(lam: Partition, mu: Partition) -> int:
     return sum(lam) + sum(mu) - 2 * common
 
 
-def _bounded(max_part: int, max_len: int) -> list[Partition]:
-    # all partitions with parts <= max_part and at most max_len parts
-    if max_part <= 0 or max_len <= 0:
-        return [()]
-    out: list[Partition] = [()]
-    for first in range(1, max_part + 1):
-        for rest in _bounded(first, max_len - 1):
-            out.append((first,) + rest)
+def rim_walk(n: int, lo: int, hi: int) -> list[Partition]:
+    """The lam in Y_N whose outer rim keeps lo <= delta <= hi, sorted.
+
+    The rim (moebius.outer_rim) is a +-1 walk in delta = j - i; row r's
+    run lies on the level j = N - r with deltas N - r - lam_r up to
+    N - r - lam_(r+1), for r = 1 .. N - lam_1.  The walk goes depth first,
+    a row at a time and smallest part first, so the output is sorted; no
+    branch lacks a completion, so the cost follows the size of the answer.
+    Y_N itself is lo = 0, hi = N.
+    """
+    out: list[Partition] = [()] if lo <= 0 and n - 1 <= hi else []
+
+    def extend(parts: list[int], r: int) -> None:
+        if r == n - parts[0]:  # hook N - 1: no row below r
+            out.append(tuple(parts))
+            return
+        for q in range(max(0, n - r - hi), min(parts[-1], n - r - 1 - lo) + 1):
+            if q == 0:  # the empty rows left sit at deltas lam_1 .. N - r - 1
+                out.append(tuple(parts))
+                continue
+            parts.append(q)
+            extend(parts, r + 1)
+            parts.pop()
+
+    # the bottom row N - lam_1 tops out at delta lam_1 and bottoms out at
+    # lam_1 - lam_(N - lam_1); row 1 starts at N - 1 - lam_1
+    for width in range(max(1, lo), min(hi, n - 1 - lo) + 1):
+        extend([width], 1)
     return out
 
 
@@ -108,13 +128,7 @@ def enumerate_YN(n: int) -> tuple[Partition, ...]:
     """All of Y_N in lexicographic order; the count is 2**(n-1)."""
     if n < 1:
         raise IndexOutOfRange(f"n must be >= 1, got {n}")
-    out: list[Partition] = [()]
-    for first in range(1, n):
-        # hook < n forces at most n - first rows in total
-        for rest in _bounded(first, n - first - 1):
-            out.append((first,) + rest)
-    out.sort()
-    return tuple(out)
+    return tuple(rim_walk(n, 0, n))
 
 
 def tau(lam: Partition, n: int) -> Partition:
@@ -220,11 +234,6 @@ def corners(lam: Partition, n: int) -> Corners:
     return Corners(inner, frozenset(outer))
 
 
-def norm1(lam: Partition, n: int) -> int:
-    """Sum of |tau^j(lam)| over one full shift orbit, j = 0..n-1."""
-    return sum(size(mu) for mu in tau_orbit(lam, n))
-
-
 @dataclass(frozen=True)
 class ModelSpace:
     """One of the two finite metric spaces whose hull we build.
@@ -241,10 +250,6 @@ class ModelSpace:
             raise ValueError(f"unknown space kind {self.kind!r}")
         if self.n < 1:
             raise IndexOutOfRange(f"n must be >= 1, got {self.n}")
-
-    @property
-    def npoints(self) -> int:
-        return self.n
 
     def distance(self, i: int, j: int) -> int:
         if self.kind == "xn":

@@ -1,11 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cyclehull.cli import main
-from cyclehull.partitions import ModelSpace
+from cyclehull.hull import build_hull, to_json
+from cyclehull.partitions import ModelSpace, format_partition, parse_partition
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -157,3 +162,77 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "11 + 15*t + 5*t^2\n"
+
+
+def test_oracle_empty_metric_file_exits_two(capsys, tmp_path):
+    for text in ("", "\n  \n", "3\n0 2 2\n"):
+        path = tmp_path / "metric.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "oracle", "--metric", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+def test_skeleton_json_streams_to_json(capsys):
+    for kind, n in (("cycle", 7), ("cycle", 8), ("xn", 5)):
+        code, out, _ = run(
+            capsys, "skeleton", "--n", str(n), "--space", kind,
+            "--format", "json",
+        )
+        assert code == 0
+        assert out == to_json(build_hull(kind, n)) + "\n"
+
+
+def test_vertices_json_is_the_vertex_half(capsys):
+    for kind, n in (("cycle", 3), ("cycle", 7), ("xn", 5)):
+        hull = build_hull(kind, n)
+        doc = {
+            "space": kind,
+            "n": n,
+            "vertices": {
+                format_partition(lam): list(vals)
+                for lam, vals in hull.vertices.items()
+            },
+        }
+        code, out, _ = run(
+            capsys, "vertices", "--n", str(n), "--space", kind, "--json"
+        )
+        assert code == 0
+        assert out == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def test_vertices_text_names_the_empty_partition(capsys):
+    code, out, _ = run(capsys, "vertices", "--n", "3", "--space", "cycle")
+    assert code == 0
+    assert out.splitlines()[0] == "(): 0 2 2"
+    hull = build_hull("cycle", 3)
+    for line in out.splitlines():
+        name, _, vals = line.partition(": ")
+        lam = parse_partition(name)
+        assert hull.vertices[lam] == tuple(int(v) for v in vals.split())
+
+
+def test_acceptance_and_typed_errors_under_optimize():
+    # asserts vanish under -O; the acceptance suite and the even-N
+    # rejection must not depend on them
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(ROOT / "tests" / "test_acceptance.py")],
+        capture_output=True, text=True, cwd=ROOT, env=env,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:]
+    code = (
+        "from cyclehull.census import BadParity\n"
+        "from cyclehull.hull import max_cube_decomposition\n"
+        "try:\n"
+        "    max_cube_decomposition(4)\n"
+        "except BadParity:\n"
+        "    print('rejected')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.stdout == "rejected\n", proc.stderr

@@ -1,11 +1,13 @@
 import json
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from cyclehull.census import BadParity
 from cyclehull.hull import (
     Face,
     build_hull,
@@ -18,11 +20,12 @@ from cyclehull.hull import (
     to_dot,
     to_json,
 )
-from cyclehull.moebius import enumerate_circ, fold
+from cyclehull.moebius import delta, enumerate_circ, fold, outer_rim
 from cyclehull.partitions import (
     corners,
     enumerate_YN,
     format_partition,
+    make_partition,
     young_distance,
 )
 
@@ -165,3 +168,69 @@ def test_rim_vertex_solution_matches_constructions():
         cyc = rim_vertex_solution(lam, n, "cycle")
         assert cyc == tuple(Fraction(x) for x in g_vertex(fold(lam, n), n))
         assert all(x.denominator == 1 for x in sol + cyc)
+
+
+def _reference_corner_rows(kind, lam, n):
+    # inner corners, kept for C_N when the smaller rim stays in the band
+    rows = sorted(corners(lam, n).inner)
+    if kind == "xn" or n < 2:
+        return rows
+    k = n // 2
+    keep = []
+    for r in rows:
+        mu = make_partition([p - (i == r - 1) for i, p in enumerate(lam)])
+        ds = [delta(s) for s in outer_rim(mu, n).sites]
+        if k - 1 <= min(ds) and max(ds) <= n - k + 1:
+            keep.append(r)
+    return keep
+
+
+def _reference_doc(kind, n):
+    # the export as it was built from a materialized, sorted face list
+    pool = enumerate_YN(n) if kind == "xn" else enumerate_circ(n)
+    vertex = f_vertex if kind == "xn" else g_vertex
+    faces = []
+    for lam in pool:
+        rows = _reference_corner_rows(kind, lam, n)
+        for t in range(len(rows) + 1):
+            faces.extend((t, lam, sub) for sub in combinations(rows, t))
+    faces.sort()
+    return {
+        "space": kind,
+        "n": n,
+        "vertices": {format_partition(lam): list(vertex(lam, n)) for lam in pool},
+        "faces": [
+            {"top": format_partition(lam), "removed": list(sub)}
+            for _, lam, sub in faces
+        ],
+    }
+
+
+def test_to_json_equals_dumps_of_the_face_list():
+    cases = [("cycle", n) for n in (*range(1, 10), 16)]
+    cases += [("xn", n) for n in range(1, 8)]
+    for kind, n in cases:
+        want = json.dumps(_reference_doc(kind, n), sort_keys=True, indent=1)
+        assert to_json(build_hull(kind, n)) == want, (kind, n)
+
+
+def test_implicit_faces_match_materialized_faces():
+    for kind, n in (("cycle", 7), ("cycle", 8), ("cycle", 9), ("xn", 6)):
+        hull = build_hull(kind, n)
+        faces = list(hull.faces)
+        assert len(hull.faces) == len(faces)
+        assert faces == sorted(faces, key=Face.sort_key)
+        fv = [0] * (max(f.dim for f in faces) + 1)
+        for f in faces:
+            fv[f.dim] += 1
+        assert hull.f_vector() == tuple(fv)
+        edges = sorted(
+            tuple(sorted((f.top, f.bottom))) for f in faces if f.dim == 1
+        )
+        assert hull.edges() == tuple(edges)
+
+
+def test_max_cube_decomposition_rejects_even_and_small_n():
+    for n in (1, 2, 4):
+        with pytest.raises(BadParity):
+            max_cube_decomposition(n)

@@ -29,7 +29,9 @@ from cyclehull.moebius import (
 )
 from cyclehull.partitions import (
     IndexOutOfRange,
+    corners,
     enumerate_YN,
+    make_partition,
     tau,
     young_distance,
 )
@@ -187,3 +189,53 @@ def test_double_embed_image_and_equivariance():
 
 def test_delta_helper():
     assert delta((2, 6)) == 4
+
+
+def _reference_rim_range(lam, n):
+    ds = [delta(s) for s in outer_rim(lam, n).sites]
+    return min(ds), max(ds)
+
+
+def _reference_band(n, m, ranges):
+    k = n // 2
+    return tuple(
+        lam for lam, (lo, hi) in ranges.items()
+        if k - m <= lo and hi <= n - k + m
+    )
+
+
+def test_band_walk_equals_reference_filter():
+    # the rim walk against a filter over all of Y_N by outer_rim deltas
+    assert enumerate_circ(1) == ((),)
+    for n in range(2, 14):
+        ranges = {lam: _reference_rim_range(lam, n) for lam in enumerate_YN(n)}
+        for m in range(1, n // 2 + 1):
+            assert enumerate_band_partitions(n, m) == \
+                _reference_band(n, m, ranges), (n, m)
+        band = set(_reference_band(n, 1, ranges))
+        for lam in enumerate_YN(n):
+            assert in_circ(lam, n) == (lam in band), (lam, n)
+
+
+def test_circ_inner_corners_equal_remove_and_retest():
+    for n in range(1, 14):
+        k = n // 2
+        for lam in enumerate_circ(n):
+            want = set()
+            for r in corners(lam, n).inner:
+                mu = make_partition(
+                    [p - (i == r - 1) for i, p in enumerate(lam)]
+                )
+                lo, hi = _reference_rim_range(mu, n)
+                if n < 2 or (k - 1 <= lo and hi <= n - k + 1):
+                    want.add(r)
+            assert circ_inner_corners(lam, n) == want, (lam, n)
+
+
+def test_enumerate_circ_21_walks_without_scanning_YN():
+    for fn in (enumerate_YN, enumerate_band_partitions, enumerate_circ):
+        fn.cache_clear()
+    circ = enumerate_circ(21)
+    assert len(circ) == 24476  # L_21
+    assert list(circ) == sorted(set(circ))
+    assert enumerate_YN.cache_info().misses == 0
