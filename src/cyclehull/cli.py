@@ -29,7 +29,7 @@ from .moebius import (
     fold_trace,
     site_str,
 )
-from .oracle import FiniteMetric, tight_span_edges, tight_span_vertices
+from .oracle import FiniteMetric, tight_span
 from .partitions import format_partition, parse_partition
 
 
@@ -96,9 +96,7 @@ def _cmd_fibre(args) -> int:
 
 def _cmd_oracle(args) -> int:
     metric = FiniteMetric.from_file(args.metric)
-    verts = tight_span_vertices(metric, cap=args.cap)
-    edges = tight_span_edges(verts, metric)
-    norm_edges = frozenset((min(u, v), max(u, v)) for u, v in edges)
+    verts, norm_edges = tight_span(metric, cap=args.cap)
     if args.compare is None:
         print(f"vertices: {len(verts)}")
         for f in sorted(verts):
@@ -177,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True)
     p.set_defaults(func=_cmd_fibre)
 
-    p = sub.add_parser("oracle", help="brute-force tight span of a metric")
+    p = sub.add_parser("oracle", help="tight span of a metric")
     p.add_argument("--metric", required=True, help="matrix file")
     p.add_argument("--cap", type=int, default=7)
     p.add_argument("--compare", default=None, help="cycle:N or xn:N")

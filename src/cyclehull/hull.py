@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -27,7 +26,6 @@ from .partitions import (
     ModelSpace,
     Partition,
     corners,
-    cycle_distance,
     enumerate_YN,
     format_partition,
     make_partition,
@@ -35,7 +33,6 @@ from .partitions import (
     size,
     tau,
     tau_orbit,
-    xn_distance,
 )
 from .moebius import (
     circ_inner_corners,
@@ -299,40 +296,3 @@ def max_cube_decomposition(n: int) -> tuple[tuple[Face, ...], tuple[Partition, .
         raise CubeCoverFailure(f"C_{n} cubes cover {len(incident)} vertices")
     extras = tuple(sorted(set(enumerate_circ(n)) - incident))
     return tuple(cubes), extras
-
-
-def rim_vertex_solution(lam: Partition, n: int, kind: str) -> tuple[Fraction, ...]:
-    """Solve the tight linear system read off the rim of lam.
-
-    One equation per rim site (i, j): f_i + f_j = d(point_i, point_j) in
-    the chosen model space.  The system is square; it must be regular and
-    its solution is asserted to exist uniquely.
-    """
-    require_YN(lam, n)
-    dist = xn_distance if kind == "xn" else cycle_distance
-    rows = []
-    for i, j in outer_rim(lam, n).sites:
-        coeff = [Fraction(0)] * n
-        coeff[i % n] += 1
-        coeff[j % n] += 1
-        rows.append(coeff + [Fraction(dist(i % n, j % n, n))])
-    # Gauss-Jordan over exact rationals
-    m = len(rows)
-    assert m == n
-    col = 0
-    pivots = []
-    for col in range(n):
-        piv = next((r for r in range(len(pivots), m) if rows[r][col] != 0), None)
-        if piv is None:
-            raise ArithmeticError(f"rim system of {lam} is singular")
-        r0 = len(pivots)
-        rows[r0], rows[piv] = rows[piv], rows[r0]
-        fac = rows[r0][col]
-        rows[r0] = [x / fac for x in rows[r0]]
-        for r in range(m):
-            if r != r0 and rows[r][col] != 0:
-                f2 = rows[r][col]
-                rows[r] = [x - f2 * y for x, y in zip(rows[r], rows[r0])]
-        pivots.append(col)
-    sol = tuple(rows[r][n] for r in range(n))
-    return sol

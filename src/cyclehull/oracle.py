@@ -1,25 +1,27 @@
-"""Brute-force tight spans of small finite integer metric spaces.
+"""Tight spans of small finite integer metric spaces, by an edge walk.
 
 Independent of the rest of the package: the hull constructions are
-validated against this module, which enumerates tight-span vertices
-straight from the definition.  A function f on the points is feasible
-when f(i) + f(j) >= d(i, j) for all pairs (the diagonal case i = j reads
+validated against this module, which computes tight spans straight from
+the definition.  A function f on the points is feasible when
+f(i) + f(j) >= d(i, j) for all pairs (the diagonal case i = j reads
 f(i) >= 0) and extremal when additionally every coordinate is tight
 against some other one, i.e. f(i) = max_j (d(i,j) - f(j)).
 
-Vertices of the tight span are the extremal functions pinned by n
-linearly independent tight equations.  Any extremal function with a zero
-coordinate is a whole distance row (Kuratowski point), and those are
-always vertices; every other vertex is the unique solution of the
-tightness system of some n-subset of distinct-point pairs, which is what
-the search enumerates: C(n(n-1)/2, n) exact linear solves.
+The tight span is the bounded complex of the polyhedron P(d) of feasible
+functions (Develin-Sturmfels 2004), and it is connected (Dress 1984).
+`tight_span` walks it in the style of reverse search (Avis-Fukuda 1992):
+from the distance row of point 0 it follows every extreme ray of the
+cone of tight constraints that stays bounded, steps exactly to the next
+tight constraint, and so meets every vertex and every 1-face.  The cost
+grows with the size of the answer, not with the C(n(n-1)/2, n) subsets
+of pairs that could pin a vertex.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
 
 
@@ -28,7 +30,7 @@ class DimensionMismatch(ValueError):
 
 
 class TooLarge(ValueError):
-    """Point count exceeds the exhaustive-search cap."""
+    """Point count exceeds the requested cap."""
 
 
 @dataclass(frozen=True)
@@ -109,101 +111,149 @@ def is_extremal(f, metric: FiniteMetric) -> bool:
     return True
 
 
-def tight_span_vertices(metric: FiniteMetric, cap: int = 7) -> frozenset:
-    """All 0-faces of the tight span, as tuples of Fractions.
+class NotExtremal(ValueError):
+    """A point the walk reached is not an extremal vertex of P(d)."""
 
-    Enumerates every n-subset of distinct-point pairs, solves its
-    tightness system by sign-propagation over the subset's graph (unique
-    solution iff every connected component carries an odd cycle), and
-    keeps the feasible extremal solutions.  The distance rows are always
-    vertices and are added directly; for two points no pair subsets exist
-    at all and the rows are the whole answer.
+
+def _bipartite_components(adj: list[list[int]], skip=(), loops=()) -> int:
+    """Components off `skip` with no odd cycle and no loop.
+
+    The system f_i + f_j = d_ij over the edges (f_i = 0 at a loop) has
+    one free parameter per such component.  Edges into `skip` are
+    ignored.
     """
-    n = metric.n
-    if n > cap:
-        raise TooLarge(f"{n} points exceeds the cap {cap}")
-    d = metric.d
-    verts = set()
-    for i in range(n):
-        row = tuple(Fraction(x) for x in d[i])
-        assert is_extremal(row, metric)
-        verts.add(row)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if len(pairs) < n:
-        return frozenset(verts)
-    for combo in combinations(pairs, n):
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for i, j in combo:
-            adj[i].append(j)
-            adj[j].append(i)
-        # propagate f = c + s*x per component, in doubled integers
-        comp = [-1] * n
-        c = [0] * n
-        s = [0] * n
-        ncomp = 0
-        for root in range(n):
-            if comp[root] >= 0:
-                continue
-            comp[root] = ncomp
-            c[root] = 0
-            s[root] = 1
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if comp[v] < 0:
-                        comp[v] = ncomp
-                        c[v] = d[u][v] - c[u]
-                        s[v] = -s[u]
-                        stack.append(v)
-            ncomp += 1
-        x2 = [None] * ncomp  # doubled pinned value per component
-        ok = True
-        for i, j in combo:
-            rhs = d[i][j] - c[i] - c[j]
-            sv = s[i] + s[j]
-            if sv == 0:
-                if rhs != 0:
-                    ok = False
-                    break
-            else:
-                val = 2 * rhs // sv  # sv is +-2, exact
-                if x2[comp[i]] is None:
-                    x2[comp[i]] = val
-                elif x2[comp[i]] != val:
-                    ok = False
-                    break
-        if not ok or any(v is None for v in x2):
-            continue
-        f = tuple(
-            Fraction(2 * c[i] + s[i] * x2[comp[i]], 2) for i in range(n)
-        )
-        if is_extremal(f, metric):
-            verts.add(f)
-    return frozenset(verts)
-
-
-def _bipartite_components(adj: list[list[int]]) -> int:
     n = len(adj)
-    color = [-1] * n
+    color = [2 if i in skip else -1 for i in range(n)]
     count = 0
     for root in range(n):
         if color[root] >= 0:
             continue
         color[root] = 0
         stack = [root]
-        bip = True
+        free = True
         while stack:
             u = stack.pop()
+            if u in loops:
+                free = False
             for v in adj[u]:
                 if color[v] < 0:
                     color[v] = color[u] ^ 1
                     stack.append(v)
                 elif color[v] == color[u]:
-                    bip = False
-        if bip:
-            count += 1
+                    free = False
+        count += free
     return count
+
+
+def _tight_graph(f2, d2, n: int) -> tuple[list[list[int]], frozenset]:
+    """Tight pairs and zero coordinates of the doubled point f2 = 2f.
+
+    Raises NotExtremal unless f is a vertex of P(d): feasible, and pinned
+    by its tight equations, i.e. every component of the tight graph holds
+    an odd cycle or a zero coordinate.  Vertices of P(d) are extremal, so
+    this certifies every vertex the walk emits.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        if f2[i] < 0:
+            raise NotExtremal(f"coordinate {i} of {f2}/2 is negative")
+        for j in range(i + 1, n):
+            slack = f2[i] + f2[j] - d2[i][j]
+            if slack < 0:
+                raise NotExtremal(f"pair ({i},{j}) is violated by {f2}/2")
+            if slack == 0:
+                adj[i].append(j)
+                adj[j].append(i)
+    loops = frozenset(i for i in range(n) if f2[i] == 0)
+    if _bipartite_components(adj, loops=loops):
+        raise NotExtremal(f"{f2}/2 is not pinned by its tight pairs")
+    return adj, loops
+
+
+def _bounded_rays(n: int, adj, loops) -> list[tuple[frozenset, frozenset]]:
+    """Extreme rays of the tight cone at a vertex that end in a vertex.
+
+    The cone is {x : x_i + x_j >= 0 on tight pairs, x_i >= 0 at zeros}.
+    An extreme ray is -1 on a minus set M, +1 on P = N(M) and 0 on the
+    rest, where M holds no zero and no tight pair, M + P is connected
+    through M-P pairs, and every component of the tight graph on the
+    rest holds an odd cycle or a zero.  An empty M gives the unit rays,
+    which lie in the recession cone and are unbounded; every other ray
+    lowers a coordinate toward 0 and is bounded.  M grows by depth-first
+    search through shared neighbours, so it is never guessed.
+    """
+    out = []
+    seen = set()
+    stack = [frozenset((m,)) for m in range(n) if m not in loops]
+    while stack:
+        minus = stack.pop()
+        if minus in seen:
+            continue
+        seen.add(minus)
+        plus = frozenset(q for m in minus for q in adj[m])
+        if not _bipartite_components(adj, minus | plus, loops):
+            out.append((minus, plus))
+        for q in plus:
+            for m in adj[q]:
+                if m not in minus and m not in plus and m not in loops:
+                    stack.append(minus | {m})
+    return out
+
+
+def tight_span(metric: FiniteMetric, cap: int = 7) -> tuple[frozenset, frozenset]:
+    """Vertices and edges of the tight span, as tuples of Fractions.
+
+    Walks the vertices of P(d) = {f : f_i + f_j >= d_ij, f_i >= 0} along
+    its bounded edges, from the distance row of point 0.  The vertices
+    are half-integral, since the tight graph pinning one has an odd
+    cycle or a zero in every component; the walk therefore runs on
+    doubled integers and every step is an exact integer.  Edges are
+    pairs (u, v) with u < v.
+    """
+    n = metric.n
+    if n > cap:
+        raise TooLarge(f"{n} points exceeds the cap {cap}")
+    d2 = [[2 * x for x in row] for row in metric.d]
+    start = tuple(d2[0]) if n else ()
+    seen = {start}
+    stack = [start]
+    edges = set()
+    while stack:
+        f2 = stack.pop()
+        adj, loops = _tight_graph(f2, d2, n)
+        for minus, plus in _bounded_rays(n, adj, loops):
+            # twice the step to the first constraint that turns tight;
+            # x_i + x_j is -2 on pairs inside M, -1 from M to the rest
+            twice = min(2 * f2[i] for i in minus)
+            for i in minus:
+                for j in range(n):
+                    if j != i and j not in plus:
+                        slack = f2[i] + f2[j] - d2[i][j]
+                        twice = min(twice, slack if j in minus else 2 * slack)
+            step, odd = divmod(twice, 2)
+            if odd:
+                raise NotExtremal(f"the edge from {f2}/2 ends off the lattice")
+            g2 = tuple(
+                x - step if i in minus else x + step if i in plus else x
+                for i, x in enumerate(f2)
+            )
+            edges.add((min(f2, g2), max(f2, g2)))
+            if g2 not in seen:
+                seen.add(g2)
+                stack.append(g2)
+
+    def half(f2):
+        return tuple(Fraction(x, 2) for x in f2)
+
+    return (
+        frozenset(half(f2) for f2 in seen),
+        frozenset((half(u), half(v)) for u, v in edges),
+    )
+
+
+def tight_span_vertices(metric: FiniteMetric, cap: int = 7) -> frozenset:
+    """All 0-faces of the tight span, as tuples of Fractions."""
+    return tight_span(metric, cap)[0]
 
 
 def tight_span_edges(vertices, metric: FiniteMetric) -> frozenset:
@@ -214,17 +264,18 @@ def tight_span_edges(vertices, metric: FiniteMetric) -> frozenset:
     has dimension equal to the number of bipartite components of that
     graph, so the test is one bipartite component exactly.
     """
-    d = metric.d
     n = metric.n
     vs = sorted(vertices)
+    # with s clearing every denominator, u + v is 2s times the midpoint
+    s = math.lcm(*(Fraction(x).denominator for f in vs for x in f))
+    ints = [tuple(int(Fraction(x) * s) for x in f) for f in vs]
+    scaled = FiniteMetric.from_rows([[2 * s * x for x in r] for r in metric.d])
+    d = scaled.d
     out = set()
     for a in range(len(vs)):
         for b in range(a + 1, len(vs)):
-            u, v = vs[a], vs[b]
-            mid = tuple(
-                (Fraction(x) + Fraction(y)) / 2 for x, y in zip(u, v)
-            )
-            if not is_extremal(mid, metric):
+            mid = tuple(x + y for x, y in zip(ints[a], ints[b]))
+            if not is_extremal(mid, scaled):
                 continue
             adj: list[list[int]] = [[] for _ in range(n)]
             for i in range(n):
@@ -233,5 +284,5 @@ def tight_span_edges(vertices, metric: FiniteMetric) -> frozenset:
                         adj[i].append(j)
                         adj[j].append(i)
             if _bipartite_components(adj) == 1:
-                out.add((u, v))
+                out.add((vs[a], vs[b]))
     return frozenset(out)

@@ -29,6 +29,10 @@ class IndexOutOfRange(ValueError):
     """Point index outside the allowed range for this model space."""
 
 
+class OrbitNotClosed(ValueError):
+    """N steps of the shift tau did not bring a partition back."""
+
+
 def make_partition(parts: Iterable[int]) -> Partition:
     """Validate and canonicalize a part sequence.
 
@@ -157,7 +161,8 @@ def tau_orbit(lam: Partition, n: int) -> tuple[Partition, ...]:
     out = [lam]
     for _ in range(n - 1):
         out.append(tau(out[-1], n))
-    assert tau(out[-1], n) == lam
+    if tau(out[-1], n) != lam:
+        raise OrbitNotClosed(f"tau^{n} moves {lam}")
     return tuple(out)
 
 

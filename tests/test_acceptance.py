@@ -122,9 +122,10 @@ def test_05_oracle_agrees_with_construction():
     for kind, n in (
         ("cycle", 3), ("cycle", 5), ("cycle", 7),
         ("xn", 3), ("xn", 4), ("xn", 5), ("xn", 6),
+        ("cycle", 9), ("xn", 8),
     ):
         metric = FiniteMetric.from_rows(ModelSpace(kind, n).matrix())
-        verts = tight_span_vertices(metric)
+        verts = tight_span_vertices(metric, cap=n)
         hull = build_hull(kind, n)
         assert verts == {fr(v) for v in hull.vertices.values()}
         edges = {
@@ -139,7 +140,8 @@ def test_05_oracle_agrees_with_construction():
     elapsed = time.time() - t0
     assert elapsed < 120.0
     print(
-        "PASS criterion 5: oracle = construction on C_3,C_5,C_7,X_3..X_6 "
+        "PASS criterion 5: oracle = construction on C_3,C_5,C_7,C_9,"
+        "X_3..X_6,X_8 "
         f"({elapsed:.1f}s)"
     )
 

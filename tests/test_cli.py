@@ -119,6 +119,14 @@ def test_oracle_match(capsys, tmp_path):
     assert out == "MATCH: 11 vertices, 15 edges\n"
 
 
+def test_oracle_match_beyond_seven_points(capsys, tmp_path):
+    path = write_metric(tmp_path, "cycle", 9)
+    code, out, _ = run(capsys, "oracle", "--metric", path,
+                       "--compare", "cycle:9", "--cap", "9")
+    assert code == 0
+    assert out == "MATCH: 76 vertices, 189 edges\n"
+
+
 def test_oracle_mismatch_exit_one(capsys, tmp_path):
     path = write_metric(tmp_path, "cycle", 5)
     code, out, _ = run(capsys, "oracle", "--metric", path,
@@ -223,16 +231,43 @@ def test_acceptance_and_typed_errors_under_optimize():
         capture_output=True, text=True, cwd=ROOT, env=env,
     )
     assert proc.returncode == 0, proc.stdout[-2000:]
-    code = (
-        "from cyclehull.census import BadParity\n"
-        "from cyclehull.hull import max_cube_decomposition\n"
-        "try:\n"
-        "    max_cube_decomposition(4)\n"
-        "except BadParity:\n"
-        "    print('rejected')\n"
-    )
+    # each call below must raise its typed error with asserts stripped;
+    # the internal identities are broken on purpose where no input can
+    code = """
+import cyclehull.census as census
+import cyclehull.partitions as partitions
+from cyclehull.census import BadParity, IdentityFailure
+from cyclehull.hull import max_cube_decomposition
+from cyclehull.oracle import NotExtremal, _tight_graph
+from cyclehull.partitions import OrbitNotClosed
+
+def expect(error, call, *args):
+    try:
+        call(*args)
+    except error:
+        print(error.__name__)
+
+expect(BadParity, max_cube_decomposition, 4)
+expect(IdentityFailure, census._exact_div, 3, 2)
+expect(NotExtremal, _tight_graph, (2, 2), [[0, 2], [2, 0]], 2)
+expect(NotExtremal, _tight_graph, (0, 1), [[0, 2], [2, 0]], 2)
+exact_div = census._exact_div
+census._exact_div = lambda num, den: num // den + 1
+expect(IdentityFailure, census.face_count, 7, 1)
+census._exact_div = exact_div
+census.matrix_Sm = lambda m: census.matrix_S()
+expect(IdentityFailure, census.count_band, 5, 1)
+census.matrix_circcirc = lambda: (census.matrix_S(), census.matrix_S())
+expect(IdentityFailure, census.circcirc_trace, 3)
+partitions.tau = lambda lam, n: ()
+expect(OrbitNotClosed, partitions.tau_orbit, (1,), 3)
+"""
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
         capture_output=True, text=True, env=env,
     )
-    assert proc.stdout == "rejected\n", proc.stderr
+    assert proc.stdout.split() == [
+        "BadParity", "IdentityFailure", "NotExtremal", "NotExtremal",
+        "IdentityFailure", "IdentityFailure", "IdentityFailure",
+        "OrbitNotClosed",
+    ], proc.stderr

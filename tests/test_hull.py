@@ -1,6 +1,5 @@
 import json
 
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -15,17 +14,19 @@ from cyclehull.hull import (
     g_vertex,
     max_cube_decomposition,
     retract_face,
-    rim_vertex_solution,
     skeleton,
     to_dot,
     to_json,
 )
 from cyclehull.moebius import delta, enumerate_circ, fold, outer_rim
+from cyclehull.oracle import _bipartite_components
 from cyclehull.partitions import (
     corners,
+    cycle_distance,
     enumerate_YN,
     format_partition,
     make_partition,
+    xn_distance,
     young_distance,
 )
 
@@ -57,7 +58,7 @@ def test_f_vertex_is_short_and_injective(a, b):
 
 
 def test_f_vertex_rows_realize_the_model_metric():
-    from cyclehull.partitions import rectangular, xn_distance
+    from cyclehull.partitions import rectangular
 
     n = 7
     for i in range(n):
@@ -161,13 +162,27 @@ def test_max_cube_decomposition_small():
 
 
 def test_rim_vertex_solution_matches_constructions():
+    # one equation f_i + f_j = d(i, j) per rim site: the vertex functions
+    # solve it, and the system is regular (no free parameter is left by
+    # its graph, a site i = j reading f_i = 0), so they are its solution
     n = 7
     for lam in Y7:
-        sol = rim_vertex_solution(lam, n, "xn")
-        assert sol == tuple(Fraction(x) for x in f_vertex(lam, n))
-        cyc = rim_vertex_solution(lam, n, "cycle")
-        assert cyc == tuple(Fraction(x) for x in g_vertex(fold(lam, n), n))
-        assert all(x.denominator == 1 for x in sol + cyc)
+        sites = [(i % n, j % n) for i, j in outer_rim(lam, n).sites]
+        assert len(sites) == n
+        adj = [[] for _ in range(n)]
+        loops = set()
+        for i, j in sites:
+            if i == j:
+                loops.add(i)
+            else:
+                adj[i].append(j)
+                adj[j].append(i)
+        assert _bipartite_components(adj, loops=loops) == 0
+        f = f_vertex(lam, n)
+        g = g_vertex(fold(lam, n), n)
+        for i, j in sites:
+            assert f[i] + f[j] == xn_distance(i, j, n)
+            assert g[i] + g[j] == cycle_distance(i, j, n)
 
 
 def _reference_corner_rows(kind, lam, n):
