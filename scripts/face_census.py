@@ -2,22 +2,25 @@
 
 For each odd N the face polynomial from the transfer matrix must agree
 with the f-vector of the constructed complex and with the binomial
-closed forms; the even rows are pure powers (2+t)^(N/2).
+closed forms; the even rows are pure powers (2+t)^(N/2).  With --build
+the exit status is 1 if any row prints MISMATCH.
 """
 
 import argparse
+import sys
 
 from cyclehull.census import face_polynomial
 from cyclehull.hull import build_hull
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=13)
     ap.add_argument("--build", action="store_true",
                     help="also build each complex and cross-check")
     args = ap.parse_args()
 
+    failed = False
     for n in range(2, args.max_n + 1):
         poly = face_polynomial(n)
         total = poly(1)
@@ -25,10 +28,12 @@ def main() -> None:
         row = f"N={n:2d}  faces={total:6d}  euler={euler:2d}  {poly}"
         if args.build:
             fv = build_hull("cycle", n).f_vector()
-            match = "ok" if fv == poly.coeffs else "MISMATCH"
-            row += f"  [{match}]"
+            ok = fv == poly.coeffs
+            failed |= not ok
+            row += f"  [{'ok' if ok else 'MISMATCH'}]"
         print(row)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

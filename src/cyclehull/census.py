@@ -117,7 +117,8 @@ class TPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        assert n >= 0
+        if n < 0:
+            raise ValueError(f"TPoly power needs n >= 0, got {n}")
         out = TPoly((1,))
         base = self
         while n:
@@ -135,7 +136,16 @@ class TPoly:
         return out
 
     def subs_t_plus_1(self) -> "TPoly":
-        return self.compose(TPoly((1, 1)))
+        """Substitute 1 + t for t, by Pascal passes over the coefficients.
+
+        Pass i adds each coefficient above position i into the one below,
+        from the top down; after deg passes the list holds p(1 + t).
+        """
+        c = list(self.coeffs)
+        for i in range(len(c) - 1):
+            for j in range(len(c) - 2, i - 1, -1):
+                c[j] += c[j + 1]
+        return TPoly(c)
 
     def __call__(self, x: int) -> int:
         out = 0
@@ -186,7 +196,8 @@ class TMatrix:
 
     def __post_init__(self):
         d = len(self.rows)
-        assert all(len(r) == d for r in self.rows)
+        if any(len(r) != d for r in self.rows):
+            raise ValueError(f"TMatrix needs {d} rows of length {d}")
 
     @classmethod
     def from_rows(cls, rows) -> "TMatrix":
@@ -207,8 +218,10 @@ class TMatrix:
         return len(self.rows)
 
     def __mul__(self, other: "TMatrix") -> "TMatrix":
-        d = self.dim
-        assert d == other.dim
+        if self.dim != other.dim:
+            raise ValueError(
+                f"TMatrix product of dimensions {self.dim} and {other.dim}"
+            )
         cols = tuple(zip(*other.rows))
         return TMatrix(
             tuple(
@@ -240,7 +253,8 @@ class TMatrix:
         return TMatrix(tuple(tuple(p * a for a in r) for r in self.rows))
 
     def power(self, n: int) -> "TMatrix":
-        assert n >= 0
+        if n < 0:
+            raise ValueError(f"TMatrix power needs n >= 0, got {n}")
         out = TMatrix.identity(self.dim)
         base = self
         while n:
@@ -319,15 +333,27 @@ def corner_enumerator(n: int) -> TPoly:
     """Generating polynomial of Y_N° by number of removable corners.
 
     The coefficient of t^s counts the band partitions with s corners
-    whose removal stays in the band; computed as tr(S^(k-1) Z A).  The
-    constant term is 1 and the linear coefficient is N for every odd N.
+    whose removal stays in the band.  The count is tr(S^(k-1) Z A) for
+    N = 2k+1, and Z A = S^2 - t S turns it into tr(S^(k+1)) - t tr(S^k).
+    Each trace comes from the power split of an_bn,
+      tr(S^j) = a_j tr(S) + b_j tr(S^2 - (1+t) S)    (j >= 1),
+    so no matrix power is formed.  The constant term is 1 and the linear
+    coefficient is N for every odd N.
     """
     if n % 2 == 0:
         raise BadParity(f"corner enumerator needs odd N, got {n}")
     if n < 3:
         raise ValueError(f"corner enumerator needs N >= 3, got {n}")
     k = n // 2
-    return (matrix_S().power(k - 1) * matrix_Z() * matrix_A()).trace()
+    s = matrix_S()
+    tr_s = s.trace()
+    tr_corr = (s * s - s.scale(ONE + T)).trace()
+
+    def tr_power(j: int) -> TPoly:
+        a_j, b_j = an_bn(j)
+        return a_j * tr_s + b_j * tr_corr
+
+    return tr_power(k + 1) - T * tr_power(k)
 
 
 def an_bn(n: int) -> tuple[TPoly, TPoly]:
@@ -335,8 +361,11 @@ def an_bn(n: int) -> tuple[TPoly, TPoly]:
 
     a_n has coefficients C(2(n-1)-j, j) and b_n the shifted C(2(n-1)-1-j, j);
     they satisfy a_(n+1) = (1+t) a_n + t b_n and b_(n+1) = a_n + t b_n.
+    corner_enumerator takes its traces of powers of S from this split.
+    S^0 = I is not in the span of S and S^2 - (1+t) S, so n >= 1.
     """
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"an_bn needs n >= 1, got {n}")
 
     def binom_poly(top_base: int) -> TPoly:
         coeffs = []
@@ -378,8 +407,12 @@ def face_count(n: int, v: int) -> int:
     """
     if n % 2 == 0:
         raise BadParity(f"face_count needs odd N, got {n}")
-    if n < 1 or v < 0:
-        raise ValueError((n, v))
+    if n < 1:
+        raise ValueError(f"face_count needs N >= 1, got N = {n}")
+    if v < 0:
+        raise ValueError(
+            f"face dimension v must be >= 0, got v = {v} for N = {n}"
+        )
     top = (n - 1) // 2
     if v > top:
         return 0
@@ -399,7 +432,8 @@ def face_count(n: int, v: int) -> int:
 
 def sequences(n: int) -> tuple[int, int, int]:
     """(Lucas_n, Fibonacci_n, Catalan_n) by exact integer recurrences."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"sequences needs n >= 0, got {n}")
     lu, lv = 2, 1
     fu, fv = 0, 1
     for _ in range(n):
@@ -438,7 +472,8 @@ def circcirc_count(k: int) -> int:
     Coefficient of q^k in (1 + 3q) / (1 - q - 2q^2 - q^3), by the linear
     recurrence u_k = u_(k-1) + 2 u_(k-2) + u_(k-3).
     """
-    assert k >= 0
+    if k < 0:
+        raise ValueError(f"circcirc_count needs k >= 0, got {k}")
     u = [1, 4, 6]
     if k < 3:
         return u[k]
@@ -449,7 +484,8 @@ def circcirc_count(k: int) -> int:
 
 def circcirc_trace(k: int) -> int:
     """The same count as circcirc_count, via the 3x3 transfer matrices."""
-    assert k >= 0
+    if k < 0:
+        raise ValueError(f"circcirc_trace needs k >= 0, got {k}")
     m, w = matrix_circcirc()
     p = (m.power(k) * w).trace()
     if p.degree not in (None, 0):
@@ -474,7 +510,10 @@ def generating_series_check(k_max: int) -> bool:
     equals 1 + t q up to order k_max, and that the traces tr(S^k) obey
     the recurrence read off the denominator from k = 3 on.
     """
-    assert k_max >= 1
+    if k_max < 1:
+        raise ValueError(
+            f"generating_series_check needs k_max >= 1, got {k_max}"
+        )
     s = matrix_S()
     powers = [TMatrix.identity(3)]
     for _ in range(k_max + 1):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -42,6 +44,13 @@ def test_tpoly_arithmetic():
     assert (ONE + T).subs_t_plus_1() == TPoly.const(2) + T
 
 
+@given(st.lists(st.integers(-10**6, 10**6), max_size=12))
+def test_subs_t_plus_1_equals_compose(coeffs):
+    # covers ZERO (empty or all-zero lists) and constants
+    p = TPoly(coeffs)
+    assert p.subs_t_plus_1() == p.compose(ONE + T)
+
+
 @given(st.integers(0, 6), st.integers(0, 6))
 def test_tpoly_eval_commutes_with_product(a, b):
     p = ONE + a * T
@@ -84,6 +93,22 @@ def test_corner_enumerator_counts_corners():
         while hist and hist[-1] == 0:
             hist.pop()
         assert list(poly.coeffs) == hist
+    # the reference is the matrix word tr(S^(k-1) Z A), kept only here
+    s, za = matrix_S(), matrix_Z() * matrix_A()
+    for n in range(3, 82, 2):
+        assert corner_enumerator(n) == (s.power(n // 2 - 1) * za).trace()
+
+
+def test_corner_enumerator_lucas_form():
+    # coefficient of t^s is N/(N-s) C(N-s, s); they sum to Lucas_N
+    for n in range(3, 302, 2):
+        want = []
+        for s in range(n // 2 + 1):
+            q, r = divmod(n * math.comb(n - s, s), n - s)
+            assert r == 0
+            want.append(q)
+        assert corner_enumerator(n) == TPoly(want)
+        assert sum(want) == sequences(n)[0]
 
 
 def test_corner_enumerator_parity():
@@ -104,6 +129,11 @@ def test_face_count_matches_polynomial():
         poly = face_polynomial(n)
         for v, c in enumerate(poly.coeffs):
             assert face_count(n, v) == c
+    poly = face_polynomial(1001)
+    assert poly(1) == 2 ** 1001 - 1
+    assert poly(-1) == 1
+    for v in (0, 1, 2, 250, 499, 500):
+        assert poly.coeff(v) == face_count(1001, v)
 
 
 def test_sequences():

@@ -33,6 +33,12 @@ def test_census_polynomial(capsys):
     assert out == "29 + 56*t + 35*t^2 + 7*t^3\n"
 
 
+def test_census_bad_face_dimension(capsys):
+    code, out, err = run(capsys, "census", "--n", "1001", "--v", "-1")
+    assert code == 2 and out == ""
+    assert "N = 1001" in err and "v = -1" in err
+
+
 def test_census_single_count(capsys):
     code, out, _ = run(capsys, "census", "--n", "7", "--v", "2")
     assert code == 0
@@ -228,12 +234,16 @@ def test_acceptance_and_typed_errors_under_optimize():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          str(ROOT / "tests" / "test_acceptance.py")],
-        capture_output=True, text=True, cwd=ROOT, env=env,
+        capture_output=True, text=True, cwd=ROOT, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:]
     # each call below must raise its typed error with asserts stripped;
     # the internal identities are broken on purpose where no input can
+    # an unchecked negative power squares its operand forever; the
+    # address-space cap and the timeout make that a failure, not a hang
     code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29))
 import cyclehull.census as census
 import cyclehull.partitions as partitions
 from cyclehull.census import BadParity, IdentityFailure
@@ -248,6 +258,9 @@ def expect(error, call, *args):
         print(error.__name__)
 
 expect(BadParity, max_cube_decomposition, 4)
+expect(ValueError, census.an_bn, 0)
+expect(ValueError, census.T.__pow__, -1)
+expect(ValueError, census.matrix_S().power, -1)
 expect(IdentityFailure, census._exact_div, 3, 2)
 expect(NotExtremal, _tight_graph, (2, 2), [[0, 2], [2, 0]], 2)
 expect(NotExtremal, _tight_graph, (0, 1), [[0, 2], [2, 0]], 2)
@@ -264,10 +277,11 @@ expect(OrbitNotClosed, partitions.tau_orbit, (1,), 3)
 """
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.stdout.split() == [
-        "BadParity", "IdentityFailure", "NotExtremal", "NotExtremal",
+        "BadParity", "ValueError", "ValueError", "ValueError",
+        "IdentityFailure", "NotExtremal", "NotExtremal",
         "IdentityFailure", "IdentityFailure", "IdentityFailure",
         "OrbitNotClosed",
     ], proc.stderr
