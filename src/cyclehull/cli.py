@@ -20,17 +20,20 @@ from .hull import (
     to_dot,
 )
 from .moebius import (
-    _FIBRE_CAP,
     double_embed,
     enumerate_band_partitions,
     fibre_factorization,
     fold_fibre,
-    fold_fibre_size,
     fold_trace,
     site_str,
 )
 from .oracle import FiniteMetric, tight_span
 from .partitions import format_partition, parse_partition
+
+
+def _name(lam) -> str:
+    """A partition as printed in text output; the empty one is ()."""
+    return format_partition(lam) or "()"
 
 
 def _cmd_census(args) -> int:
@@ -48,9 +51,9 @@ def _cmd_vertices(args) -> int:
         print()
         return 0
     for name, vals in sorted(
-        (format_partition(lam), vals) for lam, vals in hull.vertices.items()
+        (_name(lam), vals) for lam, vals in hull.vertices.items()
     ):
-        print(f"{name or '()'}: {' '.join(str(v) for v in vals)}")
+        print(f"{name}: {' '.join(str(v) for v in vals)}")
     return 0
 
 
@@ -77,7 +80,7 @@ def _cmd_skeleton(args) -> int:
 def _cmd_fold(args) -> int:
     lam = parse_partition(args.partition)
     folded, trace = fold_trace(lam, args.n)
-    print(format_partition(folded))
+    print(_name(folded))
     for part, site in trace:
         print(f"{part} {site_str(site)}")
     return 0
@@ -85,12 +88,10 @@ def _cmd_fold(args) -> int:
 
 def _cmd_fibre(args) -> int:
     lam = parse_partition(args.partition)
-    word = fibre_factorization(lam, args.n)
-    size = fold_fibre_size(lam, args.n)
-    if args.n <= _FIBRE_CAP:
-        for member in fold_fibre(lam, args.n):
-            print(format_partition(member))
-    print(f"{word} = {size}")
+    members = fold_fibre(lam, args.n)  # as many as fold_fibre_size says
+    for member in members:
+        print(_name(member))
+    print(f"{fibre_factorization(lam, args.n)} = {len(members)}")
     return 0
 
 
@@ -137,7 +138,7 @@ def _cmd_counts(args) -> int:
 
 def _cmd_embed(args) -> int:
     lam = parse_partition(args.partition)
-    print(format_partition(double_embed(lam, args.n)))
+    print(_name(double_embed(lam, args.n)))
     return 0
 
 

@@ -13,9 +13,9 @@ wraps the strip once.  The central band of half-width m consists of the
 sites with k - m <= delta <= N - k + m where k = N // 2; partitions whose
 rim stays inside the band m = 1 form the subfamily written Y_N° here
 (`enumerate_circ`).  The fold map pushes an arbitrary rim into that band
-by repeatedly flipping extremal corner sites inward, line by line, and is
-the vertex-level shadow of a retraction of one injective hull onto the
-other.
+in rounds that each move the boxes on two antidiagonals of the diagram;
+undoing the rounds lists its fibres.  It is the vertex-level shadow of a
+retraction of one injective hull onto the other.
 """
 
 from __future__ import annotations
@@ -23,16 +23,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import compress, groupby, product
 
 from .partitions import (
     IndexOutOfRange,
     Partition,
     enumerate_YN,
+    in_YN,
     make_partition,
     require_YN,
     rim_walk,
     tau,
+    young_distance,
 )
 
 Site = tuple[int, int]
@@ -55,7 +57,7 @@ class ParameterizationFailure(ValueError):
 
 
 class FoldFailure(ValueError):
-    """A fold flip or the folded rim broke the band invariants."""
+    """A fold round left Y_N or the band, or a fibre missed its Catalan size."""
 
 
 def canon_site(i: int, j: int, n: int) -> Site:
@@ -130,26 +132,11 @@ def rim_to_partition(rim: RimPath, n: int) -> Partition:
             raise InvalidRim(f"point ({a},{b}) leaves the strip")
         if (a2 - a, b2 - b) not in ((1, 0), (0, 1)):
             raise InvalidRim(f"({a},{b}) -> ({a2},{b2}) is not a unit step")
-    lam = _partition_from_sites(frozenset(rim.sites), n)
-    if outer_rim(lam, n).lift != lift:
+    # row r of the partition is the last point of the lift on level N - r
+    ends = {j: i for i, j in lift}
+    lam = make_partition(ends[n - r] for r in range(1, n - c + 1))
+    if outer_rim(lam, n) != rim:
         raise InvalidRim("lift is not the outer rim of any partition")
-    return lam
-
-
-def _partition_from_sites(sites: frozenset[Site], n: int) -> Partition:
-    # row r of the partition is the largest i with site (i, N - r) present
-    best: dict[int, int] = {}
-    for i, j in sites:
-        if i > best.get(j, -1):
-            best[j] = i
-    parts = []
-    for r in range(1, n + 1):
-        if n - r not in best:
-            break
-        parts.append(best[n - r])
-    lam = make_partition(parts)
-    if len(sites) != n:
-        raise InvalidRim(f"a rim has {n} sites, got {len(sites)}")
     return lam
 
 
@@ -221,49 +208,55 @@ def circ_inner_corners(lam: Partition, n: int) -> frozenset[int]:
 FoldStep = tuple[str, Site]
 
 
+def _moves(p: list[int], lose: int, gain: int) -> list[tuple[int, int]]:
+    # on the rows p (padded with one 0), (r, -1) for each corner box on
+    # r + c = lose, then (r, +1) for each addable box on r + c = gain
+    return [
+        (r, -1) for r in range(len(p) - 1, 0, -1)
+        if r + p[r - 1] == lose > r + p[r]
+    ] + [
+        (r, 1) for r in range(len(p), 0, -1)
+        if r + p[r - 1] + 1 == gain and (r == 1 or p[r - 2] > p[r - 1])
+    ]
+
+
+def _fold_round(rows: Partition, n: int, u: int) -> tuple[Partition, list[FoldStep]]:
+    """Round u of the fold, on the rows; returns the rows and the flips.
+
+    Removes every corner box on the antidiagonal r + c = N - u (the rim's
+    valleys on delta = u, at the sites (lam_r, N - r)), then adds every
+    addable box on r + c = u + 2 (its peaks on delta = N - u, at the sites
+    (lam_s, N - s + 1), glued to (0, lam_1) for s = 1).
+    """
+    p = list(rows) + [0]
+    moves = _moves(p, n - u, u + 2)
+    trace = [
+        ("upper", (p[r - 1], n - r)) if step < 0 else
+        ("lower", (p[r - 1], n - r + 1) if r > 1 else (0, p[0]))
+        for r, step in moves
+    ]
+    for r, step in moves:
+        p[r - 1] += step
+    return tuple(x for x in p if x), trace
+
+
 def fold_trace(lam: Partition, n: int) -> tuple[Partition, tuple[FoldStep, ...]]:
     """Fold lam into Y_N° and report every site that was flipped.
 
-    The rim is swept in rounds u = 0 .. k-2.  In round u the line delta = u
-    is scanned left to right and every rim site that is a local minimum of
-    delta (entered by an i-step, left by a j-step) is flipped to the
-    opposite corner of its unit square, two levels up.  Then the line
-    delta = N - u is scanned the same way and every local maximum is
-    flipped two levels down.  Each flip moves one boundary box of the
-    diagram; after the last round the rim lies inside the band m = 1.
+    Runs the rounds u = 0 .. k-2 of `_fold_round`, in increasing column
+    within each kind.  FoldFailure if a round leaves Y_N or the result
+    leaves the band m = 1.
     """
     require_YN(lam, n)
-    k = n // 2
-    sites = set(outer_rim(lam, n).sites)
-    trace: list[FoldStep] = []
-
-    def flip(old: Site, new_i: int, new_j: int, part: str) -> None:
-        new = canon_site(new_i, new_j, n)
-        if new in sites:
-            raise FoldFailure(f"flip of {site_str(old)} lands on the rim of {lam}")
-        sites.remove(old)
-        sites.add(new)
-        trace.append((part, old))
-
-    for u in range(0, k - 1):
-        for a in range(1, n - u):
-            s = (a, a + u)
-            if s not in sites:
-                continue
-            if canon_site(a - 1, a + u, n) in sites and canon_site(a, a + u + 1, n) in sites:
-                flip(s, a - 1, a + u + 1, "upper")
-        dp = n - u
-        for c in range(0, u + 1):
-            s = canon_site(c, c + dp, n)
-            if s not in sites:
-                continue
-            if canon_site(c, c + dp - 1, n) in sites and canon_site(c + 1, c + dp, n) in sites:
-                flip(s, c + 1, c + dp - 1, "lower")
-
-    out = _partition_from_sites(frozenset(sites), n)
-    if not in_circ(out, n):
-        raise FoldFailure(f"fold of {lam} ends outside the band m=1: {out}")
-    return out, tuple(trace)
+    rows, trace = lam, []
+    for u in range(n // 2 - 1):
+        rows, flips = _fold_round(rows, n, u)
+        if not in_YN(rows, n):
+            raise FoldFailure(f"round {u} folds {lam} out of Y_{n}: {rows}")
+        trace += flips
+    if not in_circ(rows, n):
+        raise FoldFailure(f"fold of {lam} ends outside the band m=1: {rows}")
+    return rows, tuple(trace)
 
 
 def fold(lam: Partition, n: int) -> Partition:
@@ -271,27 +264,34 @@ def fold(lam: Partition, n: int) -> Partition:
     return fold_trace(lam, n)[0]
 
 
-_FIBRE_CAP = 15
-
-
-@lru_cache(maxsize=None)
-def _fold_map(n: int) -> dict[Partition, Partition]:
-    return {lam: fold(lam, n) for lam in enumerate_YN(n)}
-
-
 def fold_fibre(lam0: Partition, n: int) -> tuple[Partition, ...]:
-    """All mu in Y_N with fold(mu) = lam0, by exhaustive search.
+    """All mu in Y_N with fold(mu) = lam0, sorted, by undoing the fold.
 
-    Enumeration is capped at N = 15 (2**14 folds); beyond that use
-    fold_fibre_size, which needs only the rim of lam0.
+    A preimage of nu under round u is nu with some of its addable boxes on
+    r + c = N - u added and some corner boxes on r + c = u + 2 removed;
+    rounds k-2 .. 0 are undone keeping the candidates in Y_N that the
+    round maps back, so the work follows the fibre's size.  FoldFailure
+    if the member count is not fold_fibre_size.
     """
     require_circ(lam0, n)
-    if n > _FIBRE_CAP:
-        raise ValueError(
-            f"fibre enumeration is capped at N={_FIBRE_CAP}; "
-            "use fold_fibre_size for larger N"
-        )
-    return tuple(sorted(m for m, f in _fold_map(n).items() if f == lam0))
+    layer = [lam0]
+    for u in range(n // 2 - 2, -1, -1):
+        preimages = []
+        for nu in layer:
+            p = list(nu) + [0]
+            moves = _moves(p, u + 2, n - u)
+            for picks in product((0, 1), repeat=len(moves)):
+                q = p[:]
+                for r, step in compress(moves, picks):
+                    q[r - 1] += step
+                mu = tuple(x for x in q if x)
+                if in_YN(mu, n) and _fold_round(mu, n, u)[0] == nu:
+                    preimages.append(mu)
+        layer = preimages
+    if len(layer) != fold_fibre_size(lam0, n):
+        raise FoldFailure(f"{lam0 or '()'} unfolds to {len(layer)} partitions, "
+                          f"not the Catalan product {fold_fibre_size(lam0, n)}")
+    return tuple(sorted(layer))
 
 
 def boundary_loop(n: int) -> tuple[Site, ...]:
@@ -399,6 +399,4 @@ def double_embed(lam: Partition, n: int) -> Partition:
 
 def tau_equivariance_defect(lam: Partition, n: int) -> int:
     """young_distance(fold(tau lam), tau(fold lam)); zero when equivariant."""
-    from .partitions import young_distance
-
     return young_distance(fold(tau(lam, n), n), tau(fold(lam, n), n))

@@ -8,6 +8,7 @@ import pytest
 
 from cyclehull.cli import main
 from cyclehull.hull import build_hull, to_json
+from cyclehull.moebius import fold
 from cyclehull.partitions import ModelSpace, format_partition, parse_partition
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +62,29 @@ def test_fibre_output(capsys):
     code, out, _ = run(capsys, "fibre", "--n", "5", "--partition", "2,1")
     assert code == 0
     assert out == "2,1\nC_0^5 = 1\n"
+
+
+def test_fibre_lists_members_beyond_fifteen(capsys):
+    lam = (7, 6, 5, 4, 3, 3, 1, 1)
+    code, out, _ = run(
+        capsys, "fibre", "--n", "17", "--partition", format_partition(lam)
+    )
+    assert code == 0
+    *members, last = out.splitlines()
+    assert last == "C_1*C_0*C_5*C_0^10 = 42"
+    assert len(set(members)) == 42
+    assert all(fold(parse_partition(m), 17) == lam for m in members)
+
+
+def test_text_output_names_the_empty_partition(capsys):
+    for argv, want in (
+        (("fibre", "--n", "4", "--partition", "1"), "()\n1\nC_2*C_0^2 = 2\n"),
+        (("fold", "--n", "3", "--partition", "()"), "()\n"),
+        (("embed", "--n", "1", "--partition", "()"), "()\n"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == want, argv
 
 
 def test_vertices_plain_and_json(capsys):
@@ -246,8 +270,10 @@ import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29))
 import cyclehull.census as census
 import cyclehull.partitions as partitions
+import cyclehull.moebius as moebius
 from cyclehull.census import BadParity, IdentityFailure
 from cyclehull.hull import max_cube_decomposition
+from cyclehull.moebius import FoldFailure
 from cyclehull.oracle import NotExtremal, _tight_graph
 from cyclehull.partitions import OrbitNotClosed
 
@@ -274,6 +300,13 @@ census.matrix_circcirc = lambda: (census.matrix_S(), census.matrix_S())
 expect(IdentityFailure, census.circcirc_trace, 3)
 partitions.tau = lambda lam, n: ()
 expect(OrbitNotClosed, partitions.tau_orbit, (1,), 3)
+fibre_size = moebius.fold_fibre_size
+moebius.fold_fibre_size = lambda lam, n: fibre_size(lam, n) + 1
+expect(FoldFailure, moebius.fold_fibre, (2, 1), 5)
+moebius._fold_round = lambda rows, n, u: (rows, [])
+expect(FoldFailure, moebius.fold, (4,), 5)
+moebius._fold_round = lambda rows, n, u: (rows + (1,) * n, [])
+expect(FoldFailure, moebius.fold, (2, 1), 5)
 """
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -283,5 +316,5 @@ expect(OrbitNotClosed, partitions.tau_orbit, (1,), 3)
         "BadParity", "ValueError", "ValueError", "ValueError",
         "IdentityFailure", "NotExtremal", "NotExtremal",
         "IdentityFailure", "IdentityFailure", "IdentityFailure",
-        "OrbitNotClosed",
+        "OrbitNotClosed", "FoldFailure", "FoldFailure", "FoldFailure",
     ], proc.stderr

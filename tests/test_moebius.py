@@ -1,4 +1,6 @@
 import math
+import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -6,8 +8,11 @@ import hypothesis.strategies as st
 
 from cyclehull.moebius import (
     BadBandIndex,
+    FoldFailure,
+    InvalidRim,
     NotInYNCirc,
     ParameterizationFailure,
+    RimPath,
     boundary_loop,
     canon_site,
     circ_inner_corners,
@@ -60,6 +65,15 @@ def test_rim_round_trip(lam):
     assert len(rim.lift) == 10
     assert len(rim.sites) == 9
     assert rim_to_partition(rim, 9) == lam
+
+
+def test_rim_to_partition_rejects_a_foreign_rim():
+    rim, other = outer_rim((2, 1), 5), outer_rim((2,), 5)
+    with pytest.raises(InvalidRim, match="not the outer rim"):
+        rim_to_partition(RimPath(5, rim.lift, other.sites), 5)
+    skip = rim.lift[:2] + rim.lift[3:] + ((2, 5),)
+    with pytest.raises(InvalidRim, match="unit step"):
+        rim_to_partition(RimPath(5, skip, rim.sites), 5)
 
 
 @given(st.sampled_from(Y9))
@@ -125,10 +139,10 @@ def test_fibre_matches_brute_force():
         assert len(members) == fold_fibre_size(lam, n)
 
 
-def test_fibre_cap():
-    with pytest.raises(ValueError, match="capped"):
-        fold_fibre((8, 8, 6, 6, 4, 4, 2, 2), 18)
-    assert fold_fibre_size((8, 8, 6, 6, 4, 4, 2, 2), 18) == 1
+def test_fibre_lists_members_beyond_fifteen():
+    lam = (8, 8, 6, 6, 4, 4, 2, 2)
+    assert fold_fibre(lam, 18) == (lam,)
+    assert fold_fibre_size(lam, 18) == 1
 
 
 def test_boundary_loop_shape():
@@ -239,3 +253,86 @@ def test_enumerate_circ_21_walks_without_scanning_YN():
     assert len(circ) == 24476  # L_21
     assert list(circ) == sorted(set(circ))
     assert enumerate_YN.cache_info().misses == 0
+
+
+def _reference_partition_from_sites(sites, n):
+    # row r of the partition is the largest i with site (i, N - r) present
+    best = {}
+    for i, j in sites:
+        best[j] = max(i, best.get(j, -1))
+    parts = []
+    for r in range(1, n + 1):
+        if n - r not in best:
+            break
+        parts.append(best[n - r])
+    return make_partition(parts)
+
+
+def reference_fold_trace(lam, n):
+    """The fold as flips of a set of glued rim sites.
+
+    In round u the line delta = u is scanned left to right and every rim
+    site that is a local minimum of delta (entered by an i-step, left by a
+    j-step) is flipped to the opposite corner of its unit square, two
+    levels up; then every local maximum on the line delta = N - u is
+    flipped two levels down.
+    """
+    k = n // 2
+    sites = set(outer_rim(lam, n).sites)
+    trace = []
+
+    def flip(old, new_i, new_j, part):
+        new = canon_site(new_i, new_j, n)
+        if new in sites:
+            raise FoldFailure(f"flip of {old} lands on the rim of {lam}")
+        sites.remove(old)
+        sites.add(new)
+        trace.append((part, old))
+
+    for u in range(0, k - 1):
+        for a in range(1, n - u):
+            s = (a, a + u)
+            if s in sites and canon_site(a - 1, a + u, n) in sites \
+                    and canon_site(a, a + u + 1, n) in sites:
+                flip(s, a - 1, a + u + 1, "upper")
+        dp = n - u
+        for c in range(0, u + 1):
+            s = canon_site(c, c + dp, n)
+            if s in sites and canon_site(c, c + dp - 1, n) in sites \
+                    and canon_site(c + 1, c + dp, n) in sites:
+                flip(s, c + 1, c + dp - 1, "lower")
+    return _reference_partition_from_sites(sites, n), tuple(trace)
+
+
+@lru_cache(maxsize=None)
+def _reference_fold_map(n):
+    return {lam: reference_fold_trace(lam, n) for lam in enumerate_YN(n)}
+
+
+def _random_YN(rng, n):
+    width = rng.randrange(n)
+    length = rng.randrange(n - width) if width else 0
+    parts = sorted((rng.randint(1, width) for _ in range(length)), reverse=True)
+    return tuple([width] + parts[1:]) if parts else ()
+
+
+def test_fold_trace_equals_reference_site_flips():
+    for n in range(1, 13):
+        for lam, want in _reference_fold_map(n).items():
+            assert fold_trace(lam, n) == want, (lam, n)
+    rng = random.Random(20261018)
+    for n in (23, 41, 57):
+        for _ in range(300):
+            lam = _random_YN(rng, n)
+            assert fold_trace(lam, n) == reference_fold_trace(lam, n), (lam, n)
+
+
+def test_fibre_equals_reference_scan_of_YN():
+    for n in range(1, 14):
+        fibres = {}
+        for lam, (out, _) in _reference_fold_map(n).items():
+            fibres.setdefault(out, []).append(lam)
+        assert set(fibres) <= set(enumerate_circ(n))
+        for lam in enumerate_circ(n):
+            assert fold_fibre(lam, n) == tuple(sorted(fibres.get(lam, ()))), \
+                (lam, n)
