@@ -10,9 +10,10 @@ through the equivalent polynomial recurrences instead.
 The 3x3 matrices Z, S, A encode how a rim segment crossing one period of
 the band m = 1 extends site by site; a summand t^s stands for a rim with
 s foldable inner corners, so traces of matrix words enumerate band
-partitions weighted by corner count.  The band of half-width m has its
-own 0/1 transfer matrices: anti-triangular S_m for odd N and tridiagonal
-T_m paired with the antidiagonal J_m for even N.
+partitions weighted by corner count.  The bands of wider half-width m
+are counted in plain integers instead: count_band runs the row rule of
+partitions.band_rows forward (partitions.rim_count), the same rule that
+enumerates them, for both parities of N.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+from .moebius import band_limits
+from .partitions import rim_count
 
 
 class BadParity(ValueError):
@@ -32,9 +36,6 @@ class IdentityFailure(ValueError):
     A division left a remainder, two closed forms disagreed, or a trace
     that counts partitions came out with powers of t.
     """
-
-
-from .moebius import BadBandIndex
 
 
 class TPoly:
@@ -284,43 +285,6 @@ def matrix_A() -> TMatrix:
     return TMatrix.from_rows([[1, 1, 0], [1, 1, 1], [1, 1, 1]])
 
 
-def matrix_Sm(m: int) -> TMatrix:
-    """(m+1)x(m+1) 0/1 matrix with ones on the two lowest antidiagonals.
-
-    Entry (i, j) is 1 exactly when i + j is m or m + 1; its N-th power's
-    trace counts the rims confined to the odd band of half-width m.
-    """
-    return TMatrix.from_rows(
-        [
-            [1 if i + j in (m, m + 1) else 0 for j in range(m + 1)]
-            for i in range(m + 1)
-        ]
-    )
-
-
-def matrix_Tm(m: int) -> TMatrix:
-    """Tridiagonal (m+1)x(m+1): off-diagonal 1, diagonal (1, 2, .., 2, 1)."""
-    rows = []
-    for i in range(m + 1):
-        row = [0] * (m + 1)
-        row[i] = 1 if i in (0, m) else 2
-        if i > 0:
-            row[i - 1] = 1
-        if i < m:
-            row[i + 1] = 1
-        rows.append(row)
-    return TMatrix.from_rows(rows)
-
-
-def matrix_Jm(m: int) -> TMatrix:
-    return TMatrix.from_rows(
-        [
-            [1 if i + j == m else 0 for j in range(m + 1)]
-            for i in range(m + 1)
-        ]
-    )
-
-
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
@@ -446,18 +410,10 @@ def sequences(n: int) -> tuple[int, int, int]:
 def count_band(n: int, m: int) -> int:
     """Number of partitions whose rim stays in the band of half-width m.
 
-    Odd N: trace of S_m^N.  Even N = 2k: trace of J_m T_m^k.
+    The integer row count partitions.rim_count over the delta range of
+    moebius.band_limits, for either parity of N.
     """
-    k = n // 2
-    if not 1 <= m <= k:
-        raise BadBandIndex(f"band index {m} not in [1, {k}]")
-    if n % 2:
-        p = matrix_Sm(m).power(n).trace()
-    else:
-        p = (matrix_Jm(m) * matrix_Tm(m).power(k)).trace()
-    if p.degree not in (None, 0):
-        raise IdentityFailure(f"count_band({n}, {m}) trace is {p}")
-    return p.coeff(0)
+    return rim_count(n, *band_limits(n, m))
 
 
 def matrix_circcirc() -> tuple[TMatrix, TMatrix]:

@@ -38,7 +38,6 @@ from .moebius import (
     circ_inner_corners,
     enumerate_circ,
     fold,
-    outer_rim,
     require_circ,
 )
 

@@ -28,6 +28,7 @@ from itertools import compress, groupby, product
 from .partitions import (
     IndexOutOfRange,
     Partition,
+    band_rows,
     enumerate_YN,
     in_YN,
     make_partition,
@@ -140,32 +141,32 @@ def rim_to_partition(rim: RimPath, n: int) -> Partition:
     return lam
 
 
-def in_band(s: Site, n: int, m: int) -> bool:
-    """Is the site inside the central band of half-width m?
+def band_limits(n: int, m: int) -> tuple[int, int]:
+    """The delta range (k - m, N - k + m), k = N // 2, of the band m.
 
-    The band is k - m <= delta <= N - k + m with k = N // 2.  For odd N it
-    spans 2m + 2 levels, for even N the symmetric 2m + 1.
+    For odd N the band spans 2m + 2 levels, for even N the symmetric
+    2m + 1.  BadBandIndex unless 1 <= m <= k.
     """
     k = n // 2
     if not 1 <= m <= k:
         raise BadBandIndex(f"band index {m} not in [1, {k}]")
-    s = canon_site(s[0], s[1], n)
-    return k - m <= delta(s) <= n - k + m
+    return k - m, n - k + m
 
 
-def _rim_delta_range(lam: Partition, n: int) -> tuple[int, int]:
-    # lowest and highest delta over the row runs of the rim (see rim_walk)
-    p = list(lam) + [0] * (n + 1 - len(lam))
-    rows = range(1, n - p[0] + 1)
-    return min(n - r - p[r - 1] for r in rows), max(n - r - p[r] for r in rows)
+def in_band(s: Site, n: int, m: int) -> bool:
+    """Is the site inside the central band of half-width m?"""
+    lo, hi = band_limits(n, m)
+    return lo <= delta(canon_site(s[0], s[1], n)) <= hi
 
 
 def in_circ(lam: Partition, n: int) -> bool:
-    """Membership in Y_N°: the rim stays in the band m = 1."""
+    """Membership in Y_N°: the rows of lam obey band_rows for m = 1."""
     require_YN(lam, n)
-    k = n // 2
-    lo, hi = _rim_delta_range(lam, n)
-    return k - 1 <= lo and hi <= n - k + 1
+    if n < 2:  # no band yet: Y_N° is Y_N, as in enumerate_circ
+        return True
+    p = (*lam, 0)  # the zero part counts while a row may follow
+    rows = band_rows(n, *band_limits(n, 1))
+    return all(q in row for q, row in zip(p[: n - p[0]], rows))
 
 
 def require_circ(lam: Partition, n: int) -> None:
@@ -176,10 +177,7 @@ def require_circ(lam: Partition, n: int) -> None:
 @lru_cache(maxsize=None)
 def enumerate_band_partitions(n: int, m: int) -> tuple[Partition, ...]:
     """All lam in Y_N whose rim stays in the band of half-width m."""
-    k = n // 2
-    if not 1 <= m <= k:
-        raise BadBandIndex(f"band index {m} not in [1, {k}]")
-    return tuple(rim_walk(n, k - m, n - k + m))
+    return tuple(rim_walk(n, *band_limits(n, m)))
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 Partition = tuple[int, ...]
@@ -96,35 +97,84 @@ def young_distance(lam: Partition, mu: Partition) -> int:
     return sum(lam) + sum(mu) - 2 * common
 
 
+@lru_cache(maxsize=None)
+def band_rows(n: int, lo: int, hi: int) -> tuple[range, ...]:
+    """The parts each row may take when the outer rim of a partition in
+    Y_N keeps lo <= delta <= hi; entry s - 1 is row s.
+
+    This is the one statement of the band rule; a partition's own rule,
+    each row at most the one above, comes on top.  Row r's run of the rim
+    (moebius.outer_rim) lies on the level j = N - r at deltas
+    N - r - lam_r up to N - r - lam_(r+1), for r = 1 .. N - lam_1, so lam
+    has at most N - lam_1 rows, and a zero part ends it.  Row s >= 2
+    bounds the low end of its run and the high end of row s - 1's.  Row 1,
+    the width, bounds its run's low end and the bottom row's high end,
+    lam_1.  Width 0 is the empty partition: its rim is the first column.
+    """
+    width = range(
+        0 if lo <= 0 and n - 1 <= hi else max(1, lo), min(hi, n - 1 - lo) + 1
+    )
+    return (width, *(
+        range(max(0, n - s + 1 - hi), n - s - lo + 1) for s in range(2, n + 1)
+    ))
+
+
 def rim_walk(n: int, lo: int, hi: int) -> list[Partition]:
     """The lam in Y_N whose outer rim keeps lo <= delta <= hi, sorted.
 
-    The rim (moebius.outer_rim) is a +-1 walk in delta = j - i; row r's
-    run lies on the level j = N - r with deltas N - r - lam_r up to
-    N - r - lam_(r+1), for r = 1 .. N - lam_1.  The walk goes depth first,
-    a row at a time and smallest part first, so the output is sorted; no
-    branch lacks a completion, so the cost follows the size of the answer.
-    Y_N itself is lo = 0, hi = N.
+    The walk goes depth first over the rows that band_rows allows,
+    smallest part first, so the output is sorted; no branch lacks a
+    completion, so the cost follows the size of the answer.  Y_N itself
+    is lo = 0, hi = N.
     """
-    out: list[Partition] = [()] if lo <= 0 and n - 1 <= hi else []
+    rows = band_rows(n, lo, hi)
+    out: list[Partition] = []
 
-    def extend(parts: list[int], r: int) -> None:
-        if r == n - parts[0]:  # hook N - 1: no row below r
+    def extend(parts: list[int]) -> None:
+        s = len(parts)
+        if s == n - parts[0]:  # hook N - 1: no row below
             out.append(tuple(parts))
             return
-        for q in range(max(0, n - r - hi), min(parts[-1], n - r - 1 - lo) + 1):
-            if q == 0:  # the empty rows left sit at deltas lam_1 .. N - r - 1
+        for q in range(rows[s].start, min(rows[s].stop, parts[-1] + 1)):
+            if q == 0:
                 out.append(tuple(parts))
                 continue
             parts.append(q)
-            extend(parts, r + 1)
+            extend(parts)
             parts.pop()
 
-    # the bottom row N - lam_1 tops out at delta lam_1 and bottoms out at
-    # lam_1 - lam_(N - lam_1); row 1 starts at N - 1 - lam_1
-    for width in range(max(1, lo), min(hi, n - 1 - lo) + 1):
-        extend([width], 1)
+    for width in rows[0]:
+        if width:
+            extend([width])
+        else:
+            out.append(())
     return out
+
+
+def rim_count(n: int, lo: int, hi: int) -> int:
+    """len(rim_walk(n, lo, hi)), counted in integers without listing.
+
+    For each width, a forward pass over the rows keeps the number of
+    valid prefixes per last part; "at most the row above" turns into
+    suffix sums of those counts.
+    """
+    rows = band_rows(n, lo, hi)
+    total = 0
+    for width in rows[0]:
+        if width == 0:
+            total += 1
+            continue
+        ends = [0] * width + [1]  # ends[v]: prefixes whose last row is v
+        for row in rows[1 : n - width]:
+            at_least = list(accumulate(reversed(ends)))[::-1]
+            ends = [0] * (width + 1)
+            for q in range(row.start, min(row.stop, width + 1)):
+                if q:
+                    ends[q] = at_least[q]
+                else:
+                    total += at_least[0]
+        total += sum(ends)
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -223,20 +273,15 @@ def corners(lam: Partition, n: int) -> Corners:
     """
     require_YN(lam, n)
     m = len(lam)
-    inner = frozenset(
-        r for r in range(1, m + 1) if lam[r - 1] > (lam[r] if r < m else 0)
+    p = (*lam, 0)
+    inner = frozenset(r for r in range(1, m + 1) if p[r - 1] > p[r])
+    # only a box in row 1 or in a new row m + 1 lengthens the hook
+    grows = max_hook(lam) + 1 < n
+    outer = frozenset(
+        r for r in range(1, m + 2)
+        if (r == 1 or p[r - 2] > p[r - 1]) and (grows or 1 < r <= m)
     )
-    outer = set()
-    for r in range(1, m + 2):
-        here = lam[r - 1] if r <= m else 0
-        above = lam[r - 2] if r >= 2 else None
-        if r >= 2 and above is not None and above <= here:
-            continue
-        grown = list(lam) + [0]
-        grown[r - 1] += 1
-        if in_YN(make_partition(grown), n):
-            outer.add(r)
-    return Corners(inner, frozenset(outer))
+    return Corners(inner, outer)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 from hypothesis import given
@@ -154,6 +155,47 @@ def test_count_band_agrees_with_enumeration():
 def test_count_band_extremes():
     assert count_band(11, 5) == len(enumerate_YN(11))
     assert count_band(13, 1) == sequences(13)[0]
+
+
+def _int_mul(a, b):
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def _int_power(a, e):
+    out = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    while e:
+        if e & 1:
+            out = _int_mul(out, a)
+        a = _int_mul(a, a)
+        e >>= 1
+    return out
+
+
+def _band_trace(n, m):
+    # the 0/1 transfer matrices of the band m, kept only here: tr(S_m^N)
+    # for odd N, with S_m[i][j] = 1 iff i + j is m or m + 1; tr(J_m T_m^k)
+    # for even N = 2k, with J_m antidiagonal and T_m tridiagonal, off
+    # the diagonal 1 and on it (1, 2, .., 2, 1)
+    idx = range(m + 1)
+    if n % 2:
+        s_m = [[int(i + j in (m, m + 1)) for j in idx] for i in idx]
+        word = _int_power(s_m, n)
+    else:
+        t_m = [
+            [(1 if i in (0, m) else 2) if i == j else int(abs(i - j) == 1)
+             for j in idx]
+            for i in idx
+        ]
+        j_m = [[int(i + j == m) for j in idx] for i in idx]
+        word = _int_mul(j_m, _int_power(t_m, n // 2))
+    return sum(word[i][i] for i in idx)
+
+
+def test_count_band_equals_transfer_matrix_traces():
+    cases = [(n, m) for n in range(2, 61) for m in range(1, n // 2 + 1)]
+    for n, m in cases + [(101, 20), (201, 40)]:
+        assert count_band(n, m) == _band_trace(n, m), (n, m)
 
 
 def test_circcirc():

@@ -273,7 +273,7 @@ import cyclehull.partitions as partitions
 import cyclehull.moebius as moebius
 from cyclehull.census import BadParity, IdentityFailure
 from cyclehull.hull import max_cube_decomposition
-from cyclehull.moebius import FoldFailure
+from cyclehull.moebius import BadBandIndex, FoldFailure
 from cyclehull.oracle import NotExtremal, _tight_graph
 from cyclehull.partitions import OrbitNotClosed
 
@@ -294,8 +294,7 @@ exact_div = census._exact_div
 census._exact_div = lambda num, den: num // den + 1
 expect(IdentityFailure, census.face_count, 7, 1)
 census._exact_div = exact_div
-census.matrix_Sm = lambda m: census.matrix_S()
-expect(IdentityFailure, census.count_band, 5, 1)
+expect(BadBandIndex, census.count_band, 5, 0)
 census.matrix_circcirc = lambda: (census.matrix_S(), census.matrix_S())
 expect(IdentityFailure, census.circcirc_trace, 3)
 partitions.tau = lambda lam, n: ()
@@ -315,6 +314,6 @@ expect(FoldFailure, moebius.fold, (2, 1), 5)
     assert proc.stdout.split() == [
         "BadParity", "ValueError", "ValueError", "ValueError",
         "IdentityFailure", "NotExtremal", "NotExtremal",
-        "IdentityFailure", "IdentityFailure", "IdentityFailure",
+        "IdentityFailure", "BadBandIndex", "IdentityFailure",
         "OrbitNotClosed", "FoldFailure", "FoldFailure", "FoldFailure",
     ], proc.stderr

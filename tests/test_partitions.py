@@ -18,6 +18,8 @@ from cyclehull.partitions import (
     max_hook,
     parse_partition,
     rectangular,
+    rim_count,
+    rim_walk,
     size,
     tau,
     tau_orbit,
@@ -127,16 +129,30 @@ def test_cycle_distance_step():
 
 
 def test_corners_add_and_remove():
-    got = corners((3, 1), 6)
-    assert isinstance(got, Corners)
-    for r in got.inner:
-        lam = list((3, 1))
-        lam[r - 1] -= 1
-        assert in_YN(make_partition(lam), 6)
-    for r in got.outer:
-        lam = list((3, 1)) + [0]
-        lam[r - 1] += 1
-        assert in_YN(make_partition(lam), 6)
+    # both sets against adding or removing one box in every row
+    assert isinstance(corners((3, 1), 6), Corners)
+    for n in range(1, 13):
+        for lam in enumerate_YN(n):
+            inner, outer = set(), set()
+            for r in range(1, len(lam) + 2):
+                for step, found in ((-1, inner), (1, outer)):
+                    grown = list(lam) + [0]
+                    grown[r - 1] += step
+                    try:
+                        if in_YN(make_partition(grown), n):
+                            found.add(r)
+                    except NotWeaklyDecreasing:
+                        pass
+            assert corners(lam, n) == (inner, outer), (lam, n)
+
+
+def test_rim_count_is_the_walk_length():
+    # every band lo <= delta <= hi, symmetric or not
+    for n in range(1, 12):
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                assert rim_count(n, lo, hi) == len(rim_walk(n, lo, hi)), \
+                    (n, lo, hi)
 
 
 def test_require_errors():
