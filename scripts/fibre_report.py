@@ -1,9 +1,9 @@
 """List fold-fibre sizes over Y_N° grouped into shift orbits.
 
 One line per orbit: a representative, the Catalan word of its fibre, the
-fibre size, and the orbit length.  The weighted total must come out to
-2^(N-1), one preimage for every partition of Y_N; the script exits 1 when
-it does not.
+size of the fibre as fold_fibre lists it, and the orbit length.  The
+weighted total must come out to 2^(N-1), one preimage for every partition
+of Y_N; the script exits 1 when it does not.
 """
 
 import argparse
@@ -12,7 +12,7 @@ import sys
 from cyclehull.moebius import (
     enumerate_circ,
     fibre_factorization,
-    fold_fibre_size,
+    fold_fibre,
 )
 from cyclehull.partitions import format_partition, tau_orbit
 
@@ -32,7 +32,7 @@ def main() -> int:
         orbit = set(tau_orbit(lam, n))
         seen |= orbit
         orbits += 1
-        size = fold_fibre_size(lam, n)
+        size = len(fold_fibre(lam, n))
         word = fibre_factorization(lam, n)
         total += size * len(orbit)
         name = format_partition(lam) or "()"

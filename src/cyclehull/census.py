@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .moebius import band_limits
-from .partitions import rim_count
+from .partitions import band_rows, rim_count
 
 
 class BadParity(ValueError):
@@ -268,10 +268,6 @@ class TMatrix:
     def trace(self) -> TPoly:
         return sum((self.rows[i][i] for i in range(self.dim)), ZERO)
 
-    def to_json(self) -> list[str]:
-        """Row-major list of polynomial strings."""
-        return [str(e) for row in self.rows for e in row]
-
 
 def matrix_Z() -> TMatrix:
     return TMatrix.from_rows([[0, 0, 1], [T, T, 0], [T * T, T, 0]])
@@ -413,7 +409,7 @@ def count_band(n: int, m: int) -> int:
     The integer row count partitions.rim_count over the delta range of
     moebius.band_limits, for either parity of N.
     """
-    return rim_count(n, *band_limits(n, m))
+    return rim_count(n, band_rows(n, *band_limits(n, m)))
 
 
 def matrix_circcirc() -> tuple[TMatrix, TMatrix]:

@@ -65,12 +65,9 @@ def _cmd_skeleton(args) -> int:
         return 0
     roles = None
     if args.space == "cycle" and args.n % 2 == 1 and args.n >= 3:
-        cubes, _ = max_cube_decomposition(args.n)
-        incident = frozenset().union(*(c.members() for c in cubes))
+        extras = frozenset(max_cube_decomposition(args.n)[1])
         roles = {
-            format_partition(lam): (
-                "cube-member" if lam in incident else "extra"
-            )
+            format_partition(lam): "extra" if lam in extras else "cube-member"
             for lam in hull.vertices
         }
     sys.stdout.write(to_dot(skeleton(hull), roles))

@@ -12,10 +12,12 @@ sites following the boundary of its diagram, closing up into a loop that
 wraps the strip once.  The central band of half-width m consists of the
 sites with k - m <= delta <= N - k + m where k = N // 2; partitions whose
 rim stays inside the band m = 1 form the subfamily written Y_N° here
-(`enumerate_circ`).  The fold map pushes an arbitrary rim into that band
-in rounds that each move the boxes on two antidiagonals of the diagram;
-undoing the rounds lists its fibres.  It is the vertex-level shadow of a
-retraction of one injective hull onto the other.
+(`enumerate_circ`).  All of these families are read off the rows of a
+partition: `circ_rows` gives the parts each row of a partition in Y_N°
+may take.  The fold map pushes an arbitrary rim into that band by
+clamping each row into its range, and its fibre over a partition is again
+a set of row ranges, walked by `partitions.rim_walk`.  It is the
+vertex-level shadow of a retraction of one injective hull onto the other.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, groupby, product
+from itertools import groupby, zip_longest
 
 from .partitions import (
     IndexOutOfRange,
     Partition,
     band_rows,
-    enumerate_YN,
     in_YN,
     make_partition,
     require_YN,
@@ -159,14 +160,16 @@ def in_band(s: Site, n: int, m: int) -> bool:
     return lo <= delta(canon_site(s[0], s[1], n)) <= hi
 
 
+def circ_rows(n: int) -> tuple[range, ...]:
+    """The rows of Y_N°: band_rows for m = 1, or those of Y_N below N = 2."""
+    return band_rows(n, *band_limits(n, 1)) if n >= 2 else band_rows(n, 0, n)
+
+
 def in_circ(lam: Partition, n: int) -> bool:
-    """Membership in Y_N°: the rows of lam obey band_rows for m = 1."""
+    """Membership in Y_N°: the rows of lam obey circ_rows."""
     require_YN(lam, n)
-    if n < 2:  # no band yet: Y_N° is Y_N, as in enumerate_circ
-        return True
     p = (*lam, 0)  # the zero part counts while a row may follow
-    rows = band_rows(n, *band_limits(n, 1))
-    return all(q in row for q, row in zip(p[: n - p[0]], rows))
+    return all(q in row for q, row in zip(p[: n - p[0]], circ_rows(n)))
 
 
 def require_circ(lam: Partition, n: int) -> None:
@@ -177,14 +180,12 @@ def require_circ(lam: Partition, n: int) -> None:
 @lru_cache(maxsize=None)
 def enumerate_band_partitions(n: int, m: int) -> tuple[Partition, ...]:
     """All lam in Y_N whose rim stays in the band of half-width m."""
-    return tuple(rim_walk(n, *band_limits(n, m)))
+    return tuple(rim_walk(n, band_rows(n, *band_limits(n, m))))
 
 
 @lru_cache(maxsize=None)
 def enumerate_circ(n: int) -> tuple[Partition, ...]:
-    if n < 2:
-        return enumerate_YN(n)
-    return enumerate_band_partitions(n, 1)
+    return tuple(rim_walk(n, circ_rows(n)))
 
 
 def circ_inner_corners(lam: Partition, n: int) -> frozenset[int]:
@@ -206,55 +207,42 @@ def circ_inner_corners(lam: Partition, n: int) -> frozenset[int]:
 FoldStep = tuple[str, Site]
 
 
-def _moves(p: list[int], lose: int, gain: int) -> list[tuple[int, int]]:
-    # on the rows p (padded with one 0), (r, -1) for each corner box on
-    # r + c = lose, then (r, +1) for each addable box on r + c = gain
-    return [
-        (r, -1) for r in range(len(p) - 1, 0, -1)
-        if r + p[r - 1] == lose > r + p[r]
-    ] + [
-        (r, 1) for r in range(len(p), 0, -1)
-        if r + p[r - 1] + 1 == gain and (r == 1 or p[r - 2] > p[r - 1])
-    ]
-
-
-def _fold_round(rows: Partition, n: int, u: int) -> tuple[Partition, list[FoldStep]]:
-    """Round u of the fold, on the rows; returns the rows and the flips.
-
-    Removes every corner box on the antidiagonal r + c = N - u (the rim's
-    valleys on delta = u, at the sites (lam_r, N - r)), then adds every
-    addable box on r + c = u + 2 (its peaks on delta = N - u, at the sites
-    (lam_s, N - s + 1), glued to (0, lam_1) for s = 1).
-    """
-    p = list(rows) + [0]
-    moves = _moves(p, n - u, u + 2)
-    trace = [
-        ("upper", (p[r - 1], n - r)) if step < 0 else
-        ("lower", (p[r - 1], n - r + 1) if r > 1 else (0, p[0]))
-        for r, step in moves
-    ]
-    for r, step in moves:
-        p[r - 1] += step
-    return tuple(x for x in p if x), trace
+def _clamp_rows(lam: Partition, n: int) -> Partition:
+    # the width into the first range of circ_rows, then rows 2 .. N - width
+    # (zero where lam has none) each into its own; rows below are dropped
+    rows = circ_rows(n)
+    p = (*lam, *[0] * n)
+    width = min(max(p[0], rows[0].start), rows[0].stop - 1)
+    parts = (min(max(q, row.start), row.stop - 1)
+             for q, row in zip(p[: n - width], rows))
+    return tuple(q for q in parts if q)
 
 
 def fold_trace(lam: Partition, n: int) -> tuple[Partition, tuple[FoldStep, ...]]:
     """Fold lam into Y_N° and report every site that was flipped.
 
-    Runs the rounds u = 0 .. k-2 of `_fold_round`, in increasing column
-    within each kind.  FoldFailure if a round leaves Y_N or the result
-    leaves the band m = 1.
+    The fold clamps each row of lam into its range in circ_rows.  Each box
+    (r, c) it removes is a valley of the rim on delta = N - r - c, flipped
+    at upper (c, N - r); each box it adds is a peak on delta = N - r - c + 2,
+    flipped at lower (c - 1, N - r + 1), glued to (0, c - 1) for r = 1.
+    Flips come in rounds u = 0 .. k-2: round u removes the valleys on
+    delta = u, then adds the peaks on delta = N - u, each bottom row first.
+    FoldFailure if the result is not in Y_N°.
     """
     require_YN(lam, n)
-    rows, trace = lam, []
-    for u in range(n // 2 - 1):
-        rows, flips = _fold_round(rows, n, u)
-        if not in_YN(rows, n):
-            raise FoldFailure(f"round {u} folds {lam} out of Y_{n}: {rows}")
-        trace += flips
-    if not in_circ(rows, n):
+    rows = _clamp_rows(lam, n)
+    if not (in_YN(rows, n) and in_circ(rows, n)):
         raise FoldFailure(f"fold of {lam} ends outside the band m=1: {rows}")
-    return rows, tuple(trace)
+    pairs = list(enumerate(zip_longest(lam, rows, fillvalue=0), 1))
+    moved = [
+        (n - r - c, 0, -r, ("upper", (c, n - r)))
+        for r, (was, now) in pairs for c in range(now + 1, was + 1)
+    ] + [
+        (r + c - 2, 1, -r,
+         ("lower", (c - 1, n - r + 1) if r > 1 else (0, c - 1)))
+        for r, (was, now) in pairs for c in range(was + 1, now + 1)
+    ]
+    return rows, tuple(step for *_, step in sorted(moved))
 
 
 def fold(lam: Partition, n: int) -> Partition:
@@ -262,34 +250,36 @@ def fold(lam: Partition, n: int) -> Partition:
     return fold_trace(lam, n)[0]
 
 
-def fold_fibre(lam0: Partition, n: int) -> tuple[Partition, ...]:
-    """All mu in Y_N with fold(mu) = lam0, sorted, by undoing the fold.
+def _fibre_rows(lam0: Partition, n: int) -> tuple[range, ...]:
+    # row s of a preimage: any part below row N - lam0_1 or where the row
+    # has one choice, at least the top where lam0_s is its top, at most
+    # the bottom where lam0_s is its bottom, else lam0_s itself
+    p = (*lam0, *[0] * n)
+    anything = range(n)
+    return tuple(
+        anything if s >= n - p[0] or len(row) == 1 else
+        range(q, n) if q == row[-1] else
+        range(q + 1) if q == row[0] else
+        range(q, q + 1)
+        for s, (q, row) in enumerate(zip(p, circ_rows(n)))
+    )
 
-    A preimage of nu under round u is nu with some of its addable boxes on
-    r + c = N - u added and some corner boxes on r + c = u + 2 removed;
-    rounds k-2 .. 0 are undone keeping the candidates in Y_N that the
-    round maps back, so the work follows the fibre's size.  FoldFailure
-    if the member count is not fold_fibre_size.
+
+def fold_fibre(lam0: Partition, n: int) -> tuple[Partition, ...]:
+    """All mu in Y_N with fold(mu) = lam0, sorted.
+
+    The fold clamps each row, so the preimages are the partitions whose
+    rows clamp to lam0's; partitions.rim_walk lists them from those
+    ranges (_fibre_rows), at a cost that follows the fibre's size.
+    FoldFailure if the member count is not fold_fibre_size.
     """
     require_circ(lam0, n)
-    layer = [lam0]
-    for u in range(n // 2 - 2, -1, -1):
-        preimages = []
-        for nu in layer:
-            p = list(nu) + [0]
-            moves = _moves(p, u + 2, n - u)
-            for picks in product((0, 1), repeat=len(moves)):
-                q = p[:]
-                for r, step in compress(moves, picks):
-                    q[r - 1] += step
-                mu = tuple(x for x in q if x)
-                if in_YN(mu, n) and _fold_round(mu, n, u)[0] == nu:
-                    preimages.append(mu)
-        layer = preimages
-    if len(layer) != fold_fibre_size(lam0, n):
-        raise FoldFailure(f"{lam0 or '()'} unfolds to {len(layer)} partitions, "
-                          f"not the Catalan product {fold_fibre_size(lam0, n)}")
-    return tuple(sorted(layer))
+    members = rim_walk(n, _fibre_rows(lam0, n))
+    if len(members) != fold_fibre_size(lam0, n):
+        raise FoldFailure(
+            f"{lam0 or '()'} unfolds to {len(members)} partitions, "
+            f"not the {fold_fibre_size(lam0, n)} its Catalan word gives")
+    return tuple(members)
 
 
 def boundary_loop(n: int) -> tuple[Site, ...]:
@@ -316,7 +306,7 @@ def _boundary_runs(lam0: Partition, n: int) -> list[tuple[bool, int]]:
 
 
 def fold_fibre_size(lam0: Partition, n: int) -> int:
-    """Size of the fold fibre over lam0, as a product of Catalan numbers.
+    """Size of the fold fibre over lam0, from its Catalan word.
 
     Each maximal cyclic run of rim sites along the band boundary of length
     r contributes a factor C_r.

@@ -69,7 +69,7 @@ class FiniteMetric:
         if not lines:
             raise DimensionMismatch("metric text is empty")
         n = int(lines[0])
-        rows = [[int(x) for x in ln.split()] for ln in lines[1 : n + 1]]
+        rows = [[int(x) for x in ln.split()] for ln in lines[1:]]
         if len(rows) != n:
             raise DimensionMismatch(f"expected {n} rows, got {len(rows)}")
         return cls.from_rows(rows)

@@ -48,8 +48,6 @@ def make_partition(parts: Iterable[int]) -> Partition:
             raise NotWeaklyDecreasing(f"parts not weakly decreasing: {t}")
     if t and t[-1] < 0:
         raise NotWeaklyDecreasing(f"negative part in {t}")
-    if any(p <= 0 for p in t):
-        raise NotWeaklyDecreasing(f"non-positive part in {t}")
     return t
 
 
@@ -106,39 +104,49 @@ def band_rows(n: int, lo: int, hi: int) -> tuple[range, ...]:
     each row at most the one above, comes on top.  Row r's run of the rim
     (moebius.outer_rim) lies on the level j = N - r at deltas
     N - r - lam_r up to N - r - lam_(r+1), for r = 1 .. N - lam_1, so lam
-    has at most N - lam_1 rows, and a zero part ends it.  Row s >= 2
-    bounds the low end of its run and the high end of row s - 1's.  Row 1,
-    the width, bounds its run's low end and the bottom row's high end,
-    lam_1.  Width 0 is the empty partition: its rim is the first column.
+    has at most N - lam_1 rows.  Row s >= 2 bounds the low end of its run
+    and the high end of row s - 1's; a row that can hold no box gets the
+    range {0}.  Row 1, the width, bounds its run's low end and the bottom
+    row's high end, lam_1.  Width 0 is the empty partition: its rim is the
+    first column.
     """
     width = range(
         0 if lo <= 0 and n - 1 <= hi else max(1, lo), min(hi, n - 1 - lo) + 1
     )
     return (width, *(
-        range(max(0, n - s + 1 - hi), n - s - lo + 1) for s in range(2, n + 1)
+        range(max(0, n - s + 1 - hi), max(0, n - s - lo) + 1)
+        for s in range(2, n + 1)
     ))
 
 
-def rim_walk(n: int, lo: int, hi: int) -> list[Partition]:
-    """The lam in Y_N whose outer rim keeps lo <= delta <= hi, sorted.
+def _fewest_parts(rows: tuple[range, ...]) -> int:
+    # lam may end after s parts only when every later row admits 0
+    return 1 + max(
+        (s for s, row in enumerate(rows) if 0 not in row), default=-1
+    )
 
-    The walk goes depth first over the rows that band_rows allows,
-    smallest part first, so the output is sorted; no branch lacks a
-    completion, so the cost follows the size of the answer.  Y_N itself
-    is lo = 0, hi = N.
+
+def rim_walk(n: int, rows: tuple[range, ...]) -> list[Partition]:
+    """The lam in Y_N whose parts lie in rows, sorted.
+
+    rows[s - 1] holds the parts row s may take, rows[0] the width (as
+    band_rows gives them, or the ranges of a fold fibre); lam has at most
+    N - lam_1 rows, and it may end where every later row admits 0.  The
+    walk goes depth first over the rows, smallest part first, so the
+    output is sorted; on a band no branch lacks a completion, so the cost
+    follows the size of the answer.  Y_N itself is band_rows(n, 0, n).
     """
-    rows = band_rows(n, lo, hi)
-    out: list[Partition] = []
+    fewest = _fewest_parts(rows)
+    out: list[Partition] = [()] if fewest == 0 else []
 
     def extend(parts: list[int]) -> None:
         s = len(parts)
-        if s == n - parts[0]:  # hook N - 1: no row below
+        if s >= fewest:
             out.append(tuple(parts))
+        if s == n - parts[0]:  # hook N - 1: no row below
             return
-        for q in range(rows[s].start, min(rows[s].stop, parts[-1] + 1)):
-            if q == 0:
-                out.append(tuple(parts))
-                continue
+        row = rows[s]
+        for q in range(max(1, row.start), min(row.stop, parts[-1] + 1)):
             parts.append(q)
             extend(parts)
             parts.pop()
@@ -146,34 +154,31 @@ def rim_walk(n: int, lo: int, hi: int) -> list[Partition]:
     for width in rows[0]:
         if width:
             extend([width])
-        else:
-            out.append(())
     return out
 
 
-def rim_count(n: int, lo: int, hi: int) -> int:
-    """len(rim_walk(n, lo, hi)), counted in integers without listing.
+def rim_count(n: int, rows: tuple[range, ...]) -> int:
+    """len(rim_walk(n, rows)), counted in integers without listing.
 
     For each width, a forward pass over the rows keeps the number of
     valid prefixes per last part; "at most the row above" turns into
     suffix sums of those counts.
     """
-    rows = band_rows(n, lo, hi)
-    total = 0
+    fewest = _fewest_parts(rows)
+    total = int(fewest == 0)
     for width in rows[0]:
         if width == 0:
-            total += 1
             continue
         ends = [0] * width + [1]  # ends[v]: prefixes whose last row is v
-        for row in rows[1 : n - width]:
+        for s, row in enumerate(rows[1 : n - width], 1):
+            if s >= fewest:
+                total += sum(ends)
             at_least = list(accumulate(reversed(ends)))[::-1]
             ends = [0] * (width + 1)
-            for q in range(row.start, min(row.stop, width + 1)):
-                if q:
-                    ends[q] = at_least[q]
-                else:
-                    total += at_least[0]
-        total += sum(ends)
+            for q in range(max(1, row.start), min(row.stop, width + 1)):
+                ends[q] = at_least[q]
+        if n - width >= fewest:
+            total += sum(ends)
     return total
 
 
@@ -182,7 +187,7 @@ def enumerate_YN(n: int) -> tuple[Partition, ...]:
     """All of Y_N in lexicographic order; the count is 2**(n-1)."""
     if n < 1:
         raise IndexOutOfRange(f"n must be >= 1, got {n}")
-    return tuple(rim_walk(n, 0, n))
+    return tuple(rim_walk(n, band_rows(n, 0, n)))
 
 
 def tau(lam: Partition, n: int) -> Partition:

@@ -212,6 +212,14 @@ def test_oracle_empty_metric_file_exits_two(capsys, tmp_path):
         assert err.startswith("error: ")
 
 
+def test_oracle_metric_with_extra_rows_exits_two(capsys, tmp_path):
+    path = tmp_path / "metric.txt"
+    path.write_text("2\n0 1\n1 0\n7 7\n")
+    code, out, err = run(capsys, "oracle", "--metric", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: expected 2 rows, got 3\n"
+
+
 def test_skeleton_json_streams_to_json(capsys):
     for kind, n in (("cycle", 7), ("cycle", 8), ("xn", 5)):
         code, out, _ = run(
@@ -302,10 +310,8 @@ expect(OrbitNotClosed, partitions.tau_orbit, (1,), 3)
 fibre_size = moebius.fold_fibre_size
 moebius.fold_fibre_size = lambda lam, n: fibre_size(lam, n) + 1
 expect(FoldFailure, moebius.fold_fibre, (2, 1), 5)
-moebius._fold_round = lambda rows, n, u: (rows, [])
+moebius._clamp_rows = lambda lam, n: lam
 expect(FoldFailure, moebius.fold, (4,), 5)
-moebius._fold_round = lambda rows, n, u: (rows + (1,) * n, [])
-expect(FoldFailure, moebius.fold, (2, 1), 5)
 """
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -315,5 +321,5 @@ expect(FoldFailure, moebius.fold, (2, 1), 5)
         "BadParity", "ValueError", "ValueError", "ValueError",
         "IdentityFailure", "NotExtremal", "NotExtremal",
         "IdentityFailure", "BadBandIndex", "IdentityFailure",
-        "OrbitNotClosed", "FoldFailure", "FoldFailure", "FoldFailure",
+        "OrbitNotClosed", "FoldFailure", "FoldFailure",
     ], proc.stderr

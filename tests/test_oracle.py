@@ -142,6 +142,8 @@ def test_from_text():
     assert m.d == ((0, 3), (3, 0))
     with pytest.raises(DimensionMismatch):
         FiniteMetric.from_text("3\n0 1\n1 0\n")
+    with pytest.raises(DimensionMismatch, match="expected 2 rows, got 3"):
+        FiniteMetric.from_text("2\n0 1\n1 0\n7 7\n")
 
 
 def test_two_point_span():

@@ -9,6 +9,7 @@ from cyclehull.partitions import (
     NotInYN,
     NotWeaklyDecreasing,
     alpha,
+    band_rows,
     corners,
     cycle_distance,
     enumerate_YN,
@@ -25,6 +26,12 @@ from cyclehull.partitions import (
     tau_orbit,
     xn_distance,
     young_distance,
+)
+from cyclehull.moebius import (
+    _fibre_rows,
+    enumerate_circ,
+    fold_fibre,
+    fold_fibre_size,
 )
 
 Y9 = enumerate_YN(9)
@@ -151,8 +158,15 @@ def test_rim_count_is_the_walk_length():
     for n in range(1, 12):
         for lo in range(n + 1):
             for hi in range(lo, n + 1):
-                assert rim_count(n, lo, hi) == len(rim_walk(n, lo, hi)), \
+                rows = band_rows(n, lo, hi)
+                assert rim_count(n, rows) == len(rim_walk(n, rows)), \
                     (n, lo, hi)
+    # the rows of each fold fibre: the count meets the Catalan word
+    for n in range(1, 15):
+        for lam in enumerate_circ(n):
+            rows = _fibre_rows(lam, n)
+            assert rim_walk(n, rows) == list(fold_fibre(lam, n)), (lam, n)
+            assert rim_count(n, rows) == fold_fibre_size(lam, n), (lam, n)
 
 
 def test_require_errors():
