@@ -14,7 +14,7 @@ from cyclehull.moebius import (
     fibre_factorization,
     fold_fibre,
 )
-from cyclehull.partitions import format_partition, tau_orbit
+from cyclehull.partitions import format_partition, tau_orbits
 
 
 def main() -> int:
@@ -23,22 +23,19 @@ def main() -> int:
     args = ap.parse_args()
     n = args.n
 
-    seen = set()
+    pool = dict.fromkeys(enumerate_circ(n))
     total = 0
     orbits = 0
-    for lam in enumerate_circ(n):
-        if lam in seen:
-            continue
-        orbit = set(tau_orbit(lam, n))
-        seen |= orbit
+    for orbit in tau_orbits(pool, n):
+        lam, period = orbit[0], len(set(orbit))
         orbits += 1
         size = len(fold_fibre(lam, n))
         word = fibre_factorization(lam, n)
-        total += size * len(orbit)
+        total += size * period
         name = format_partition(lam) or "()"
-        print(f"{name:24s} {word:28s} size {size:4d}  orbit {len(orbit):3d}")
+        print(f"{name:24s} {word:28s} size {size:4d}  orbit {period:3d}")
     relation = "=" if total == 2 ** (n - 1) else "!="
-    print(f"[{orbits} orbits, {len(seen)} vertices, "
+    print(f"[{orbits} orbits, {len(pool)} vertices, "
           f"fibre total {total} {relation} 2^{n - 1}]")
     return 0 if relation == "=" else 1
 

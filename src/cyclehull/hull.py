@@ -3,12 +3,15 @@
 Vertices of the hull of X_N are indexed by all of Y_N, vertices of the
 hull of C_N by the band partitions Y_N°; in both cases the vertex at lam
 is the function j -> |tau^j(lam)| (shifted down by the constant
-o = k(k-1)/2 in the cycle case).  A v-face is the cube (top, removed):
-the partitions obtained from top by deleting any subset of v corner
-boxes.  Faces stay implicit in each vertex's corner rows: the f-vector
-and edges are read off the rows, and faces are made on demand or
-streamed straight into the JSON export.  Vertices come from a rim walk
-whose cost follows their number, not the 2^(N-1) of Y_N.
+o = k(k-1)/2 in the cycle case).  Both pools are tau-invariant and
+f(tau lam) is f(lam) rotated by one place, so vertex functions are read
+once per tau orbit: one walk gives the sizes of all N members.  A v-face
+is the cube (top, removed): the partitions obtained from top by deleting
+any subset of v corner boxes.  Faces stay implicit in each vertex's
+corner rows: the f-vector and edges are read off the rows, and faces
+are made on demand or streamed straight into the JSON export, one chunk
+per top and dimension.  Vertices come from a rim walk whose cost
+follows their number, not the 2^(N-1) of Y_N.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .partitions import (
     size,
     tau,
     tau_orbit,
+    tau_orbits,
 )
 from .moebius import (
     circ_inner_corners,
@@ -50,11 +54,16 @@ def f_vertex(lam: Partition, n: int) -> VertexFunction:
     return tuple(size(mu) for mu in tau_orbit(lam, n))
 
 
+def _cycle_offset(n: int) -> int:
+    # o = k(k-1)/2, the constant the C_N vertex functions sit below X_N's
+    k = n // 2
+    return k * (k - 1) // 2
+
+
 def g_vertex(lam: Partition, n: int) -> VertexFunction:
     """Vertex of the hull of C_N at lam: the f-values minus o = k(k-1)/2."""
     require_circ(lam, n)
-    k = n // 2
-    o = k * (k - 1) // 2
+    o = _cycle_offset(n)
     return tuple(v - o for v in f_vertex(lam, n))
 
 
@@ -110,10 +119,21 @@ class Faces:
 
     def keys(self) -> Iterator[tuple[Partition, tuple[int, ...]]]:
         """(top, sorted removed rows) of every face, in iteration order."""
+        for v, top, rows in self.groups():
+            yield from ((top, sub) for sub in combinations(rows, v))
+
+    def groups(self) -> Iterator[tuple[int, Partition, tuple[int, ...]]]:
+        """(v, top, rows) for the faces in order (dim, top, removed).
+
+        The v-faces with this top remove the subsets
+        combinations(rows, v), already in order; tops with fewer than v
+        corner rows are left out.
+        """
         items = sorted(self.corner_rows.items())
         for v in range(max(map(len, self.corner_rows.values()), default=-1) + 1):
             for top, rows in items:
-                yield from ((top, sub) for sub in combinations(rows, v))
+                if len(rows) >= v:
+                    yield v, top, rows
 
 
 @dataclass
@@ -150,16 +170,25 @@ def build_hull(kind: str, n: int) -> HullComplex:
     """
     space = ModelSpace(kind, n)
     if kind == "xn":
-        pool, vertex = enumerate_YN(n), f_vertex
-        rows = {lam: corners(lam, n).inner for lam in pool}
+        o = 0
+        rows = {
+            lam: tuple(sorted(corners(lam, n).inner))
+            for lam in enumerate_YN(n)
+        }
     else:
-        pool, vertex = enumerate_circ(n), g_vertex
-        rows = {lam: circ_inner_corners(lam, n) for lam in pool}
-    return HullComplex(
-        space,
-        {lam: vertex(lam, n) for lam in pool},
-        Faces({lam: tuple(sorted(r)) for lam, r in rows.items()}),
-    )
+        o = _cycle_offset(n)
+        rows = {
+            lam: tuple(sorted(circ_inner_corners(lam, n)))
+            for lam in enumerate_circ(n)
+        }
+    # f(tau^i lam) is f(lam) rotated by i places; an orbit of period p
+    # lists each member N/p times, with the same rotation each time
+    vertices: dict[Partition, VertexFunction] = {}
+    for orbit in tau_orbits(rows, n, vertices):
+        values = [size(mu) - o for mu in orbit] * 2
+        for i, mu in enumerate(orbit):
+            vertices[mu] = tuple(values[i : i + n])
+    return HullComplex(space, vertices, Faces(rows))
 
 
 def retract_face(face: Face, n: int) -> Face:
@@ -226,7 +255,8 @@ def _json_list(values, depth: int) -> str:
 
 
 def json_chunks(complex_: HullComplex, faces: bool = True) -> Iterator[str]:
-    """The JSON export in pieces, made as they are written.
+    """The JSON export in pieces, made as they are written: one piece per
+    top and face dimension (Faces.groups), then one per vertex.
 
     Joined, the pieces are json.dumps(doc, sort_keys=True, indent=1) of
     {"faces": [{"removed": [...], "top": name}, ...], "n": N,
@@ -237,10 +267,16 @@ def json_chunks(complex_: HullComplex, faces: bool = True) -> Iterator[str]:
     names = {lam: format_partition(lam) for lam in complex_.vertices}
     yield "{\n"
     if faces:
+        cells = [f"    {r}" for r in range(complex_.space.n + 1)]
         sep = ' "faces": [\n'
-        for top, removed in complex_.faces.keys():
-            rows = _json_list(removed, 3)
-            yield f'{sep}  {{\n   "removed": {rows},\n   "top": "{names[top]}"\n  }}'
+        for v, top, rows in complex_.faces.groups():
+            bracket, close = ("[\n", "\n   ]") if v else ("[", "]")
+            head = f'  {{\n   "removed": {bracket}'
+            tail = f'{close},\n   "top": "{names[top]}"\n  }}'
+            subs = combinations([cells[r] for r in rows], v)
+            yield sep + ",\n".join(
+                head + ",\n".join(sub) + tail for sub in subs
+            )
             sep = ",\n"
         yield "\n ],\n"
     n, kind = complex_.space.n, complex_.space.kind

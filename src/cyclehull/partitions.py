@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, NamedTuple
+from typing import Collection, Container, Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
 
@@ -32,6 +32,10 @@ class IndexOutOfRange(ValueError):
 
 class OrbitNotClosed(ValueError):
     """N steps of the shift tau did not bring a partition back."""
+
+
+class OrbitLeavesPool(ValueError):
+    """A tau orbit reached a partition outside a pool meant to be closed."""
 
 
 def make_partition(parts: Iterable[int]) -> Partition:
@@ -219,6 +223,34 @@ def tau_orbit(lam: Partition, n: int) -> tuple[Partition, ...]:
     if tau(out[-1], n) != lam:
         raise OrbitNotClosed(f"tau^{n} moves {lam}")
     return tuple(out)
+
+
+def tau_orbits(
+    pool: Collection[Partition],
+    n: int,
+    done: Container[Partition] | None = None,
+) -> Iterator[tuple[Partition, ...]]:
+    """tau_orbit(lam, n) once per tau orbit of pool, lam its first member.
+
+    pool is a tau-invariant collection with a fast `in` (a dict or set),
+    walked in its own order; an orbit member outside it raises
+    OrbitLeavesPool.  An orbit is skipped once its members are in done:
+    with done None the walk keeps that set itself, otherwise the caller
+    adds each orbit's members to done before asking for the next one.
+    """
+    seen = set() if done is None else done
+    for lam in pool:
+        if lam in seen:
+            continue
+        orbit = tau_orbit(lam, n)
+        for mu in orbit:
+            if mu not in pool:
+                raise OrbitLeavesPool(
+                    f"the tau orbit of {lam or '()'} reaches {mu or '()'}"
+                )
+        if done is None:
+            seen.update(orbit)
+        yield orbit
 
 
 def rectangular(j: int, n: int) -> Partition:

@@ -54,6 +54,7 @@ from cyclehull.partitions import (
     enumerate_YN,
     tau,
     tau_orbit,
+    tau_orbits,
     xn_distance,
     young_distance,
 )
@@ -194,13 +195,7 @@ def test_07_fibre_sizes_are_catalan_products():
     }
     for lam, want in examples.items():
         assert fold_fibre_size(lam, 11) == want
-    seen = set()
-    orbits = 0
-    for lam in enumerate_circ(11):
-        if lam in seen:
-            continue
-        orbits += 1
-        seen |= set(tau_orbit(lam, 11))
+    orbits = sum(1 for _ in tau_orbits(dict.fromkeys(enumerate_circ(11)), 11))
     assert orbits == 19
     print("PASS criterion 7: Catalan fibres, sum 2^(N-1), 19 orbits at N=11")
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cyclehull.cli import main
-from cyclehull.hull import build_hull, to_json
+from cyclehull.hull import build_hull
 from cyclehull.moebius import fold
 from cyclehull.partitions import ModelSpace, format_partition, parse_partition
 
@@ -220,14 +220,28 @@ def test_oracle_metric_with_extra_rows_exits_two(capsys, tmp_path):
     assert err == "error: expected 2 rows, got 3\n"
 
 
-def test_skeleton_json_streams_to_json(capsys):
-    for kind, n in (("cycle", 7), ("cycle", 8), ("xn", 5)):
+def test_skeleton_json_equals_dumps_of_the_faces(capsys):
+    for kind, n in (("cycle", 1), ("cycle", 2), ("cycle", 7), ("cycle", 8),
+                    ("xn", 5)):
+        hull = build_hull(kind, n)
+        doc = {
+            "faces": [
+                {"removed": sorted(f.removed), "top": format_partition(f.top)}
+                for f in hull.faces
+            ],
+            "n": n,
+            "space": kind,
+            "vertices": {
+                format_partition(lam): list(vals)
+                for lam, vals in hull.vertices.items()
+            },
+        }
         code, out, _ = run(
             capsys, "skeleton", "--n", str(n), "--space", kind,
             "--format", "json",
         )
         assert code == 0
-        assert out == to_json(build_hull(kind, n)) + "\n"
+        assert out == json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 def test_vertices_json_is_the_vertex_half(capsys):
@@ -283,7 +297,7 @@ from cyclehull.census import BadParity, IdentityFailure
 from cyclehull.hull import max_cube_decomposition
 from cyclehull.moebius import BadBandIndex, FoldFailure
 from cyclehull.oracle import NotExtremal, _tight_graph
-from cyclehull.partitions import OrbitNotClosed
+from cyclehull.partitions import OrbitLeavesPool, OrbitNotClosed
 
 def expect(error, call, *args):
     try:
@@ -305,6 +319,7 @@ census._exact_div = exact_div
 expect(BadBandIndex, census.count_band, 5, 0)
 census.matrix_circcirc = lambda: (census.matrix_S(), census.matrix_S())
 expect(IdentityFailure, census.circcirc_trace, 3)
+expect(OrbitLeavesPool, list, partitions.tau_orbits(((2,),), 3))
 partitions.tau = lambda lam, n: ()
 expect(OrbitNotClosed, partitions.tau_orbit, (1,), 3)
 fibre_size = moebius.fold_fibre_size
@@ -321,5 +336,5 @@ expect(FoldFailure, moebius.fold, (4,), 5)
         "BadParity", "ValueError", "ValueError", "ValueError",
         "IdentityFailure", "NotExtremal", "NotExtremal",
         "IdentityFailure", "BadBandIndex", "IdentityFailure",
-        "OrbitNotClosed", "FoldFailure", "FoldFailure",
+        "OrbitLeavesPool", "OrbitNotClosed", "FoldFailure", "FoldFailure",
     ], proc.stderr

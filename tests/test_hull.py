@@ -26,6 +26,8 @@ from cyclehull.partitions import (
     enumerate_YN,
     format_partition,
     make_partition,
+    tau,
+    tau_orbit,
     xn_distance,
     young_distance,
 )
@@ -67,6 +69,25 @@ def test_f_vertex_rows_realize_the_model_metric():
             fj = f_vertex(rectangular(j, n), n)
             sup = max(abs(x - y) for x, y in zip(fi, fj))
             assert sup == xn_distance(i, j, n)
+
+
+def test_orbit_built_vertex_functions_equal_the_per_vertex_ones():
+    # build_hull reads each tau orbit once and rotates; f_vertex and
+    # g_vertex walk every vertex's orbit on their own
+    short = 0
+    for n in range(1, 13):
+        pool = enumerate_YN(n)
+        hull = build_hull("xn", n)
+        assert hull.vertices == {lam: f_vertex(lam, n) for lam in pool}
+    for n in range(1, 16):
+        hull = build_hull("cycle", n)
+        pool = enumerate_circ(n)
+        assert hull.vertices == {lam: g_vertex(lam, n) for lam in pool}
+        short += sum(len(set(tau_orbit(lam, n))) < n for lam in pool)
+    assert short > 0  # orbits of period p < N, listed N/p times
+    assert tau((2, 1), 5) == (2, 1)
+    assert build_hull("cycle", 5).vertices[(2, 1)] == (2, 2, 2, 2, 2)
+    assert build_hull("xn", 5).vertices[(2, 1)] == (3, 3, 3, 3, 3)
 
 
 def test_face_members():

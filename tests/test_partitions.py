@@ -24,6 +24,8 @@ from cyclehull.partitions import (
     size,
     tau,
     tau_orbit,
+    tau_orbits,
+    OrbitLeavesPool,
     xn_distance,
     young_distance,
 )
@@ -100,6 +102,29 @@ def test_tau_has_order_n():
             assert len(seq) == n
             assert tau(seq[-1], n) == lam
             assert n % len(set(seq)) == 0
+
+
+def test_tau_orbits_walk_each_orbit_once():
+    for n in range(1, 10):
+        pool = dict.fromkeys(enumerate_YN(n))
+        orbits = list(tau_orbits(pool, n))
+        assert orbits == [tau_orbit(o[0], n) for o in orbits]
+        firsts = [o[0] for o in orbits]
+        assert firsts == sorted(firsts)
+        members = [set(o) for o in orbits]
+        assert sum(map(len, members)) == len(pool)
+        assert set().union(*members) == set(pool)
+        done = set()
+        for orbit in tau_orbits(pool, n, done):
+            done.update(orbit)
+        assert done == set(pool)
+
+
+def test_tau_orbits_reject_a_pool_that_tau_leaves():
+    # tau((2,), 3) = (1, 1), which this pool lacks; (1,) is fixed by tau
+    assert list(tau_orbits(((1,),), 3)) == [((1,),) * 3]
+    with pytest.raises(OrbitLeavesPool):
+        list(tau_orbits(((2,),), 3))
 
 
 def test_staircase_is_fixed():
