@@ -7,11 +7,13 @@ o = k(k-1)/2 in the cycle case).  Both pools are tau-invariant and
 f(tau lam) is f(lam) rotated by one place, so vertex functions are read
 once per tau orbit: one walk gives the sizes of all N members.  A v-face
 is the cube (top, removed): the partitions obtained from top by deleting
-any subset of v corner boxes.  Faces stay implicit in each vertex's
-corner rows: the f-vector and edges are read off the rows, and faces
-are made on demand or streamed straight into the JSON export, one chunk
-per top and dimension.  Vertices come from a rim walk whose cost
-follows their number, not the 2^(N-1) of Y_N.
+any subset of v corner boxes.  The corner rows of a vertex are read by
+partitions.removable_rows off its pool's row ranges, band_rows(n, 0, n)
+for Y_N and circ_rows for Y_N°, so both hulls take one path.  Faces
+stay implicit in each vertex's corner rows: the f-vector and edges are
+read off the rows, and faces are made on demand or streamed straight
+into the JSON export, one chunk per top and dimension.  Vertices come
+from a rim walk whose cost follows their number, not the 2^(N-1) of Y_N.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ from .census import BadParity
 from .partitions import (
     ModelSpace,
     Partition,
-    corners,
+    band_rows,
     enumerate_YN,
     format_partition,
     make_partition,
+    removable_rows,
     require_YN,
     size,
     tau,
@@ -40,6 +43,7 @@ from .partitions import (
 )
 from .moebius import (
     circ_inner_corners,
+    circ_rows,
     enumerate_circ,
     fold,
     require_circ,
@@ -164,23 +168,18 @@ class HullComplex:
 def build_hull(kind: str, n: int) -> HullComplex:
     """Assemble the hull complex of X_N ('xn') or C_N ('cycle').
 
-    Faces with top lam are in bijection with subsets of lam's inner
-    corners (X_N) or of its removable-in-band corners (C_N); the even
-    cycle runs through the identical band machinery and comes out a cube.
+    Both spaces take one path: a pool of partitions with its row ranges
+    (all of Y_N with band_rows(n, 0, n), or Y_N° with circ_rows) and the
+    offset o.  Faces with top lam are in bijection with subsets of its
+    removable_rows in those ranges; the pool comes from the rim walk, so
+    nothing is validated again.  The even cycle comes out a cube.
     """
     space = ModelSpace(kind, n)
-    if kind == "xn":
-        o = 0
-        rows = {
-            lam: tuple(sorted(corners(lam, n).inner))
-            for lam in enumerate_YN(n)
-        }
-    else:
-        o = _cycle_offset(n)
-        rows = {
-            lam: tuple(sorted(circ_inner_corners(lam, n)))
-            for lam in enumerate_circ(n)
-        }
+    pool, ranges, o = (
+        (enumerate_YN, band_rows(n, 0, n), 0) if kind == "xn"
+        else (enumerate_circ, circ_rows(n), _cycle_offset(n))
+    )
+    rows = {lam: removable_rows(lam, ranges) for lam in pool(n)}
     # f(tau^i lam) is f(lam) rotated by i places; an orbit of period p
     # lists each member N/p times, with the same rotation each time
     vertices: dict[Partition, VertexFunction] = {}

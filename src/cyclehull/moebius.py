@@ -33,6 +33,7 @@ from .partitions import (
     band_rows,
     in_YN,
     make_partition,
+    removable_rows,
     require_YN,
     rim_walk,
     tau,
@@ -52,10 +53,6 @@ class BadBandIndex(ValueError):
 
 class NotInYNCirc(ValueError):
     """Partition's rim leaves the central band of half-width 1."""
-
-
-class ParameterizationFailure(ValueError):
-    """Partition does not fit the two-row doubling parameterization."""
 
 
 class FoldFailure(ValueError):
@@ -189,19 +186,10 @@ def enumerate_circ(n: int) -> tuple[Partition, ...]:
 
 
 def circ_inner_corners(lam: Partition, n: int) -> frozenset[int]:
-    """Rows whose corner box can be removed without leaving Y_N°.
-
-    Removing row r's corner box moves one rim site, at delta N - r - lam_r,
-    two levels up (for r = 1 through the gluing; the band is symmetric
-    under delta -> N - delta) and keeps every other site.  So the box may
-    go exactly when N - r - lam_r + 2 <= N - k + 1, i.e. lam_r > k - r.
-    """
+    """Rows whose corner box can be removed without leaving Y_N°: the
+    removable rows of lam in the row ranges circ_rows."""
     require_circ(lam, n)
-    k = n // 2
-    p = list(lam) + [0]
-    return frozenset(
-        r for r in range(1, len(lam) + 1) if p[r - 1] > max(p[r], k - r)
-    )
+    return frozenset(removable_rows(lam, circ_rows(n)))
 
 
 FoldStep = tuple[str, Site]
@@ -340,47 +328,23 @@ def double_embed(lam: Partition, n: int) -> Partition:
     """Embed Y_N° into Y_2N° (N odd) compatibly with the squared shift.
 
     The rim of lam, which lives in the four-level band of the odd strip,
-    is encoded by column increments over the staircase (k-1, ..., 1): pad
-    lam to k+1 parts p_1..p_{k+1} and set c_i = p_i - (k - i) for
-    i <= k - 1, c_k = p_k, c_(k+1) = p_(k+1).  Each c_i in {0,1,2} splits
-    into bits (eps_i, delta_i) and the image is the double staircase
-    (2k, ..., 1) fattened by (eps_1, delta_1, ..., eps_k, delta_k) with an
-    extra final row when eps_(k+1) = 1.
+    is read row by row over the staircase (k-1, ..., 1, 0): row i <= k
+    of lam is c_i = p_i - (k - i) above it, and circ_rows puts c_i in
+    {0, 1, 2}, p_(k+1) in {0, 1} and every later row at 0.  The image
+    is the double staircase (2k, ..., 1) fattened by the bits eps_i =
+    [c_i = 2] and delta_i = [c_i >= 1]: row i of lam gives its rows
+    2(k-i+1) + eps_i and 2(k-i) + 1 + delta_i, and p_(k+1) its last row.
     """
     if n % 2 == 0:
         raise ValueError(f"doubling is defined for odd N, got {n}")
     require_circ(lam, n)
     k = n // 2
-    p = list(lam) + [0] * (k + 1 - len(lam))
-    if len(p) > k + 1:
-        raise ParameterizationFailure(f"{lam} has more than {k + 1} parts")
-    c = [0] * (k + 2)
-    for i in range(1, k):
-        c[i] = p[i - 1] - (k - i)
-    if k >= 1:
-        c[k] = p[k - 1]
-    c[k + 1] = p[k]
-    eps = [0] * (k + 2)
-    dlt = [0] * (k + 1)
-    for i in range(1, k + 1):
-        if c[i] not in (0, 1, 2):
-            raise ParameterizationFailure(f"column increment c_{i}={c[i]}")
-        dlt[i] = 1 if c[i] >= 1 else 0
-        eps[i] = 1 if c[i] == 2 else 0
-    if c[k + 1] not in (0, 1):
-        raise ParameterizationFailure(f"tail increment c_{k + 1}={c[k + 1]}")
-    eps[k + 1] = c[k + 1]
-    for i in range(1, k + 1):
-        if c[i] == 0 and eps[i + 1]:
-            raise ParameterizationFailure("eps after an empty column")
-    if eps[1] + eps[k + 1] > 1:
-        raise ParameterizationFailure("eps_1 and eps_(k+1) both set")
+    p = (*lam, *[0] * (k + 1))
     out = []
     for i in range(1, k + 1):
-        out.append((2 * k - (2 * i - 2)) + eps[i])
-        out.append((2 * k - (2 * i - 1)) + dlt[i])
-    out.append(eps[k + 1])
-    image = make_partition(out)
+        c = p[i - 1] - (k - i)
+        out += (2 * (k - i + 1) + (c == 2), 2 * (k - i) + 1 + (c >= 1))
+    image = make_partition((*out, p[k]))
     require_circ(image, 2 * n)
     return image
 

@@ -138,26 +138,33 @@ def rim_walk(n: int, rows: tuple[range, ...]) -> list[Partition]:
     N - lam_1 rows, and it may end where every later row admits 0.  The
     walk goes depth first over the rows, smallest part first, so the
     output is sorted; on a band no branch lacks a completion, so the cost
-    follows the size of the answer.  Y_N itself is band_rows(n, 0, n).
+    follows the size of the answer.  The path is kept in a list, not on
+    the call stack, so a partition with a thousand rows walks like any
+    other.  Y_N itself is band_rows(n, 0, n).
     """
     fewest = _fewest_parts(rows)
     out: list[Partition] = [()] if fewest == 0 else []
-
-    def extend(parts: list[int]) -> None:
+    low = [max(1, row.start) for row in rows]
+    # tops[s]: the largest part row s + 1 may take under the row above it
+    parts, tops = [low[0]], [rows[0].stop - 1]
+    if low[0] > tops[0]:
+        return out
+    while parts:
         s = len(parts)
         if s >= fewest:
             out.append(tuple(parts))
-        if s == n - parts[0]:  # hook N - 1: no row below
-            return
-        row = rows[s]
-        for q in range(max(1, row.start), min(row.stop, parts[-1] + 1)):
-            parts.append(q)
-            extend(parts)
+        if s < n - parts[0]:  # hook below N - 1: a row may follow
+            top = min(rows[s].stop - 1, parts[-1])
+            if low[s] <= top:
+                parts.append(low[s])
+                tops.append(top)
+                continue
+        # no row follows: step the deepest row that is below its top
+        while parts and parts[-1] == tops[-1]:
             parts.pop()
-
-    for width in rows[0]:
-        if width:
-            extend([width])
+            tops.pop()
+        if parts:
+            parts[-1] += 1
     return out
 
 
@@ -184,6 +191,23 @@ def rim_count(n: int, rows: tuple[range, ...]) -> int:
         if n - width >= fewest:
             total += sum(ends)
     return total
+
+
+def removable_rows(lam: Partition, rows: tuple[range, ...]) -> tuple[int, ...]:
+    """The rows r, ascending, whose corner box lam may lose and keep its
+    parts in rows: p_r > max(p_(r+1), low end of row r's range), p the
+    parts of lam padded with a zero.
+
+    For row ranges from band_rows this is the whole test.  A lost box
+    only lowers a part, so only a range's low end can be crossed; the
+    row that a narrower width lets follow has low end max(0, width - hi)
+    = 0, so the new zero row fits.  lam is not validated.
+    """
+    p = (*lam, 0)
+    return tuple(
+        r for r in range(1, len(lam) + 1)
+        if p[r - 1] > max(p[r], rows[r - 1].start)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -76,6 +76,13 @@ def test_fibre_lists_members_beyond_fifteen(capsys):
     assert all(fold(parse_partition(m), 17) == lam for m in members)
 
 
+def test_fibre_of_a_thousand_row_staircase(capsys):
+    staircase = ",".join(map(str, range(1000, 0, -1)))
+    code, out, _ = run(capsys, "fibre", "--n", "2001", "--partition", staircase)
+    assert code == 0
+    assert out.splitlines() == [staircase, "C_0^2001 = 1"]
+
+
 def test_text_output_names_the_empty_partition(capsys):
     for argv, want in (
         (("fibre", "--n", "4", "--partition", "1"), "()\n1\nC_2*C_0^2 = 2\n"),

@@ -11,10 +11,10 @@ from cyclehull.moebius import (
     FoldFailure,
     InvalidRim,
     NotInYNCirc,
-    ParameterizationFailure,
     RimPath,
     boundary_loop,
     canon_site,
+    band_limits,
     circ_inner_corners,
     delta,
     double_embed,
@@ -36,7 +36,9 @@ from cyclehull.partitions import (
     IndexOutOfRange,
     corners,
     enumerate_YN,
+    band_rows,
     make_partition,
+    removable_rows,
     tau,
     young_distance,
 )
@@ -191,14 +193,18 @@ def test_double_embed_validation():
 
 
 def test_double_embed_image_and_equivariance():
-    n = 5
-    image = {double_embed(lam, n) for lam in enumerate_circ(n)}
-    assert len(image) == len(enumerate_circ(n))
-    for lam in enumerate_circ(n):
-        assert in_circ(double_embed(lam, n), 2 * n)
-        lhs = double_embed(tau(lam, n), n)
-        rhs = tau(tau(double_embed(lam, n), 2 * n), 2 * n)
-        assert lhs == rhs
+    for n in range(1, 14, 2):
+        circ = enumerate_circ(n)
+        image = {double_embed(lam, n) for lam in circ}
+        assert len(image) == len(circ), n
+        for lam in circ:
+            assert in_circ(double_embed(lam, n), 2 * n), (lam, n)
+            lhs = double_embed(tau(lam, n), n)
+            rhs = tau(tau(double_embed(lam, n), 2 * n), 2 * n)
+            assert lhs == rhs, (lam, n)
+        for lam in set(enumerate_YN(n)) - set(circ):
+            with pytest.raises(NotInYNCirc):
+                double_embed(lam, n)
 
 
 def test_delta_helper():
@@ -231,19 +237,38 @@ def test_band_walk_equals_reference_filter():
             assert in_circ(lam, n) == (lam in band), (lam, n)
 
 
+def _remove_and_retest(lam, n, lo, hi):
+    # the inner corners whose removal keeps the rim in lo <= delta <= hi
+    want = []
+    for r in sorted(corners(lam, n).inner):
+        mu = make_partition([p - (i == r - 1) for i, p in enumerate(lam)])
+        mu_lo, mu_hi = _reference_rim_range(mu, n)
+        if lo <= mu_lo and mu_hi <= hi:
+            want.append(r)
+    return tuple(want)
+
+
+def test_removable_rows_equal_remove_and_retest_on_every_band():
+    for n in range(2, 14):
+        for m in range(1, n // 2 + 1):
+            lo, hi = band_limits(n, m)
+            rows = band_rows(n, lo, hi)
+            for lam in enumerate_band_partitions(n, m):
+                assert removable_rows(lam, rows) == \
+                    _remove_and_retest(lam, n, lo, hi), (lam, n, m)
+    for n in range(1, 13):
+        rows = band_rows(n, 0, n)
+        for lam in enumerate_YN(n):
+            assert removable_rows(lam, rows) == \
+                tuple(sorted(corners(lam, n).inner)), (lam, n)
+
+
 def test_circ_inner_corners_equal_remove_and_retest():
     for n in range(1, 14):
-        k = n // 2
+        lo, hi = band_limits(n, 1) if n >= 2 else (0, n)
         for lam in enumerate_circ(n):
-            want = set()
-            for r in corners(lam, n).inner:
-                mu = make_partition(
-                    [p - (i == r - 1) for i, p in enumerate(lam)]
-                )
-                lo, hi = _reference_rim_range(mu, n)
-                if n < 2 or (k - 1 <= lo and hi <= n - k + 1):
-                    want.add(r)
-            assert circ_inner_corners(lam, n) == want, (lam, n)
+            assert circ_inner_corners(lam, n) == \
+                set(_remove_and_retest(lam, n, lo, hi)), (lam, n)
 
 
 def test_enumerate_circ_21_walks_without_scanning_YN():
