@@ -1,4 +1,4 @@
-"""Exact census of the hull complexes by transfer matrices.
+"""Exact census of the hull complexes in closed forms.
 
 Everything is computed in Z[t] with arbitrary-precision integers: dense
 polynomials (TPoly), small square matrices over them (TMatrix), and the
@@ -10,10 +10,11 @@ through the equivalent polynomial recurrences instead.
 The 3x3 matrices Z, S, A encode how a rim segment crossing one period of
 the band m = 1 extends site by site; a summand t^s stands for a rim with
 s foldable inner corners, so traces of matrix words enumerate band
-partitions weighted by corner count.  The bands of wider half-width m
-are counted in plain integers instead: count_band runs the row rule of
-partitions.band_rows forward (partitions.rim_count), the same rule that
-enumerates them, for both parities of N.
+partitions weighted by corner count.  The census reads the closed forms
+those traces take: the corner enumerator's coefficients count the
+matchings of the N-cycle, and count_band, for a band of any half-width
+and either parity of N, is a sum of binomials by André's reflection.
+The matrices stay as the certification API that the tests run.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .moebius import band_limits
-from .partitions import band_rows, rim_count
 
 
 class BadParity(ValueError):
@@ -59,10 +59,6 @@ class TPoly:
     @classmethod
     def const(cls, c: int) -> "TPoly":
         return cls((c,))
-
-    @classmethod
-    def t(cls) -> "TPoly":
-        return cls((0, 1))
 
     @property
     def degree(self):
@@ -288,56 +284,27 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
+def _cycle_matchings(n: int, s: int) -> int:
+    """Number of s-edge matchings of the N-cycle, N/(N-s) * C(N-s, s)."""
+    return _exact_div(n * math.comb(n - s, s), n - s)
+
+
 @lru_cache(maxsize=None)
 def corner_enumerator(n: int) -> TPoly:
     """Generating polynomial of Y_N° by number of removable corners.
 
     The coefficient of t^s counts the band partitions with s corners
-    whose removal stays in the band.  The count is tr(S^(k-1) Z A) for
-    N = 2k+1, and Z A = S^2 - t S turns it into tr(S^(k+1)) - t tr(S^k).
-    Each trace comes from the power split of an_bn,
-      tr(S^j) = a_j tr(S) + b_j tr(S^2 - (1+t) S)    (j >= 1),
-    so no matrix power is formed.  The constant term is 1 and the linear
-    coefficient is N for every odd N.
+    whose removal stays in the band.  The transfer matrices give it as
+    tr(S^(k-1) Z A) for N = 2k+1; in closed form the coefficient of t^s
+    is the number of s-edge matchings of the N-cycle, N/(N-s) C(N-s, s),
+    for s = 0 .. k.  The constant term is 1, the linear coefficient is N,
+    and the coefficients sum to the Lucas number L_N.
     """
     if n % 2 == 0:
         raise BadParity(f"corner enumerator needs odd N, got {n}")
     if n < 3:
         raise ValueError(f"corner enumerator needs N >= 3, got {n}")
-    k = n // 2
-    s = matrix_S()
-    tr_s = s.trace()
-    tr_corr = (s * s - s.scale(ONE + T)).trace()
-
-    def tr_power(j: int) -> TPoly:
-        a_j, b_j = an_bn(j)
-        return a_j * tr_s + b_j * tr_corr
-
-    return tr_power(k + 1) - T * tr_power(k)
-
-
-def an_bn(n: int) -> tuple[TPoly, TPoly]:
-    """The pair (a_n, b_n) with S^n = a_n S + b_n (S^2 - (1+t) S).
-
-    a_n has coefficients C(2(n-1)-j, j) and b_n the shifted C(2(n-1)-1-j, j);
-    they satisfy a_(n+1) = (1+t) a_n + t b_n and b_(n+1) = a_n + t b_n.
-    corner_enumerator takes its traces of powers of S from this split.
-    S^0 = I is not in the span of S and S^2 - (1+t) S, so n >= 1.
-    """
-    if n < 1:
-        raise ValueError(f"an_bn needs n >= 1, got {n}")
-
-    def binom_poly(top_base: int) -> TPoly:
-        coeffs = []
-        j = 0
-        while top_base - j >= j:
-            coeffs.append(math.comb(top_base - j, j))
-            j += 1
-        return TPoly(coeffs)
-
-    if n == 1:
-        return ONE, ZERO
-    return binom_poly(2 * (n - 1)), binom_poly(2 * (n - 1) - 1)
+    return TPoly(_cycle_matchings(n, s) for s in range(n // 2 + 1))
 
 
 @lru_cache(maxsize=None)
@@ -382,7 +349,7 @@ def face_count(n: int, v: int) -> int:
     first = _exact_div(acc, 2 ** (n - 2 * v - 1))
     second = 0
     for s in range(v, top + 1):
-        second += _exact_div(n * math.comb(n - s, s), n - s) * math.comb(s, v)
+        second += _cycle_matchings(n, s) * math.comb(s, v)
     if first != second:
         raise IdentityFailure(
             f"face_count({n}, {v}): closed forms give {first} and {second}"
@@ -406,10 +373,33 @@ def sequences(n: int) -> tuple[int, int, int]:
 def count_band(n: int, m: int) -> int:
     """Number of partitions whose rim stays in the band of half-width m.
 
-    The integer row count partitions.rim_count over the delta range of
-    moebius.band_limits, for either parity of N.
+    With (lo, hi) = moebius.band_limits(n, m), the outer rim of lam is a
+    walk of N steps of +-1 in delta, from the width lam_1 to its mirror
+    level N - lam_1, and lam is in the band when the walk stays on the
+    P - 1 levels lo .. hi, P = hi - lo + 2 (2m + 3 for odd N, 2m + 2 for
+    even N).  Conversely a walk from d to N - d on those levels is a rim
+    exactly when its last step goes up; the mirror delta -> N - delta
+    keeps the levels (lo + hi = N) and flips every step, so summing over
+    all start levels counts each band partition twice.  André's
+    reflection in the walls lo - 1 and hi + 1 counts the walks from d to
+    N - d as
+      Σ_i C(N, (N + P)/2 - (d - lo + 1) + iP) - C(N, (N + P)/2 + iP);
+    over the P - 1 start levels the first terms take every residue mod P
+    except (N + P)/2 once, so the total is 2^N - P Σ_(j = (N+P)/2 mod P)
+    C(N, j).  This is the trace of the band's transfer matrix: for odd N
+    tr(S_m^N), S_m the adjacency matrix of a path with one loop, whose
+    unfolding is the path on the P - 1 levels.
     """
-    return rim_count(n, band_rows(n, *band_limits(n, m)))
+    lo, hi = band_limits(n, m)
+    p = hi - lo + 2
+    j = (n + p) // 2 % p
+    c, hits = math.comb(n, j), 0
+    while j <= n:
+        hits += c
+        # C(N, j + P) = C(N, j) (N - j)! / (N - j - P)! / ((j + P)! / j!)
+        c = c * math.perm(n - j, p) // math.perm(j + p, p)
+        j += p
+    return _exact_div(2**n - p * hits, 2)
 
 
 def matrix_circcirc() -> tuple[TMatrix, TMatrix]:

@@ -179,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare", default=None, help="cycle:N or xn:N")
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("counts", help="band census, trace vs enumeration")
+    p = sub.add_parser("counts", help="band count, closed form vs enumeration")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.set_defaults(func=_cmd_counts)

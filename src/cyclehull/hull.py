@@ -183,7 +183,7 @@ def build_hull(kind: str, n: int) -> HullComplex:
     # f(tau^i lam) is f(lam) rotated by i places; an orbit of period p
     # lists each member N/p times, with the same rotation each time
     vertices: dict[Partition, VertexFunction] = {}
-    for orbit in tau_orbits(rows, n, vertices):
+    for orbit in tau_orbits(rows, n):
         values = [size(mu) - o for mu in orbit] * 2
         for i, mu in enumerate(orbit):
             vertices[mu] = tuple(values[i : i + n])

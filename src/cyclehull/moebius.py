@@ -48,7 +48,7 @@ class InvalidRim(ValueError):
 
 
 class BadBandIndex(ValueError):
-    """Band half-width m outside 1 <= m <= N // 2."""
+    """Band half-width m outside 1 <= m <= N // 2, or N below 2."""
 
 
 class NotInYNCirc(ValueError):
@@ -143,8 +143,10 @@ def band_limits(n: int, m: int) -> tuple[int, int]:
     """The delta range (k - m, N - k + m), k = N // 2, of the band m.
 
     For odd N the band spans 2m + 2 levels, for even N the symmetric
-    2m + 1.  BadBandIndex unless 1 <= m <= k.
+    2m + 1.  BadBandIndex unless N >= 2 and 1 <= m <= k.
     """
+    if n < 2:
+        raise BadBandIndex(f"N = {n} has no central band (needs N >= 2)")
     k = n // 2
     if not 1 <= m <= k:
         raise BadBandIndex(f"band index {m} not in [1, {k}]")

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from typing import Collection, Container, Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
 
@@ -123,13 +122,6 @@ def band_rows(n: int, lo: int, hi: int) -> tuple[range, ...]:
     ))
 
 
-def _fewest_parts(rows: tuple[range, ...]) -> int:
-    # lam may end after s parts only when every later row admits 0
-    return 1 + max(
-        (s for s, row in enumerate(rows) if 0 not in row), default=-1
-    )
-
-
 def rim_walk(n: int, rows: tuple[range, ...]) -> list[Partition]:
     """The lam in Y_N whose parts lie in rows, sorted.
 
@@ -142,7 +134,10 @@ def rim_walk(n: int, rows: tuple[range, ...]) -> list[Partition]:
     the call stack, so a partition with a thousand rows walks like any
     other.  Y_N itself is band_rows(n, 0, n).
     """
-    fewest = _fewest_parts(rows)
+    # lam may end after s parts only when every later row admits 0
+    fewest = 1 + max(
+        (s for s, row in enumerate(rows) if 0 not in row), default=-1
+    )
     out: list[Partition] = [()] if fewest == 0 else []
     low = [max(1, row.start) for row in rows]
     # tops[s]: the largest part row s + 1 may take under the row above it
@@ -166,31 +161,6 @@ def rim_walk(n: int, rows: tuple[range, ...]) -> list[Partition]:
         if parts:
             parts[-1] += 1
     return out
-
-
-def rim_count(n: int, rows: tuple[range, ...]) -> int:
-    """len(rim_walk(n, rows)), counted in integers without listing.
-
-    For each width, a forward pass over the rows keeps the number of
-    valid prefixes per last part; "at most the row above" turns into
-    suffix sums of those counts.
-    """
-    fewest = _fewest_parts(rows)
-    total = int(fewest == 0)
-    for width in rows[0]:
-        if width == 0:
-            continue
-        ends = [0] * width + [1]  # ends[v]: prefixes whose last row is v
-        for s, row in enumerate(rows[1 : n - width], 1):
-            if s >= fewest:
-                total += sum(ends)
-            at_least = list(accumulate(reversed(ends)))[::-1]
-            ends = [0] * (width + 1)
-            for q in range(max(1, row.start), min(row.stop, width + 1)):
-                ends[q] = at_least[q]
-        if n - width >= fewest:
-            total += sum(ends)
-    return total
 
 
 def removable_rows(lam: Partition, rows: tuple[range, ...]) -> tuple[int, ...]:
@@ -250,19 +220,15 @@ def tau_orbit(lam: Partition, n: int) -> tuple[Partition, ...]:
 
 
 def tau_orbits(
-    pool: Collection[Partition],
-    n: int,
-    done: Container[Partition] | None = None,
+    pool: Collection[Partition], n: int
 ) -> Iterator[tuple[Partition, ...]]:
     """tau_orbit(lam, n) once per tau orbit of pool, lam its first member.
 
     pool is a tau-invariant collection with a fast `in` (a dict or set),
     walked in its own order; an orbit member outside it raises
-    OrbitLeavesPool.  An orbit is skipped once its members are in done:
-    with done None the walk keeps that set itself, otherwise the caller
-    adds each orbit's members to done before asking for the next one.
+    OrbitLeavesPool.
     """
-    seen = set() if done is None else done
+    seen = set()
     for lam in pool:
         if lam in seen:
             continue
@@ -272,8 +238,7 @@ def tau_orbits(
                 raise OrbitLeavesPool(
                     f"the tau orbit of {lam or '()'} reaches {mu or '()'}"
                 )
-        if done is None:
-            seen.update(orbit)
+        seen.update(orbit)
         yield orbit
 
 

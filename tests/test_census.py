@@ -12,7 +12,6 @@ from cyclehull.census import (
     TPoly,
     ZERO,
     BadParity,
-    an_bn,
     circcirc_count,
     circcirc_trace,
     corner_enumerator,
@@ -65,22 +64,6 @@ def test_transfer_matrix_identities():
     a = matrix_A()
     assert z * a == s * s - s.scale(T)
     assert s.trace() == ONE + 2 * T
-
-
-def test_power_decomposition():
-    s = matrix_S()
-    corr = s * s - s.scale(ONE + T)
-    for n in range(1, 8):
-        a_n, b_n = an_bn(n)
-        assert s.power(n) == s.scale(a_n) + corr.scale(b_n)
-
-
-def test_an_bn_recursion():
-    for n in range(1, 10):
-        a_n, b_n = an_bn(n)
-        a_next, b_next = an_bn(n + 1)
-        assert a_next == (ONE + T) * a_n + T * b_n
-        assert b_next == a_n + T * b_n
 
 
 def test_corner_enumerator_counts_corners():
@@ -155,6 +138,16 @@ def test_count_band_agrees_with_enumeration():
 def test_count_band_extremes():
     assert count_band(11, 5) == len(enumerate_YN(11))
     assert count_band(13, 1) == sequences(13)[0]
+    # up to N = 2001, where no enumeration or matrix trace reaches: the
+    # widest band is all of Y_N, the band m = 1 is Y_N° (Lucas_N for odd
+    # N, a cube of dimension N/2 for even N)
+    lucas, lucas_next = 2, 1  # Lucas_n, Lucas_(n+1)
+    for n in range(2002):
+        if n >= 2:
+            assert count_band(n, n // 2) == 2 ** (n - 1), n
+            want = lucas if n % 2 else 2 ** (n // 2)
+            assert count_band(n, 1) == want, n
+        lucas, lucas_next = lucas_next, lucas + lucas_next
 
 
 def _int_mul(a, b):

@@ -142,6 +142,13 @@ def test_counts(capsys):
     assert out == "trace: 521\nenumeration: 521\n"
 
 
+def test_counts_below_two_has_no_band(capsys):
+    for n in ("1", "0", "-3"):
+        code, out, err = run(capsys, "counts", "--n", n, "--m", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: N = {n} has no central band (needs N >= 2)\n"
+
+
 def test_embed(capsys):
     code, out, _ = run(capsys, "embed", "--n", "5", "--partition", "2,1")
     assert code == 0
@@ -313,7 +320,6 @@ def expect(error, call, *args):
         print(error.__name__)
 
 expect(BadParity, max_cube_decomposition, 4)
-expect(ValueError, census.an_bn, 0)
 expect(ValueError, census.T.__pow__, -1)
 expect(ValueError, census.matrix_S().power, -1)
 expect(IdentityFailure, census._exact_div, 3, 2)
@@ -340,7 +346,7 @@ expect(FoldFailure, moebius.fold, (4,), 5)
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.stdout.split() == [
-        "BadParity", "ValueError", "ValueError", "ValueError",
+        "BadParity", "ValueError", "ValueError",
         "IdentityFailure", "NotExtremal", "NotExtremal",
         "IdentityFailure", "BadBandIndex", "IdentityFailure",
         "OrbitLeavesPool", "OrbitNotClosed", "FoldFailure", "FoldFailure",
