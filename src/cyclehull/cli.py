@@ -2,14 +2,16 @@
 
 Every subcommand is deterministic given its flags and prints to stdout.
 Exit codes: 0 success, 1 comparison mismatch, 2 usage or validation
-error.  No configuration files or environment variables.
+error, 141 (128 + SIGPIPE) when the reader closes stdout early, as in
+`skeleton ... | head -1`; that one prints nothing on stderr.  No
+configuration files or environment variables.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from fractions import Fraction
 
 from .census import count_band, face_count, face_polynomial
 from .hull import (
@@ -27,7 +29,6 @@ from .moebius import (
     fold_trace,
     site_str,
 )
-from .oracle import FiniteMetric, tight_span
 from .partitions import format_partition, parse_partition
 
 
@@ -50,10 +51,13 @@ def _cmd_vertices(args) -> int:
         sys.stdout.writelines(json_chunks(hull, faces=False))
         print()
         return 0
-    for name, vals in sorted(
-        (_name(lam), vals) for lam, vals in hull.vertices.items()
-    ):
-        print(f"{name}: {' '.join(str(v) for v in vals)}")
+    # sorted by name: a whole-line sort puts "2,1: ..." before "2: ..."
+    sys.stdout.writelines(
+        f"{name}: {' '.join(map(str, vals))}\n"
+        for name, vals in sorted(
+            (_name(lam), vals) for lam, vals in hull.vertices.items()
+        )
+    )
     return 0
 
 
@@ -93,6 +97,11 @@ def _cmd_fibre(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # only this command needs the oracle and exact fractions
+    from fractions import Fraction
+
+    from .oracle import FiniteMetric, tight_span
+
     metric = FiniteMetric.from_file(args.metric)
     verts, norm_edges = tight_span(metric, cap=args.cap)
     if args.compare is None:
@@ -200,6 +209,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # stdout's reader is gone: point it at the null device, so that the
+        # final flush cannot raise, and stop as SIGPIPE would
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,15 +5,18 @@ hull of C_N by the band partitions Y_N°; in both cases the vertex at lam
 is the function j -> |tau^j(lam)| (shifted down by the constant
 o = k(k-1)/2 in the cycle case).  Both pools are tau-invariant and
 f(tau lam) is f(lam) rotated by one place, so vertex functions are read
-once per tau orbit: one walk gives the sizes of all N members.  A v-face
-is the cube (top, removed): the partitions obtained from top by deleting
-any subset of v corner boxes.  The corner rows of a vertex are read by
-partitions.removable_rows off its pool's row ranges, band_rows(n, 0, n)
-for Y_N and circ_rows for Y_N°, so both hulls take one path.  Faces
-stay implicit in each vertex's corner rows: the f-vector and edges are
-read off the rows, and faces are made on demand or streamed straight
-into the JSON export, one chunk per top and dimension.  Vertices come
-from a rim walk whose cost follows their number, not the 2^(N-1) of Y_N.
+once per tau orbit: one walk gives the sizes of all N members, each from
+the last by |tau mu| = |mu| + N - 1 - 2 len(mu).  A v-face is the cube
+(top, removed): the partitions obtained from top by deleting any subset
+of v corner boxes.  Vertices and their corner rows come out of one
+partitions.corner_walk over the pool's row ranges, band_rows(n, 0, n)
+for Y_N and circ_rows for Y_N°, so both hulls take one path and its cost
+follows the number of vertices, not the 2^(N-1) of Y_N; the per-vertex
+rules removable_rows, f_vertex and g_vertex give the same answers one
+vertex at a time.  Faces stay implicit in each vertex's corner rows: the
+f-vector and edges are read off the rows, and faces are made on demand
+or streamed straight into the JSON export, one chunk per top and
+dimension, from text made once per dimension and corner-row pattern.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -31,10 +34,9 @@ from .partitions import (
     ModelSpace,
     Partition,
     band_rows,
-    enumerate_YN,
+    corner_walk,
     format_partition,
     make_partition,
-    removable_rows,
     require_YN,
     size,
     tau,
@@ -168,23 +170,30 @@ class HullComplex:
 def build_hull(kind: str, n: int) -> HullComplex:
     """Assemble the hull complex of X_N ('xn') or C_N ('cycle').
 
-    Both spaces take one path: a pool of partitions with its row ranges
-    (all of Y_N with band_rows(n, 0, n), or Y_N° with circ_rows) and the
-    offset o.  Faces with top lam are in bijection with subsets of its
-    removable_rows in those ranges; the pool comes from the rim walk, so
-    nothing is validated again.  The even cycle comes out a cube.
+    Both spaces take one path: the row ranges of a pool (all of Y_N with
+    band_rows(n, 0, n), or Y_N° with circ_rows) and the offset o.  One
+    corner_walk over the ranges lists the pool with the removable rows of
+    each member; faces with top lam are in bijection with subsets of
+    them.  Vertex functions are read once per tau orbit (tau_orbits over
+    the walk's own dict, so an orbit that leaves the pool raises
+    OrbitLeavesPool and one that does not close raises OrbitNotClosed);
+    the sizes follow |tau mu| = |mu| + N - 1 - 2 len(mu).  The even cycle
+    comes out a cube.
     """
     space = ModelSpace(kind, n)
-    pool, ranges, o = (
-        (enumerate_YN, band_rows(n, 0, n), 0) if kind == "xn"
-        else (enumerate_circ, circ_rows(n), _cycle_offset(n))
+    ranges, o = (
+        (band_rows(n, 0, n), 0) if kind == "xn"
+        else (circ_rows(n), _cycle_offset(n))
     )
-    rows = {lam: removable_rows(lam, ranges) for lam in pool(n)}
+    rows = corner_walk(n, ranges)
     # f(tau^i lam) is f(lam) rotated by i places; an orbit of period p
     # lists each member N/p times, with the same rotation each time
     vertices: dict[Partition, VertexFunction] = {}
     for orbit in tau_orbits(rows, n):
-        values = [size(mu) - o for mu in orbit] * 2
+        values = list(accumulate(
+            (n - 1 - 2 * len(mu) for mu in orbit[:-1]),
+            initial=size(orbit[0]) - o,
+        )) * 2
         for i, mu in enumerate(orbit):
             vertices[mu] = tuple(values[i : i + n])
     return HullComplex(space, vertices, Faces(rows))
@@ -247,10 +256,18 @@ def to_dot(graph: Graph, roles: dict[str, str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_list(values, depth: int) -> str:
-    # json.dumps(list(values), indent=1) as it prints nested depth deep
-    items = ",\n".join(f"{' ' * (depth + 1)}{v}" for v in values)
-    return f"[\n{items}\n{' ' * depth}]" if items else "[]"
+def _face_template(v: int, rows: tuple[int, ...]) -> list[str]:
+    # the v-faces of a top with these corner rows, each led by ",\n" as
+    # json.dumps(indent=1) prints them, cut where the top's name goes
+    bracket, close = ("[\n", "\n   ]") if v else ("[", "]")
+    head = ',\n  {\n   "removed": ' + bracket
+    tail = close + ',\n   "top": "'
+    shut = '"\n  }'
+    faces = [
+        head + ",\n".join(f"    {r}" for r in sub) + tail
+        for sub in combinations(rows, v)
+    ]
+    return [faces[0], *(shut + face for face in faces[1:]), shut]
 
 
 def json_chunks(complex_: HullComplex, faces: bool = True) -> Iterator[str]:
@@ -260,29 +277,34 @@ def json_chunks(complex_: HullComplex, faces: bool = True) -> Iterator[str]:
     Joined, the pieces are json.dumps(doc, sort_keys=True, indent=1) of
     {"faces": [{"removed": [...], "top": name}, ...], "n": N,
     "space": kind, "vertices": {name: values}}, faces in Face.sort_key
-    order; faces=False leaves the "faces" key out.  Partition names are
-    digits and commas, so nothing needs escaping.
+    order; faces=False leaves the "faces" key out.  The v-faces above a
+    top depend on the top only through its name, so their text is made
+    once per (v, corner rows) as a template cut where the name goes, and
+    each piece is one str.join of the name into it.  The templates are
+    dropped when v moves on, so only one dimension's are held at a time.
+    Partition names are digits and commas, so nothing needs escaping.
     """
     names = {lam: format_partition(lam) for lam in complex_.vertices}
     yield "{\n"
     if faces:
-        cells = [f"    {r}" for r in range(complex_.space.n + 1)]
-        sep = ' "faces": [\n'
+        yield ' "faces": ['
+        templates: dict[tuple[int, ...], list[str]] = {}
+        dim, skip = 0, 1  # the first face has no "," before it
         for v, top, rows in complex_.faces.groups():
-            bracket, close = ("[\n", "\n   ]") if v else ("[", "]")
-            head = f'  {{\n   "removed": {bracket}'
-            tail = f'{close},\n   "top": "{names[top]}"\n  }}'
-            subs = combinations([cells[r] for r in rows], v)
-            yield sep + ",\n".join(
-                head + ",\n".join(sub) + tail for sub in subs
-            )
-            sep = ",\n"
+            if v != dim:
+                templates, dim = {}, v
+            template = templates.get(rows)
+            if template is None:
+                template = templates[rows] = _face_template(v, rows)
+            yield names[top].join(template)[skip:]
+            skip = 0
         yield "\n ],\n"
     n, kind = complex_.space.n, complex_.space.kind
     yield f' "n": {n},\n "space": "{kind}",\n "vertices": {{'
     sep = "\n"
     for lam, name in sorted(names.items(), key=itemgetter(1)):
-        yield f'{sep}  "{name}": {_json_list(complex_.vertices[lam], 2)}'
+        vals = ",\n   ".join(map(str, complex_.vertices[lam]))
+        yield f'{sep}  "{name}": [\n   {vals}\n  ]'
         sep = ",\n"
     yield "\n }\n}"
 

@@ -216,6 +216,39 @@ def test_module_entry_point():
     assert proc.stdout == "11 + 15*t + 5*t^2\n"
 
 
+def test_closed_stdout_exits_141_quietly():
+    # the reader takes one line and closes the pipe, as `| head -1` does;
+    # both outputs are far larger than a pipe's buffer
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv in (
+        ["skeleton", "--n", "13", "--space", "cycle", "--format", "json"],
+        ["vertices", "--n", "17", "--space", "cycle"],
+    ):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cyclehull", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141, err
+        assert first and err == b"", err
+
+
+def test_only_the_oracle_command_imports_the_oracle():
+    code = (
+        "import sys, cyclehull.cli\n"
+        "print(*(m in sys.modules for m in"
+        " ('cyclehull.oracle', 'fractions', 'decimal')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.stdout.split() == ["False", "False", "False"], proc.stderr
+
+
 def test_oracle_empty_metric_file_exits_two(capsys, tmp_path):
     for text in ("", "\n  \n", "3\n0 2 2\n"):
         path = tmp_path / "metric.txt"

@@ -20,7 +20,10 @@ from cyclehull.hull import (
 )
 from cyclehull.moebius import delta, enumerate_circ, fold, outer_rim
 from cyclehull.oracle import _bipartite_components
+from cyclehull import hull as hull_module
 from cyclehull.partitions import (
+    OrbitLeavesPool,
+    OrbitNotClosed,
     corners,
     cycle_distance,
     enumerate_YN,
@@ -88,6 +91,22 @@ def test_orbit_built_vertex_functions_equal_the_per_vertex_ones():
     assert tau((2, 1), 5) == (2, 1)
     assert build_hull("cycle", 5).vertices[(2, 1)] == (2, 2, 2, 2, 2)
     assert build_hull("xn", 5).vertices[(2, 1)] == (3, 3, 3, 3, 3)
+
+
+def test_build_hull_orbit_walk_keeps_its_checks(monkeypatch):
+    # the orbit steps are not validated: a pool that an orbit leaves, or
+    # a tau^N that misses its start, must still raise
+    walk = hull_module.corner_walk
+    def walk_without_one(n, rows):
+        return {lam: r for lam, r in walk(n, rows).items() if lam != (1,)}
+
+    monkeypatch.setattr(hull_module, "corner_walk", walk_without_one)
+    with pytest.raises(OrbitLeavesPool):
+        build_hull("xn", 5)
+    monkeypatch.setattr(hull_module, "corner_walk", walk)
+    monkeypatch.setattr("cyclehull.partitions.tau", lambda lam, n: ())
+    with pytest.raises(OrbitNotClosed):
+        build_hull("cycle", 5)
 
 
 def test_face_members():
@@ -243,8 +262,10 @@ def _reference_doc(kind, n):
 
 
 def test_to_json_equals_dumps_of_the_face_list():
-    cases = [("cycle", n) for n in (*range(1, 10), 16)]
-    cases += [("xn", n) for n in range(1, 8)]
+    # C_11, C_12 and X_9 reuse face templates across many tops and
+    # cross several dimensions, where the templates are dropped
+    cases = [("cycle", n) for n in (*range(1, 13), 16)]
+    cases += [("xn", n) for n in range(1, 10)]
     for kind, n in cases:
         want = json.dumps(_reference_doc(kind, n), sort_keys=True, indent=1)
         assert to_json(build_hull(kind, n)) == want, (kind, n)

@@ -9,6 +9,8 @@ from cyclehull.partitions import (
     NotInYN,
     NotWeaklyDecreasing,
     alpha,
+    band_rows,
+    corner_walk,
     corners,
     cycle_distance,
     enumerate_YN,
@@ -18,6 +20,7 @@ from cyclehull.partitions import (
     max_hook,
     parse_partition,
     rectangular,
+    removable_rows,
     rim_walk,
     size,
     tau,
@@ -29,6 +32,8 @@ from cyclehull.partitions import (
 )
 from cyclehull.moebius import (
     _fibre_rows,
+    band_limits,
+    circ_rows,
     enumerate_circ,
     fold_fibre,
     fold_fibre_size,
@@ -179,6 +184,20 @@ def test_fibre_walk_length_is_the_catalan_product():
             walk = rim_walk(n, _fibre_rows(lam, n))
             assert walk == list(fold_fibre(lam, n)), (lam, n)
             assert len(walk) == fold_fibre_size(lam, n), (lam, n)
+
+
+def test_corner_walk_is_the_rim_walk_with_removable_rows():
+    # items and order: every band for N <= 14, Y_N for N <= 13 and
+    # Y_N° for N <= 21
+    cases = [
+        (n, band_rows(n, *band_limits(n, m)))
+        for n in range(2, 15) for m in range(1, n // 2 + 1)
+    ]
+    cases += [(n, band_rows(n, 0, n)) for n in range(1, 14)]
+    cases += [(n, circ_rows(n)) for n in range(1, 22)]
+    for n, rows in cases:
+        want = [(lam, removable_rows(lam, rows)) for lam in rim_walk(n, rows)]
+        assert list(corner_walk(n, rows).items()) == want, (n, rows)
 
 
 def test_require_errors():
