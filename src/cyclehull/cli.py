@@ -103,6 +103,16 @@ def _cmd_oracle(args) -> int:
     from .oracle import FiniteMetric, tight_span
 
     metric = FiniteMetric.from_file(args.metric)
+    if args.compare is not None:
+        # checked before the walk, which can take long at any size
+        kind, _, tail = args.compare.partition(":")
+        if kind not in ("cycle", "xn") or not tail.isdigit():
+            raise ValueError(f"bad --compare value {args.compare!r}")
+        if int(tail) != metric.n:
+            raise ValueError(
+                f"--compare {args.compare} has N = {int(tail)} points,"
+                f" the metric has {metric.n}"
+            )
     verts, norm_edges = tight_span(metric, cap=args.cap)
     if args.compare is None:
         print(f"vertices: {len(verts)}")
@@ -114,10 +124,7 @@ def _cmd_oracle(args) -> int:
             right = " ".join(str(x) for x in v)
             print(f"{left} ; {right}")
         return 0
-    kind, _, tail = args.compare.partition(":")
-    if kind not in ("cycle", "xn") or not tail.isdigit():
-        raise ValueError(f"bad --compare value {args.compare!r}")
-    hull = build_hull(kind, int(tail))
+    hull = build_hull(kind, metric.n)
     want_v = frozenset(
         tuple(Fraction(x) for x in vals) for vals in hull.vertices.values()
     )

@@ -159,9 +159,14 @@ class HullComplex:
         )
 
     def edges(self) -> tuple[tuple[Partition, Partition], ...]:
-        # removing a box gives a lexicographically smaller partition
+        # removing a box gives a lexicographically smaller partition; r is
+        # a corner row, so lam_r > lam_(r+1), and a part 1 there is the last
         return tuple(sorted(
-            (_remove_boxes(lam, (r,)), lam)
+            (
+                (*lam[: r - 1], lam[r - 1] - 1, *lam[r:]) if lam[r - 1] > 1
+                else lam[: r - 1],
+                lam,
+            )
             for lam, rows in self.faces.corner_rows.items()
             for r in rows
         ))
@@ -185,7 +190,7 @@ def build_hull(kind: str, n: int) -> HullComplex:
         (band_rows(n, 0, n), 0) if kind == "xn"
         else (circ_rows(n), _cycle_offset(n))
     )
-    rows = corner_walk(n, ranges)
+    rows = dict(corner_walk(n, ranges))
     # f(tau^i lam) is f(lam) rotated by i places; an orbit of period p
     # lists each member N/p times, with the same rotation each time
     vertices: dict[Partition, VertexFunction] = {}

@@ -123,44 +123,9 @@ def band_rows(n: int, lo: int, hi: int) -> tuple[range, ...]:
 
 
 def rim_walk(n: int, rows: tuple[range, ...]) -> list[Partition]:
-    """The lam in Y_N whose parts lie in rows, sorted.
-
-    rows[s - 1] holds the parts row s may take, rows[0] the width (as
-    band_rows gives them, or the ranges of a fold fibre); lam has at most
-    N - lam_1 rows, and it may end where every later row admits 0.  The
-    walk goes depth first over the rows, smallest part first, so the
-    output is sorted; on a band no branch lacks a completion, so the cost
-    follows the size of the answer.  The path is kept in a list, not on
-    the call stack, so a partition with a thousand rows walks like any
-    other.  Y_N itself is band_rows(n, 0, n).
-    """
-    # lam may end after s parts only when every later row admits 0
-    fewest = 1 + max(
-        (s for s, row in enumerate(rows) if 0 not in row), default=-1
-    )
-    out: list[Partition] = [()] if fewest == 0 else []
-    low = [max(1, row.start) for row in rows]
-    # tops[s]: the largest part row s + 1 may take under the row above it
-    parts, tops = [low[0]], [rows[0].stop - 1]
-    if low[0] > tops[0]:
-        return out
-    while parts:
-        s = len(parts)
-        if s >= fewest:
-            out.append(tuple(parts))
-        if s < n - parts[0]:  # hook below N - 1: a row may follow
-            top = min(rows[s].stop - 1, parts[-1])
-            if low[s] <= top:
-                parts.append(low[s])
-                tops.append(top)
-                continue
-        # no row follows: step the deepest row that is below its top
-        while parts and parts[-1] == tops[-1]:
-            parts.pop()
-            tops.pop()
-        if parts:
-            parts[-1] += 1
-    return out
+    """The lam in Y_N whose parts lie in rows, sorted: corner_walk's
+    partitions without their corner rows."""
+    return [lam for lam, _ in corner_walk(n, rows)]
 
 
 def removable_rows(lam: Partition, rows: tuple[range, ...]) -> tuple[int, ...]:
@@ -182,60 +147,68 @@ def removable_rows(lam: Partition, rows: tuple[range, ...]) -> tuple[int, ...]:
 
 def corner_walk(
     n: int, rows: tuple[range, ...]
-) -> dict[Partition, tuple[int, ...]]:
-    """{lam: removable_rows(lam, rows) for lam in rim_walk(n, rows)}, in
-    that order, from one walk.
+) -> Iterator[tuple[Partition, tuple[int, ...]]]:
+    """(lam, removable_rows(lam, rows)) for each lam in Y_N whose parts
+    lie in rows, in sorted order.
 
-    This is rim_walk's loop with a parallel stack: settled[s - 1] holds
-    the removable rows among 1 .. s - 1 of the path prefix of length s.
-    Row r is settled once row r + 1 is chosen, so a new row s + 1 settles
-    row s, and a step up of row s changes only row s - 1.  The bottom row
-    of lam is removable when it is above its range's low end, since the
-    part after it is 0.  rim_walk keeps its own loop because its band and
-    fibre callers have no use for the corner tuples, which would cost
-    them memory (3.2 MB more peak at counts --n 17 --m 2).
+    rows[s - 1] holds the parts row s may take, rows[0] the width (as
+    band_rows gives them, or the ranges of a fold fibre); lam has at most
+    N - lam_1 rows, and it may end where every later row admits 0.  The
+    walk goes depth first over the rows, smallest part first, so the
+    output is sorted; on a band no branch lacks a completion, so the cost
+    follows the size of the answer.  The path is kept in lists, not on
+    the call stack, so a partition with a thousand rows walks like any
+    other.  Y_N itself is band_rows(n, 0, n).
+
+    A parallel stack carries the corners: settled[s - 1] holds the
+    removable rows among 1 .. s - 1 of the path prefix of length s.  Row
+    r is settled once row r + 1 is chosen, so a new row s + 1 settles row
+    s, and a step up of row s changes only row s - 1.  The bottom row of
+    lam is removable when it is above its range's low end, since the part
+    after it is 0.
     """
+    # lam may end after s parts only when every later row admits 0
     fewest = 1 + max(
         (s for s, row in enumerate(rows) if 0 not in row), default=-1
     )
-    out: dict[Partition, tuple[int, ...]] = {(): ()} if fewest == 0 else {}
+    if fewest == 0:
+        yield (), ()
     starts = [row.start for row in rows]
+    highs = [row.stop - 1 for row in rows]
     low = [max(1, start) for start in starts]
-    parts, tops, settled = [low[0]], [rows[0].stop - 1], [()]
-    if low[0] > tops[0]:
-        return out
-    while parts:
-        s = len(parts)
+    # row s + 1 keeps its corner over a new row s + 2, which starts at
+    # low[s + 1], when its part is above floor[s] (so above starts[s])
+    floor = list(map(max, low[1:], starts))
+    # tops[s]: the largest part row s + 1 may take under the row above it
+    parts, tops, settled = [low[0]], [highs[0]], [()]
+    if low[0] > highs[0]:
+        return
+    s = 1
+    while True:
         q = parts[-1]
+        prefix = settled[-1]
+        corners = prefix + (s,) if q > starts[s - 1] else prefix
         if s >= fewest:
-            out[tuple(parts)] = (
-                settled[-1] + (s,) if q > starts[s - 1] else settled[-1]
-            )
+            yield tuple(parts), corners
         if s < n - parts[0]:  # hook below N - 1: a row may follow
-            top = min(rows[s].stop - 1, q)
+            top = q if q < highs[s] else highs[s]
             if low[s] <= top:
                 parts.append(low[s])
                 tops.append(top)
-                settled.append(
-                    settled[-1] + (s,) if q > max(low[s], starts[s - 1])
-                    else settled[-1]
-                )
+                settled.append(corners if q > floor[s - 1] else prefix)
+                s += 1
                 continue
         # no row follows: step the deepest row that is below its top
-        while parts and parts[-1] == tops[-1]:
+        while parts[-1] == tops[-1]:
             parts.pop()
             tops.pop()
             settled.pop()
-        if parts:
-            parts[-1] += 1
-            s = len(parts)
-            if s > 1:  # row s - 1 loses its corner when row s reaches it
-                p = parts[s - 2]
-                settled[-1] = (
-                    settled[-2] + (s - 1,)
-                    if p > max(parts[-1], starts[s - 2]) else settled[-2]
-                )
-    return out
+            s -= 1
+            if not s:
+                return
+        parts[-1] += 1
+        if s > 1 and parts[-1] == parts[-2]:  # row s - 1 loses its corner
+            settled[-1] = settled[-2]
 
 
 @lru_cache(maxsize=None)

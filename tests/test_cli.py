@@ -199,12 +199,26 @@ def test_domain_error_echoes_partition(capsys):
     assert "(9,)" in err
 
 
-def test_bad_compare_flag(capsys, tmp_path):
+def test_bad_compare_flag(capsys, tmp_path, monkeypatch):
+    # a bad kind or a point count other than the metric's is refused
+    # before the oracle's walk starts
+    def walk(*args, **kwargs):
+        raise AssertionError("tight_span ran")
+
+    monkeypatch.setattr("cyclehull.oracle.tight_span", walk)
     path = write_metric(tmp_path, "cycle", 4)
     code, _, err = run(capsys, "oracle", "--metric", path,
                        "--compare", "weird:5")
     assert code == 2
     assert "weird" in err
+    for kind, n in (("cycle", 5), ("xn", 41)):
+        code, out, err = run(capsys, "oracle", "--metric", path,
+                             "--compare", f"{kind}:{n}")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --compare {kind}:{n} has N = {n} points,"
+            " the metric has 4\n"
+        )
 
 
 def test_module_entry_point():

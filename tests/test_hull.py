@@ -98,7 +98,7 @@ def test_build_hull_orbit_walk_keeps_its_checks(monkeypatch):
     # a tau^N that misses its start, must still raise
     walk = hull_module.corner_walk
     def walk_without_one(n, rows):
-        return {lam: r for lam, r in walk(n, rows).items() if lam != (1,)}
+        return ((lam, r) for lam, r in walk(n, rows) if lam != (1,))
 
     monkeypatch.setattr(hull_module, "corner_walk", walk_without_one)
     with pytest.raises(OrbitLeavesPool):

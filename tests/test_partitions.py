@@ -1,3 +1,5 @@
+from operator import contains
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -187,17 +189,31 @@ def test_fibre_walk_length_is_the_catalan_product():
 
 
 def test_corner_walk_is_the_rim_walk_with_removable_rows():
-    # items and order: every band for N <= 14, Y_N for N <= 13 and
-    # Y_N° for N <= 21
-    cases = [
-        (n, band_rows(n, *band_limits(n, m)))
-        for n in range(2, 15) for m in range(1, n // 2 + 1)
-    ]
-    cases += [(n, band_rows(n, 0, n)) for n in range(1, 14)]
-    cases += [(n, circ_rows(n)) for n in range(1, 22)]
-    for n, rows in cases:
-        want = [(lam, removable_rows(lam, rows)) for lam in rim_walk(n, rows)]
-        assert list(corner_walk(n, rows).items()) == want, (n, rows)
+    # items and order against a row-range filter of Y_N: every band for
+    # N <= 14, Y_N for N <= 13, Y_N° for N <= 21 and the fold fibre of
+    # every member of Y_N° for N <= 11; Y_N is taken uncached, as Y_21
+    # alone is 2^20 tuples, and is complete: 2^(N-1) distinct members
+    for n in range(1, 22):
+        cases = [circ_rows(n)]
+        if n <= 14:
+            cases += [
+                band_rows(n, *band_limits(n, m)) for m in range(1, n // 2 + 1)
+            ]
+        if n <= 13:
+            cases.append(band_rows(n, 0, n))
+        if n <= 11:
+            cases += [_fibre_rows(lam, n) for lam in enumerate_circ(n)]
+        pool = enumerate_YN.__wrapped__(n)
+        assert len(set(pool)) == 2 ** (n - 1), n
+        assert all(in_YN(lam, n) for lam in pool), n
+        zeros = (0,) * n
+        for rows in cases:
+            want = [
+                (lam, removable_rows(lam, rows)) for lam in pool
+                if all(map(contains, rows, lam + zeros[len(lam):]))
+            ]
+            assert list(corner_walk(n, rows)) == want, (n, rows)
+            assert rim_walk(n, rows) == [lam for lam, _ in want], (n, rows)
 
 
 def test_require_errors():
