@@ -1,9 +1,10 @@
 """Tabulate hull face counts for cycles and compare the three routes.
 
-For each odd N the face polynomial from the transfer matrix must agree
-with the f-vector of the constructed complex and with the binomial
-closed forms; the even rows are pure powers (2+t)^(N/2).  With --build
-the exit status is 1 if any row prints MISMATCH.
+For each odd N the face polynomial from the closed form (the cycle
+matchings shifted by t -> 1 + t) must agree with the f-vector of the
+constructed complex and with the binomial closed forms; the even rows
+are pure powers (2+t)^(N/2).  With --build the exit status is 1 if any
+row prints MISMATCH.
 """
 
 import argparse

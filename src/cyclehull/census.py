@@ -1,26 +1,22 @@
 """Exact census of the hull complexes in closed forms.
 
 Everything is computed in Z[t] with arbitrary-precision integers: dense
-polynomials (TPoly), small square matrices over them (TMatrix), and the
-handful of integer sequences (Lucas, Fibonacci, Catalan) that the face
-counts specialize to.  No floating point and no radicals anywhere; the
-closed forms that are usually written with square roots are certified
-through the equivalent polynomial recurrences instead.
+polynomials (TPoly) and the handful of integer sequences (Lucas,
+Fibonacci, Catalan) that the face counts specialize to.  No floating
+point and no radicals anywhere; the closed forms that are usually
+written with square roots are certified through the equivalent
+polynomial recurrences instead.
 
-The 3x3 matrices Z, S, A encode how a rim segment crossing one period of
-the band m = 1 extends site by site; a summand t^s stands for a rim with
-s foldable inner corners, so traces of matrix words enumerate band
-partitions weighted by corner count.  The census reads the closed forms
-those traces take: the corner enumerator's coefficients count the
-matchings of the N-cycle, and count_band, for a band of any half-width
-and either parity of N, is a sum of binomials by André's reflection.
-The matrices stay as the certification API that the tests run.
+Each count is the closed form of a transfer-matrix trace: the corner
+enumerator's coefficients count the matchings of the N-cycle, and
+count_band, for a band of any half-width and either parity of N, is a
+sum of binomials by André's reflection.  The matrices themselves are
+kept beside the tests, which check the closed forms against them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .moebius import band_limits
@@ -33,8 +29,7 @@ class BadParity(ValueError):
 class IdentityFailure(ValueError):
     """An exact identity of the census failed to hold.
 
-    A division left a remainder, two closed forms disagreed, or a trace
-    that counts partitions came out with powers of t.
+    A division left a remainder, or two closed forms disagreed.
     """
 
 
@@ -125,13 +120,6 @@ class TPoly:
             n >>= 1
         return out
 
-    def compose(self, inner: "TPoly") -> "TPoly":
-        """Substitute inner for t, by Horner evaluation in Z[t]."""
-        out = TPoly(())
-        for c in reversed(self.coeffs):
-            out = out * inner + TPoly((c,))
-        return out
-
     def subs_t_plus_1(self) -> "TPoly":
         """Substitute 1 + t for t, by Pascal passes over the coefficients.
 
@@ -183,98 +171,6 @@ class TPoly:
 ZERO = TPoly(())
 ONE = TPoly((1,))
 T = TPoly((0, 1))
-
-
-@dataclass(frozen=True)
-class TMatrix:
-    """Small square matrix over TPoly."""
-
-    rows: tuple[tuple[TPoly, ...], ...]
-
-    def __post_init__(self):
-        d = len(self.rows)
-        if any(len(r) != d for r in self.rows):
-            raise ValueError(f"TMatrix needs {d} rows of length {d}")
-
-    @classmethod
-    def from_rows(cls, rows) -> "TMatrix":
-        conv = tuple(
-            tuple(x if isinstance(x, TPoly) else TPoly((x,)) for x in row)
-            for row in rows
-        )
-        return cls(conv)
-
-    @classmethod
-    def identity(cls, d: int) -> "TMatrix":
-        return cls.from_rows(
-            [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        )
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def __mul__(self, other: "TMatrix") -> "TMatrix":
-        if self.dim != other.dim:
-            raise ValueError(
-                f"TMatrix product of dimensions {self.dim} and {other.dim}"
-            )
-        cols = tuple(zip(*other.rows))
-        return TMatrix(
-            tuple(
-                tuple(
-                    sum((a * b for a, b in zip(row, col)), ZERO)
-                    for col in cols
-                )
-                for row in self.rows
-            )
-        )
-
-    def __add__(self, other: "TMatrix") -> "TMatrix":
-        return TMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
-
-    def __sub__(self, other: "TMatrix") -> "TMatrix":
-        return TMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.rows, other.rows)
-            )
-        )
-
-    def scale(self, p: TPoly) -> "TMatrix":
-        return TMatrix(tuple(tuple(p * a for a in r) for r in self.rows))
-
-    def power(self, n: int) -> "TMatrix":
-        if n < 0:
-            raise ValueError(f"TMatrix power needs n >= 0, got {n}")
-        out = TMatrix.identity(self.dim)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def trace(self) -> TPoly:
-        return sum((self.rows[i][i] for i in range(self.dim)), ZERO)
-
-
-def matrix_Z() -> TMatrix:
-    return TMatrix.from_rows([[0, 0, 1], [T, T, 0], [T * T, T, 0]])
-
-
-def matrix_S() -> TMatrix:
-    return TMatrix.from_rows([[1, 1, 0], [T, T, 1], [T, T, T]])
-
-
-def matrix_A() -> TMatrix:
-    return TMatrix.from_rows([[1, 1, 0], [1, 1, 1], [1, 1, 1]])
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -402,12 +298,6 @@ def count_band(n: int, m: int) -> int:
     return _exact_div(2**n - p * hits, 2)
 
 
-def matrix_circcirc() -> tuple[TMatrix, TMatrix]:
-    m = TMatrix.from_rows([[0, 1, 0], [1, 1, 1], [1, 1, 0]])
-    w = TMatrix.from_rows([[0, 0, 1], [1, 1, 0], [0, 1, 0]])
-    return m, w
-
-
 def circcirc_count(k: int) -> int:
     """Number of singleton-fibre band partitions for N = 2k+1.
 
@@ -422,54 +312,3 @@ def circcirc_count(k: int) -> int:
     for _ in range(3, k + 1):
         u.append(u[-1] + 2 * u[-2] + u[-3])
     return u[-1]
-
-
-def circcirc_trace(k: int) -> int:
-    """The same count as circcirc_count, via the 3x3 transfer matrices."""
-    if k < 0:
-        raise ValueError(f"circcirc_trace needs k >= 0, got {k}")
-    m, w = matrix_circcirc()
-    p = (m.power(k) * w).trace()
-    if p.degree not in (None, 0):
-        raise IdentityFailure(f"circcirc_trace({k}) is {p}")
-    return p.coeff(0)
-
-
-def _series_mul(a: list[TPoly], b: list[TPoly], order: int) -> list[TPoly]:
-    out = [ZERO] * (order + 1)
-    for i, x in enumerate(a[: order + 1]):
-        for j, y in enumerate(b[: order + 1]):
-            if i + j <= order:
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
-def generating_series_check(k_max: int) -> bool:
-    """Certify the rational generating series of the corner enumerators.
-
-    Checks, as truncated power series in q over Z[t], that
-      (1 + Σ_(k>=1) tr(S^(k+1) - t S^k) q^k) * (1 - (1+2t) q + t^2 q^2)
-    equals 1 + t q up to order k_max, and that the traces tr(S^k) obey
-    the recurrence read off the denominator from k = 3 on.
-    """
-    if k_max < 1:
-        raise ValueError(
-            f"generating_series_check needs k_max >= 1, got {k_max}"
-        )
-    s = matrix_S()
-    powers = [TMatrix.identity(3)]
-    for _ in range(k_max + 1):
-        powers.append(powers[-1] * s)
-    traces = [p.trace() for p in powers]
-    series = [ONE] + [
-        traces[k + 1] - T * traces[k] for k in range(1, k_max + 1)
-    ]
-    denom = [ONE, -(ONE + T + T), T * T] + [ZERO] * max(0, k_max - 2)
-    lhs = _series_mul(series, denom, k_max)
-    want = [ONE, T] + [ZERO] * (k_max - 1)
-    if lhs != want[: k_max + 1]:
-        return False
-    for k in range(3, k_max + 2):
-        if traces[k] != (ONE + T + T) * traces[k - 1] - T * T * traces[k - 2]:
-            return False
-    return True

@@ -1,23 +1,22 @@
 """A discrete Moebius strip, outer rims of partitions, and the fold map.
 
-Sites are pairs (i, j) with 0 <= i <= j <= N, glued by the rule that a
-position (i, N) is the same site as (0, i).  Canonical representatives
-therefore satisfy 0 <= i <= j <= N - 1, and there are N(N+1)/2 sites in
-total.  The deck transformation of the orientation double cover is
-T(i, j) = (j, N + i); it reverses the level coordinate delta = j - i via
-delta(T p) = N - delta(p), which is what makes the strip one-sided.
-
-Every partition in Y_N traces an outer rim: a monotone staircase of N
-sites following the boundary of its diagram, closing up into a loop that
-wraps the strip once.  The central band of half-width m consists of the
-sites with k - m <= delta <= N - k + m where k = N // 2; partitions whose
-rim stays inside the band m = 1 form the subfamily written Y_N° here
-(`enumerate_circ`).  All of these families are read off the rows of a
-partition: `circ_rows` gives the parts each row of a partition in Y_N°
-may take.  The fold map pushes an arbitrary rim into that band by
-clamping each row into its range, and its fibre over a partition is again
-a set of row ranges, walked by `partitions.rim_walk`.  It is the
-vertex-level shadow of a retraction of one injective hull onto the other.
+Sites are pairs (i, j) with 0 <= i <= j <= N - 1 on a strip glued by
+(i, N) ~ (0, i), at level delta = j - i.  Every partition in Y_N traces
+an outer rim: a monotone staircase of N sites following the boundary of
+its diagram, closing up into a loop that wraps the strip once; row r's
+run of it lies on the level j = N - r.  The central band of half-width m
+consists of the sites with k - m <= delta <= N - k + m where k = N // 2;
+partitions whose rim stays inside the band m = 1 form the subfamily
+written Y_N° here (`enumerate_circ`).  All of these families are read
+off the rows of a partition: `circ_rows` gives the parts each row of a
+partition in Y_N° may take.  The fold map pushes an arbitrary rim into
+that band by clamping each row into its range, and its fibre over a
+partition is again a set of row ranges, walked by `partitions.rim_walk`,
+with a Catalan word read off the rows too.  It is the vertex-level
+shadow of a retraction of one injective hull onto the other.  The site
+form itself (canonical sites, the band's boundary loop, rims back to
+partitions) is kept beside the tests, which check the row rules
+against it.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from functools import lru_cache
 from itertools import groupby, zip_longest
 
 from .partitions import (
-    IndexOutOfRange,
     Partition,
     band_rows,
     in_YN,
@@ -59,27 +57,8 @@ class FoldFailure(ValueError):
     """A fold round left Y_N or the band, or a fibre missed its Catalan size."""
 
 
-def canon_site(i: int, j: int, n: int) -> Site:
-    """Canonical representative of a strip position.
-
-    The gluing (i, j) ~ (j - N, i) folds any position with j >= N back
-    into the triangle 0 <= i <= j <= N - 1; in particular (i, N) ~ (0, i).
-    """
-    if not (0 <= i <= j <= i + n):
-        raise IndexOutOfRange(f"({i},{j}) is not a strip position for N={n}")
-    while j >= n:
-        i, j = j - n, i
-    if not 0 <= i <= j:
-        raise IndexOutOfRange(f"({i},{j}) does not reduce to a site for N={n}")
-    return (i, j)
-
-
 def site_str(s: Site) -> str:
     return f"({s[0]},{s[1]})"
-
-
-def delta(s: Site) -> int:
-    return s[1] - s[0]
 
 
 @dataclass(frozen=True)
@@ -118,27 +97,6 @@ def outer_rim(lam: Partition, n: int) -> RimPath:
     return RimPath(n, tuple(pts), tuple(pts[:n]))
 
 
-def rim_to_partition(rim: RimPath, n: int) -> Partition:
-    """Recover the partition from its rim; validates the lift thoroughly."""
-    lift = rim.lift
-    if rim.n != n or len(lift) != n + 1:
-        raise InvalidRim(f"lift must have {n + 1} points")
-    c = lift[0][1]
-    if lift[0] != (0, c) or lift[-1] != (c, n):
-        raise InvalidRim("lift must run from (0,c) to (c,N)")
-    for (a, b), (a2, b2) in zip(lift, lift[1:]):
-        if not (0 <= a <= b <= n):
-            raise InvalidRim(f"point ({a},{b}) leaves the strip")
-        if (a2 - a, b2 - b) not in ((1, 0), (0, 1)):
-            raise InvalidRim(f"({a},{b}) -> ({a2},{b2}) is not a unit step")
-    # row r of the partition is the last point of the lift on level N - r
-    ends = {j: i for i, j in lift}
-    lam = make_partition(ends[n - r] for r in range(1, n - c + 1))
-    if outer_rim(lam, n) != rim:
-        raise InvalidRim("lift is not the outer rim of any partition")
-    return lam
-
-
 def band_limits(n: int, m: int) -> tuple[int, int]:
     """The delta range (k - m, N - k + m), k = N // 2, of the band m.
 
@@ -151,12 +109,6 @@ def band_limits(n: int, m: int) -> tuple[int, int]:
     if not 1 <= m <= k:
         raise BadBandIndex(f"band index {m} not in [1, {k}]")
     return k - m, n - k + m
-
-
-def in_band(s: Site, n: int, m: int) -> bool:
-    """Is the site inside the central band of half-width m?"""
-    lo, hi = band_limits(n, m)
-    return lo <= delta(canon_site(s[0], s[1], n)) <= hi
 
 
 def circ_rows(n: int) -> tuple[range, ...]:
@@ -272,24 +224,18 @@ def fold_fibre(lam0: Partition, n: int) -> tuple[Partition, ...]:
     return tuple(members)
 
 
-def boundary_loop(n: int) -> tuple[Site, ...]:
-    """The N boundary sites of the band m = 1, in cyclic order.
-
-    Position x carries the site glued from (x, x + k - 1); as x sweeps
-    0..N-1 the loop runs once along the lower edge of the band and, after
-    the wrap, once along the upper edge.
-    """
-    k = n // 2
-    if k < 1:
-        return ()
-    return tuple(canon_site(x, x + k - 1, n) for x in range(n))
-
-
 def _boundary_runs(lam0: Partition, n: int) -> list[tuple[bool, int]]:
-    # maximal cyclic runs along boundary_loop as (on the rim, length),
-    # starting with a run on the rim when there is one
-    rim = set(outer_rim(lam0, n).sites)
-    marks = [s in rim for s in boundary_loop(n)]
+    # maximal cyclic runs along the boundary of the band m = 1 as (on the
+    # rim, length), starting with a run on the rim when there is one.
+    # Position x of the boundary is the site (x, x + k - 1), glued to
+    # (x + k - 1 - N, x) past the seam; a site (i, N - r) is on the rim
+    # when row r's run covers it: 1 <= r <= N - lam0_1, p_r <= i <= p_(r-1)
+    k = n // 2
+    p = (*lam0, *[0] * (n + 1))
+    marks = []
+    for x in range(n if k else 0):
+        i, r = (x, n - k + 1 - x) if x + k - 1 < n else (x + k - 1 - n, n - x)
+        marks.append(1 <= r <= n - p[0] and p[r] <= i <= p[r - 1])
     start = next((x for x, on in enumerate(marks) if on and not marks[x - 1]), 0)
     marks = marks[start:] + marks[:start]
     return [(on, len(list(run))) for on, run in groupby(marks)]

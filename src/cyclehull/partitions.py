@@ -238,12 +238,6 @@ def _shift(lam: Partition, n: int) -> Partition:
     return (head, *tail) if head else tuple(tail)
 
 
-def tau_pow(lam: Partition, j: int, n: int) -> Partition:
-    for _ in range(j % n):
-        lam = tau(lam, n)
-    return lam
-
-
 def tau_orbit(lam: Partition, n: int) -> tuple[Partition, ...]:
     """The sequence (lam, tau lam, ..., tau^(n-1) lam); may repeat values.
 
@@ -309,7 +303,7 @@ def alpha(j: int, n: int) -> Partition:
         raise IndexOutOfRange(f"cycle index {j} not in [0, {n - 1}]")
     k = n // 2
     a0: Partition = tuple(range(k - 1, 0, -1))
-    return tau_pow(a0, j, n)
+    return tau_orbit(a0, n)[j]
 
 
 def cycle_distance(i: int, j: int, n: int) -> int:
@@ -334,13 +328,15 @@ def corners(lam: Partition, n: int) -> Corners:
     """Inner and outer corners of the diagram, as 1-based row indices.
 
     Row r is an inner corner when a box may be removed from it (lam_r >
-    lam_{r+1}); row r is an outer corner when a box may be added there
-    without leaving Y_N.  Row m+1 denotes adding a brand new row.
+    lam_{r+1}): the removable_rows of lam on the rows of Y_N, whose ranges
+    all start at 0 below the width.  Row r is an outer corner when a box
+    may be added there without leaving Y_N.  Row m+1 denotes adding a
+    brand new row.
     """
     require_YN(lam, n)
+    inner = frozenset(removable_rows(lam, band_rows(n, 0, n)))
     m = len(lam)
     p = (*lam, 0)
-    inner = frozenset(r for r in range(1, m + 1) if p[r - 1] > p[r])
     # only a box in row 1 or in a new row m + 1 lengthens the hook
     grows = max_hook(lam) + 1 < n
     outer = frozenset(

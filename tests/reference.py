@@ -1,0 +1,244 @@
+"""Reference forms that no command runs, kept beside the tests that use them.
+
+The strip's site form.  Sites are pairs (i, j) with 0 <= i <= j <= N,
+glued by the rule that a position (i, N) is the same site as (0, i).
+Canonical representatives therefore satisfy 0 <= i <= j <= N - 1, and
+there are N(N+1)/2 sites in total.  The deck transformation of the
+orientation double cover is T(i, j) = (j, N + i); it reverses the level
+coordinate delta = j - i via delta(T p) = N - delta(p), which is what
+makes the strip one-sided.  The package reads the band, its corners, the
+fold and the Catalan word off a partition's rows; the tests check those
+row rules against this form.
+
+The transfer-matrix certification of the census.  The 3x3 matrices Z, S,
+A over Z[t] encode how a rim segment crossing one period of the band
+m = 1 extends site by site; a summand t^s stands for a rim with s
+foldable inner corners, so traces of matrix words enumerate band
+partitions weighted by corner count.  The census itself uses the closed
+forms those traces take.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from cyclehull.census import ONE, T, ZERO, IdentityFailure, TPoly
+from cyclehull.moebius import InvalidRim, RimPath, Site, band_limits, outer_rim
+from cyclehull.partitions import IndexOutOfRange, Partition, make_partition
+
+
+def canon_site(i: int, j: int, n: int) -> Site:
+    """Canonical representative of a strip position.
+
+    The gluing (i, j) ~ (j - N, i) folds any position with j >= N back
+    into the triangle 0 <= i <= j <= N - 1; in particular (i, N) ~ (0, i).
+    """
+    if not (0 <= i <= j <= i + n):
+        raise IndexOutOfRange(f"({i},{j}) is not a strip position for N={n}")
+    while j >= n:
+        i, j = j - n, i
+    if not 0 <= i <= j:
+        raise IndexOutOfRange(f"({i},{j}) does not reduce to a site for N={n}")
+    return (i, j)
+
+
+def delta(s: Site) -> int:
+    return s[1] - s[0]
+
+
+def rim_to_partition(rim: RimPath, n: int) -> Partition:
+    """Recover the partition from its rim; validates the lift thoroughly."""
+    lift = rim.lift
+    if rim.n != n or len(lift) != n + 1:
+        raise InvalidRim(f"lift must have {n + 1} points")
+    c = lift[0][1]
+    if lift[0] != (0, c) or lift[-1] != (c, n):
+        raise InvalidRim("lift must run from (0,c) to (c,N)")
+    for (a, b), (a2, b2) in zip(lift, lift[1:]):
+        if not (0 <= a <= b <= n):
+            raise InvalidRim(f"point ({a},{b}) leaves the strip")
+        if (a2 - a, b2 - b) not in ((1, 0), (0, 1)):
+            raise InvalidRim(f"({a},{b}) -> ({a2},{b2}) is not a unit step")
+    # row r of the partition is the last point of the lift on level N - r
+    ends = {j: i for i, j in lift}
+    lam = make_partition(ends[n - r] for r in range(1, n - c + 1))
+    if outer_rim(lam, n) != rim:
+        raise InvalidRim("lift is not the outer rim of any partition")
+    return lam
+
+
+def in_band(s: Site, n: int, m: int) -> bool:
+    """Is the site inside the central band of half-width m?"""
+    lo, hi = band_limits(n, m)
+    return lo <= delta(canon_site(s[0], s[1], n)) <= hi
+
+
+def boundary_loop(n: int) -> tuple[Site, ...]:
+    """The N boundary sites of the band m = 1, in cyclic order.
+
+    Position x carries the site glued from (x, x + k - 1); as x sweeps
+    0..N-1 the loop runs once along the lower edge of the band and, after
+    the wrap, once along the upper edge.
+    """
+    k = n // 2
+    if k < 1:
+        return ()
+    return tuple(canon_site(x, x + k - 1, n) for x in range(n))
+
+
+def compose(p: TPoly, inner: TPoly) -> TPoly:
+    """Substitute inner for t in p, by Horner evaluation in Z[t]."""
+    out = TPoly(())
+    for c in reversed(p.coeffs):
+        out = out * inner + TPoly((c,))
+    return out
+
+
+@dataclass(frozen=True)
+class TMatrix:
+    """Small square matrix over TPoly."""
+
+    rows: tuple[tuple[TPoly, ...], ...]
+
+    def __post_init__(self):
+        d = len(self.rows)
+        if any(len(r) != d for r in self.rows):
+            raise ValueError(f"TMatrix needs {d} rows of length {d}")
+
+    @classmethod
+    def from_rows(cls, rows) -> "TMatrix":
+        conv = tuple(
+            tuple(x if isinstance(x, TPoly) else TPoly((x,)) for x in row)
+            for row in rows
+        )
+        return cls(conv)
+
+    @classmethod
+    def identity(cls, d: int) -> "TMatrix":
+        return cls.from_rows(
+            [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+        )
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def __mul__(self, other: "TMatrix") -> "TMatrix":
+        if self.dim != other.dim:
+            raise ValueError(
+                f"TMatrix product of dimensions {self.dim} and {other.dim}"
+            )
+        cols = tuple(zip(*other.rows))
+        return TMatrix(
+            tuple(
+                tuple(
+                    sum((a * b for a, b in zip(row, col)), ZERO)
+                    for col in cols
+                )
+                for row in self.rows
+            )
+        )
+
+    def __add__(self, other: "TMatrix") -> "TMatrix":
+        return TMatrix(
+            tuple(
+                tuple(a + b for a, b in zip(r1, r2))
+                for r1, r2 in zip(self.rows, other.rows)
+            )
+        )
+
+    def __sub__(self, other: "TMatrix") -> "TMatrix":
+        return TMatrix(
+            tuple(
+                tuple(a - b for a, b in zip(r1, r2))
+                for r1, r2 in zip(self.rows, other.rows)
+            )
+        )
+
+    def scale(self, p: TPoly) -> "TMatrix":
+        return TMatrix(tuple(tuple(p * a for a in r) for r in self.rows))
+
+    def power(self, n: int) -> "TMatrix":
+        if n < 0:
+            raise ValueError(f"TMatrix power needs n >= 0, got {n}")
+        out = TMatrix.identity(self.dim)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def trace(self) -> TPoly:
+        return sum((self.rows[i][i] for i in range(self.dim)), ZERO)
+
+
+def matrix_Z() -> TMatrix:
+    return TMatrix.from_rows([[0, 0, 1], [T, T, 0], [T * T, T, 0]])
+
+
+def matrix_S() -> TMatrix:
+    return TMatrix.from_rows([[1, 1, 0], [T, T, 1], [T, T, T]])
+
+
+def matrix_A() -> TMatrix:
+    return TMatrix.from_rows([[1, 1, 0], [1, 1, 1], [1, 1, 1]])
+
+
+def matrix_circcirc() -> tuple[TMatrix, TMatrix]:
+    m = TMatrix.from_rows([[0, 1, 0], [1, 1, 1], [1, 1, 0]])
+    w = TMatrix.from_rows([[0, 0, 1], [1, 1, 0], [0, 1, 0]])
+    return m, w
+
+
+def circcirc_trace(k: int) -> int:
+    """The same count as census.circcirc_count, via the 3x3 transfer
+    matrices."""
+    if k < 0:
+        raise ValueError(f"circcirc_trace needs k >= 0, got {k}")
+    m, w = matrix_circcirc()
+    p = (m.power(k) * w).trace()
+    if p.degree not in (None, 0):
+        raise IdentityFailure(f"circcirc_trace({k}) is {p}")
+    return p.coeff(0)
+
+
+def _series_mul(a: list[TPoly], b: list[TPoly], order: int) -> list[TPoly]:
+    out = [ZERO] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        for j, y in enumerate(b[: order + 1]):
+            if i + j <= order:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def generating_series_check(k_max: int) -> bool:
+    """Certify the rational generating series of the corner enumerators.
+
+    Checks, as truncated power series in q over Z[t], that
+      (1 + Σ_(k>=1) tr(S^(k+1) - t S^k) q^k) * (1 - (1+2t) q + t^2 q^2)
+    equals 1 + t q up to order k_max, and that the traces tr(S^k) obey
+    the recurrence read off the denominator from k = 3 on.
+    """
+    if k_max < 1:
+        raise ValueError(
+            f"generating_series_check needs k_max >= 1, got {k_max}"
+        )
+    s = matrix_S()
+    powers = [TMatrix.identity(3)]
+    for _ in range(k_max + 1):
+        powers.append(powers[-1] * s)
+    traces = [p.trace() for p in powers]
+    series = [ONE] + [
+        traces[k + 1] - T * traces[k] for k in range(1, k_max + 1)
+    ]
+    denom = [ONE, -(ONE + T + T), T * T] + [ZERO] * max(0, k_max - 2)
+    lhs = _series_mul(series, denom, k_max)
+    want = [ONE, T] + [ZERO] * (k_max - 1)
+    if lhs != want[: k_max + 1]:
+        return False
+    for k in range(3, k_max + 2):
+        if traces[k] != (ONE + T + T) * traces[k - 1] - T * T * traces[k - 2]:
+            return False
+    return True

@@ -16,10 +16,6 @@ from cyclehull.census import (
     count_band,
     face_count,
     face_polynomial,
-    generating_series_check,
-    matrix_A,
-    matrix_S,
-    matrix_Z,
     sequences,
     ONE,
     T,
@@ -33,7 +29,6 @@ from cyclehull.hull import (
     max_cube_decomposition,
 )
 from cyclehull.moebius import (
-    canon_site,
     double_embed,
     enumerate_band_partitions,
     enumerate_circ,
@@ -41,7 +36,6 @@ from cyclehull.moebius import (
     fold,
     fold_fibre,
     fold_fibre_size,
-    in_band,
 )
 from cyclehull.oracle import (
     FiniteMetric,
@@ -57,6 +51,14 @@ from cyclehull.partitions import (
     tau_orbits,
     xn_distance,
     young_distance,
+)
+from reference import (
+    canon_site,
+    generating_series_check,
+    in_band,
+    matrix_A,
+    matrix_S,
+    matrix_Z,
 )
 
 

@@ -336,8 +336,9 @@ def test_vertices_text_names_the_empty_partition(capsys):
 
 def test_acceptance_and_typed_errors_under_optimize():
     # asserts vanish under -O; the acceptance suite and the even-N
-    # rejection must not depend on them
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # rejection must not depend on them; tests/ holds the reference forms
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        str(ROOT / d) for d in ("src", "tests")))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          str(ROOT / "tests" / "test_acceptance.py")],
@@ -354,6 +355,7 @@ resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29))
 import cyclehull.census as census
 import cyclehull.partitions as partitions
 import cyclehull.moebius as moebius
+import reference
 from cyclehull.census import BadParity, IdentityFailure
 from cyclehull.hull import max_cube_decomposition
 from cyclehull.moebius import BadBandIndex, FoldFailure
@@ -368,7 +370,7 @@ def expect(error, call, *args):
 
 expect(BadParity, max_cube_decomposition, 4)
 expect(ValueError, census.T.__pow__, -1)
-expect(ValueError, census.matrix_S().power, -1)
+expect(ValueError, reference.matrix_S().power, -1)
 expect(IdentityFailure, census._exact_div, 3, 2)
 expect(NotExtremal, _tight_graph, (2, 2), [[0, 2], [2, 0]], 2)
 expect(NotExtremal, _tight_graph, (0, 1), [[0, 2], [2, 0]], 2)
@@ -377,8 +379,8 @@ census._exact_div = lambda num, den: num // den + 1
 expect(IdentityFailure, census.face_count, 7, 1)
 census._exact_div = exact_div
 expect(BadBandIndex, census.count_band, 5, 0)
-census.matrix_circcirc = lambda: (census.matrix_S(), census.matrix_S())
-expect(IdentityFailure, census.circcirc_trace, 3)
+reference.matrix_circcirc = lambda: (reference.matrix_S(), reference.matrix_S())
+expect(IdentityFailure, reference.circcirc_trace, 3)
 expect(OrbitLeavesPool, list, partitions.tau_orbits(((2,),), 3))
 partitions.tau = lambda lam, n: ()
 expect(OrbitNotClosed, partitions.tau_orbit, (1,), 3)

@@ -18,7 +18,7 @@ from cyclehull.hull import (
     to_dot,
     to_json,
 )
-from cyclehull.moebius import delta, enumerate_circ, fold, outer_rim
+from cyclehull.moebius import enumerate_circ, fold, outer_rim
 from cyclehull.oracle import _bipartite_components
 from cyclehull import hull as hull_module
 from cyclehull.partitions import (
@@ -34,6 +34,7 @@ from cyclehull.partitions import (
     xn_distance,
     young_distance,
 )
+from reference import delta
 
 Y7 = enumerate_YN(7)
 

@@ -1,6 +1,7 @@
 import math
 import random
 from functools import lru_cache
+from itertools import groupby
 
 import pytest
 from hypothesis import given
@@ -12,11 +13,9 @@ from cyclehull.moebius import (
     InvalidRim,
     NotInYNCirc,
     RimPath,
-    boundary_loop,
-    canon_site,
+    _boundary_runs,
     band_limits,
     circ_inner_corners,
-    delta,
     double_embed,
     enumerate_band_partitions,
     enumerate_circ,
@@ -26,10 +25,8 @@ from cyclehull.moebius import (
     fold_fibre,
     fold_fibre_size,
     fold_trace,
-    in_band,
     in_circ,
     outer_rim,
-    rim_to_partition,
     tau_equivariance_defect,
 )
 from cyclehull.partitions import (
@@ -41,6 +38,13 @@ from cyclehull.partitions import (
     removable_rows,
     tau,
     young_distance,
+)
+from reference import (
+    boundary_loop,
+    canon_site,
+    delta,
+    in_band,
+    rim_to_partition,
 )
 
 Y9 = enumerate_YN(9)
@@ -155,6 +159,25 @@ def test_boundary_loop_shape():
         for s in loop:
             assert in_band(s, n, 1)
             assert canon_site(s[0], s[1], n) == s
+
+
+def _site_runs(lam0, n):
+    # the runs as the site form gives them: the rim sites of lam0 marked
+    # along the boundary loop, rotated to start a run on the rim
+    rim = set(outer_rim(lam0, n).sites)
+    marks = [s in rim for s in boundary_loop(n)]
+    start = next((x for x, on in enumerate(marks) if on and not marks[x - 1]), 0)
+    marks = marks[start:] + marks[:start]
+    return [(on, len(list(run))) for on, run in groupby(marks)]
+
+
+def test_boundary_runs_read_off_rows_equal_the_site_marks():
+    assert boundary_loop(1) == () and _boundary_runs((), 1) == []
+    assert fibre_factorization((), 1) == "C_0^1"
+    assert fold_fibre_size((), 1) == 1
+    for n in range(1, 22):
+        for lam in enumerate_circ(n):
+            assert _boundary_runs(lam, n) == _site_runs(lam, n), (lam, n)
 
 
 def test_factorization_examples():
