@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .moebius import band_limits
-
 
 class BadParity(ValueError):
     """Operation defined only for the other parity of N."""
@@ -286,6 +284,8 @@ def count_band(n: int, m: int) -> int:
     tr(S_m^N), S_m the adjacency matrix of a path with one loop, whose
     unfolding is the path on the P - 1 levels.
     """
+    from .moebius import band_limits  # the census command loads no moebius
+
     lo, hi = band_limits(n, m)
     p = hi - lo + 2
     j = (n + p) // 2 % p

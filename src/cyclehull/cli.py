@@ -4,7 +4,8 @@ Every subcommand is deterministic given its flags and prints to stdout.
 Exit codes: 0 success, 1 comparison mismatch, 2 usage or validation
 error, 141 (128 + SIGPIPE) when the reader closes stdout early, as in
 `skeleton ... | head -1`; that one prints nothing on stderr.  No
-configuration files or environment variables.
+configuration files or environment variables.  Each subcommand imports
+the modules it runs, and no more, so `--help` loads none of them.
 """
 
 from __future__ import annotations
@@ -13,31 +14,17 @@ import argparse
 import os
 import sys
 
-from .census import count_band, face_count, face_polynomial
-from .hull import (
-    build_hull,
-    json_chunks,
-    max_cube_decomposition,
-    skeleton,
-    to_dot,
-)
-from .moebius import (
-    double_embed,
-    enumerate_band_partitions,
-    fibre_factorization,
-    fold_fibre,
-    fold_trace,
-    site_str,
-)
-from .partitions import format_partition, parse_partition
-
 
 def _name(lam) -> str:
-    """A partition as printed in text output; the empty one is ()."""
-    return format_partition(lam) or "()"
+    """A partition as printed in text output: format_partition's text, or
+    () for the empty one (spelled out, as cli imports no module of the
+    package until a command runs)."""
+    return ",".join(map(str, lam)) or "()"
 
 
 def _cmd_census(args) -> int:
+    from .census import face_count, face_polynomial
+
     if args.v is not None:
         print(face_count(args.n, args.v))
     else:
@@ -46,6 +33,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_vertices(args) -> int:
+    from .hull import build_hull, json_chunks
+
     hull = build_hull(args.space, args.n)
     if args.json:
         sys.stdout.writelines(json_chunks(hull, faces=False))
@@ -62,6 +51,15 @@ def _cmd_vertices(args) -> int:
 
 
 def _cmd_skeleton(args) -> int:
+    from .hull import (
+        build_hull,
+        json_chunks,
+        max_cube_decomposition,
+        skeleton,
+        to_dot,
+    )
+    from .partitions import format_partition
+
     hull = build_hull(args.space, args.n)
     if args.format == "json":
         sys.stdout.writelines(json_chunks(hull))
@@ -79,6 +77,9 @@ def _cmd_skeleton(args) -> int:
 
 
 def _cmd_fold(args) -> int:
+    from .moebius import fold_trace, site_str
+    from .partitions import parse_partition
+
     lam = parse_partition(args.partition)
     folded, trace = fold_trace(lam, args.n)
     print(_name(folded))
@@ -88,6 +89,9 @@ def _cmd_fold(args) -> int:
 
 
 def _cmd_fibre(args) -> int:
+    from .moebius import fibre_factorization, fold_fibre
+    from .partitions import parse_partition
+
     lam = parse_partition(args.partition)
     members = fold_fibre(lam, args.n)  # as many as fold_fibre_size says
     for member in members:
@@ -97,7 +101,6 @@ def _cmd_fibre(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    # only this command needs the oracle and exact fractions
     from fractions import Fraction
 
     from .oracle import FiniteMetric, tight_span
@@ -124,6 +127,8 @@ def _cmd_oracle(args) -> int:
             right = " ".join(str(x) for x in v)
             print(f"{left} ; {right}")
         return 0
+    from .hull import build_hull
+
     hull = build_hull(kind, metric.n)
     want_v = frozenset(
         tuple(Fraction(x) for x in vals) for vals in hull.vertices.values()
@@ -144,12 +149,18 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_counts(args) -> int:
+    from .census import count_band
+    from .moebius import enumerate_band_partitions
+
     print(f"trace: {count_band(args.n, args.m)}")
     print(f"enumeration: {len(enumerate_band_partitions(args.n, args.m))}")
     return 0
 
 
 def _cmd_embed(args) -> int:
+    from .moebius import double_embed
+    from .partitions import parse_partition
+
     lam = parse_partition(args.partition)
     print(_name(double_embed(lam, args.n)))
     return 0

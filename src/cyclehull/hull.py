@@ -22,14 +22,12 @@ dimension, from text made once per dimension and corner-row pattern.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .census import BadParity
 from .partitions import (
     ModelSpace,
     Partition,
@@ -80,8 +78,7 @@ def _remove_boxes(top: Partition, rows: Iterable[int]) -> Partition:
     return make_partition(mu)
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """Combinatorial cube face: top partition and removed corner rows."""
 
     top: Partition
@@ -107,7 +104,6 @@ class Face:
         return (self.dim, self.top, tuple(sorted(self.removed)))
 
 
-@dataclass
 class Faces:
     """The faces of a hull, kept as the sorted corner rows of each vertex.
 
@@ -115,7 +111,10 @@ class Faces:
     vertex on top; faces are made on demand, in Face.sort_key order.
     """
 
-    corner_rows: dict[Partition, tuple[int, ...]]
+    __slots__ = ("corner_rows",)
+
+    def __init__(self, corner_rows: dict[Partition, tuple[int, ...]]):
+        self.corner_rows = corner_rows
 
     def __len__(self) -> int:
         return sum(1 << len(rows) for rows in self.corner_rows.values())
@@ -142,8 +141,7 @@ class Faces:
                     yield v, top, rows
 
 
-@dataclass
-class HullComplex:
+class HullComplex(NamedTuple):
     """Vertex functions and the implicit faces of one hull."""
 
     space: ModelSpace
@@ -224,8 +222,7 @@ def retract_face(face: Face, n: int) -> Face:
     return Face(top0, keep)
 
 
-@dataclass
-class Graph:
+class Graph(NamedTuple):
     """1-skeleton with nodes named by partition strings."""
 
     nodes: tuple[str, ...]
@@ -331,6 +328,8 @@ def max_cube_decomposition(n: int) -> tuple[tuple[Face, ...], tuple[Partition, .
     (cubes, extras) where extras are the hull vertices on no maximal cube.
     """
     if n % 2 == 0 or n < 3:
+        from .census import BadParity  # only this error needs the census
+
         raise BadParity(f"maximal cubes need odd N >= 3, got {n}")
     k = n // 2
     staircase = tuple(range(k, 0, -1))

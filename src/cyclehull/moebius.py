@@ -22,9 +22,9 @@ against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, zip_longest
+from typing import NamedTuple
 
 from .partitions import (
     Partition,
@@ -61,8 +61,7 @@ def site_str(s: Site) -> str:
     return f"({s[0]},{s[1]})"
 
 
-@dataclass(frozen=True)
-class RimPath:
+class RimPath(NamedTuple):
     """Outer rim of a partition: an N-step staircase lift plus its sites.
 
     lift holds the N+1 lattice points from (0, lam_1) to (lam_1, N); the

@@ -20,7 +20,6 @@ of pairs that could pin a vertex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,29 +32,33 @@ class TooLarge(ValueError):
     """Point count exceeds the requested cap."""
 
 
-@dataclass(frozen=True)
 class FiniteMetric:
-    """Symmetric integer metric with positive off-diagonal distances."""
+    """Symmetric integer metric with positive off-diagonal distances:
+    n points, distance matrix d."""
 
-    n: int
-    d: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "d")
 
-    def __post_init__(self):
-        if len(self.d) != self.n or any(len(r) != self.n for r in self.d):
-            raise DimensionMismatch(f"matrix is not {self.n}x{self.n}")
-        for i in range(self.n):
-            if self.d[i][i] != 0:
+    def __init__(self, n: int, d: tuple[tuple[int, ...], ...]):
+        if len(d) != n or any(len(r) != n for r in d):
+            raise DimensionMismatch(f"matrix is not {n}x{n}")
+        for i in range(n):
+            if d[i][i] != 0:
                 raise ValueError(f"nonzero diagonal at {i}")
-            for j in range(self.n):
-                if self.d[i][j] != self.d[j][i]:
+            for j in range(n):
+                if d[i][j] != d[j][i]:
                     raise ValueError(f"not symmetric at ({i},{j})")
-                if i != j and self.d[i][j] <= 0:
+                if i != j and d[i][j] <= 0:
                     raise ValueError(f"nonpositive distance at ({i},{j})")
-                for l in range(self.n):
-                    if self.d[i][j] > self.d[i][l] + self.d[l][j]:
+                for l in range(n):
+                    if d[i][j] > d[i][l] + d[l][j]:
                         raise ValueError(
                             f"triangle inequality fails at ({i},{l},{j})"
                         )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+
+    def __setattr__(self, *a):
+        raise AttributeError("FiniteMetric is immutable")
 
     @classmethod
     def from_rows(cls, rows) -> "FiniteMetric":

@@ -10,7 +10,6 @@ partitions R_j and the near-staircases alpha_j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Collection, Iterable, Iterator, NamedTuple
 
@@ -346,7 +345,6 @@ def corners(lam: Partition, n: int) -> Corners:
     return Corners(inner, outer)
 
 
-@dataclass(frozen=True)
 class ModelSpace:
     """One of the two finite metric spaces whose hull we build.
 
@@ -354,14 +352,18 @@ class ModelSpace:
     kind 'cycle' : points alpha_0..alpha_{N-1}, an N-cycle
     """
 
-    kind: str
-    n: int
+    __slots__ = ("kind", "n")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("xn", "cycle"):
-            raise ValueError(f"unknown space kind {self.kind!r}")
-        if self.n < 1:
-            raise IndexOutOfRange(f"n must be >= 1, got {self.n}")
+    def __init__(self, kind: str, n: int) -> None:
+        if kind not in ("xn", "cycle"):
+            raise ValueError(f"unknown space kind {kind!r}")
+        if n < 1:
+            raise IndexOutOfRange(f"n must be >= 1, got {n}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, *a):
+        raise AttributeError("ModelSpace is immutable")
 
     def distance(self, i: int, j: int) -> int:
         if self.kind == "xn":

@@ -7,12 +7,10 @@ anywhere.  Each test prints a single PASS line naming what it certified.
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from cyclehull.census import (
     circcirc_count,
-    corner_enumerator,
     count_band,
     face_count,
     face_polynomial,
@@ -24,8 +22,6 @@ from cyclehull.census import (
 )
 from cyclehull.hull import (
     build_hull,
-    f_vertex,
-    g_vertex,
     max_cube_decomposition,
 )
 from cyclehull.moebius import (

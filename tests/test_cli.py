@@ -4,8 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from cyclehull.cli import main
 from cyclehull.hull import build_hull
 from cyclehull.moebius import fold
@@ -250,17 +248,46 @@ def test_closed_stdout_exits_141_quietly():
         assert first and err == b"", err
 
 
-def test_only_the_oracle_command_imports_the_oracle():
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    # one fresh interpreter per command: the cyclehull modules it loads,
+    # no dataclasses or its imports (inspect pulls in dis, ast, ...), and
+    # exact fractions only for the oracle
     code = (
-        "import sys, cyclehull.cli\n"
-        "print(*(m in sys.modules for m in"
-        " ('cyclehull.oracle', 'fractions', 'decimal')))"
+        "import contextlib, io, sys\n"
+        "from cyclehull import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(code, *(m in sys.modules for m in"
+        " ('dataclasses', 'inspect', 'fractions', 'decimal')),"
+        " *sorted(m for m in sys.modules if m.startswith('cyclehull.')))"
+    )
+    metric = write_metric(tmp_path, "cycle", 5)
+    rows = (
+        (["--help"], []),
+        (["census", "--n", "7"], ["census"]),
+        (["fold", "--n", "9", "--partition", "5,4,2,1"],
+         ["moebius", "partitions"]),
+        (["fibre", "--n", "9", "--partition", "3,2,1"],
+         ["moebius", "partitions"]),
+        (["embed", "--n", "9", "--partition", "3,2,1"],
+         ["moebius", "partitions"]),
+        (["counts", "--n", "9", "--m", "1"],
+         ["census", "moebius", "partitions"]),
+        (["vertices", "--n", "9", "--space", "cycle"],
+         ["hull", "moebius", "partitions"]),
+        (["oracle", "--metric", metric], ["oracle"]),
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert proc.stdout.split() == ["False", "False", "False"], proc.stderr
+    for argv, modules in rows:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True, text=True, env=env,
+        )
+        fractions = str(argv[0] == "oracle")
+        assert proc.stdout.split() == [
+            "0", "False", "False", fractions, fractions,
+            *(f"cyclehull.{m}" for m in sorted(["cli", *modules])),
+        ], (argv, proc.stdout, proc.stderr)
 
 
 def test_oracle_empty_metric_file_exits_two(capsys, tmp_path):

@@ -19,9 +19,10 @@ from cyclehull.hull import (
     to_json,
 )
 from cyclehull.moebius import enumerate_circ, fold, outer_rim
-from cyclehull.oracle import _bipartite_components
+from cyclehull.oracle import FiniteMetric, _bipartite_components
 from cyclehull import hull as hull_module
 from cyclehull.partitions import (
+    ModelSpace,
     OrbitLeavesPool,
     OrbitNotClosed,
     corners,
@@ -116,6 +117,19 @@ def test_face_members():
     assert face.bottom == (2, 2)
     got = face.members()
     assert got == {(3, 2, 1), (2, 2, 1), (3, 2), (2, 2)}
+
+
+def test_value_types_are_immutable():
+    values = (
+        (ModelSpace("cycle", 5), "n"),
+        (FiniteMetric.from_rows([[0, 3], [3, 0]]), "d"),
+        (Face((3, 2, 1), frozenset({1, 3})), "top"),
+        (outer_rim((2, 1), 5), "sites"),
+    )
+    for value, field in values:
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, ())
 
 
 def test_build_hull_cycle5():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 

@@ -24,7 +24,6 @@ from cyclehull.partitions import (
     rectangular,
     removable_rows,
     rim_walk,
-    size,
     tau,
     tau_orbit,
     tau_orbits,
