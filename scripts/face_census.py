@@ -1,10 +1,10 @@
-"""Tabulate hull face counts for cycles and compare the three routes.
+"""Tabulate hull face counts for cycles and check them against the hulls.
 
-For each odd N the face polynomial from the closed form (the cycle
-matchings shifted by t -> 1 + t) must agree with the f-vector of the
-constructed complex and with the binomial closed forms; the even rows
-are pure powers (2+t)^(N/2).  With --build the exit status is 1 if any
-row prints MISMATCH.
+For each odd N the face polynomial (by its coefficient recurrence, which
+the census checks by p(1) = 2^N - 1 and p(-1) = 1) must agree with the
+f-vector of the constructed complex; the even rows are pure powers
+(2+t)^(N/2).  With --build the exit status is 1 if any row prints
+MISMATCH.
 """
 
 import argparse

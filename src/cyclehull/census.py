@@ -118,18 +118,6 @@ class TPoly:
             n >>= 1
         return out
 
-    def subs_t_plus_1(self) -> "TPoly":
-        """Substitute 1 + t for t, by Pascal passes over the coefficients.
-
-        Pass i adds each coefficient above position i into the one below,
-        from the top down; after deg passes the list holds p(1 + t).
-        """
-        c = list(self.coeffs)
-        for i in range(len(c) - 1):
-            for j in range(len(c) - 2, i - 1, -1):
-                c[j] += c[j + 1]
-        return TPoly(c)
-
     def __call__(self, x: int) -> int:
         out = 0
         for c in reversed(self.coeffs):
@@ -205,8 +193,12 @@ def corner_enumerator(n: int) -> TPoly:
 def face_polynomial(n: int) -> TPoly:
     """Sum over all faces of the cycle hull of t^dim.
 
-    Odd N: substitute t <- 1 + t into the corner enumerator (every subset
-    of removable corners spans a face).  Even N: (2 + t)^(N/2), the face
+    Odd N: the corner enumerator at 1 + t (every subset of removable
+    corners spans a face), 2^(1-N) Σ_j C(N,2j) (5+4t)^j.  With u^2 = 5+4t,
+    w = (1+u)^N + (1-u)^N solves (1-u^2) w'' + 2(N-1) u w' = N(N-1) w, so
+      5(v+1)(v+2) f_(v+2) = (v+1)(5N-7-9v) f_(v+1) - (2v-N)(2v-N+1) f_v
+    by exact divisions from f_0 = L_N and f_1 = N F_(N-1), checked at the
+    end by p(1) = 2^N - 1 and p(-1) = 1.  Even N: (2 + t)^(N/2), the face
     polynomial of a cube.  N = 1: a single point.
     """
     if n < 1:
@@ -215,16 +207,23 @@ def face_polynomial(n: int) -> TPoly:
         return ONE
     if n % 2 == 0:
         return TPoly((2, 1)) ** (n // 2)
-    return corner_enumerator(n).subs_t_plus_1()
+    lucas, fib, _ = sequences(n)
+    f = [lucas, n * _exact_div(lucas - fib, 2)]  # L_N - F_N = 2 F_(N-1)
+    for v in range(n // 2 - 1):
+        a, b = (v + 1) * (5 * n - 7 - 9 * v), (2 * v - n) * (2 * v - n + 1)
+        f.append(_exact_div(a * f[-1] - b * f[-2], 5 * (v + 1) * (v + 2)))
+    p = TPoly(f)
+    if p(1) != 2**n - 1 or p(-1) != 1:
+        raise IdentityFailure(f"face_polynomial({n}): wrong p(1) or p(-1)")
+    return p
 
 
 def face_count(n: int, v: int) -> int:
     """Number of v-dimensional faces of the odd cycle hull, two ways.
 
-    Both closed forms are evaluated with checked exact division:
-      2^(2v+1-N) * Σ_s C(N,2s) C(s,v) 5^(s-v)
-      Σ_s N/(N-s) * C(N-s,s) * C(s,v)
-    and they must agree.
+    The coefficient of t^v in face_polynomial(n), that is by recurrence
+    2^(2v+1-N) Σ_s C(N,2s) C(s,v) 5^(s-v), must agree with the cycle
+    matchings sum Σ_s N/(N-s) C(N-s,s) C(s,v).
     """
     if n % 2 == 0:
         raise BadParity(f"face_count needs odd N, got {n}")
@@ -237,10 +236,7 @@ def face_count(n: int, v: int) -> int:
     top = (n - 1) // 2
     if v > top:
         return 0
-    acc = 0
-    for s in range(v, top + 1):
-        acc += math.comb(n, 2 * s) * math.comb(s, v) * 5 ** (s - v)
-    first = _exact_div(acc, 2 ** (n - 2 * v - 1))
+    first = face_polynomial(n).coeff(v)
     second = 0
     for s in range(v, top + 1):
         second += _cycle_matchings(n, s) * math.comb(s, v)

@@ -17,6 +17,8 @@ vertex at a time.  Faces stay implicit in each vertex's corner rows: the
 f-vector and edges are read off the rows, and faces are made on demand
 or streamed straight into the JSON export, one chunk per top and
 dimension, from text made once per dimension and corner-row pattern.
+The functions that need moebius import it inside, so the X_N hull loads
+none of it.
 """
 
 from __future__ import annotations
@@ -41,13 +43,6 @@ from .partitions import (
     tau_orbit,
     tau_orbits,
 )
-from .moebius import (
-    circ_inner_corners,
-    circ_rows,
-    enumerate_circ,
-    fold,
-    require_circ,
-)
 
 VertexFunction = tuple[int, ...]
 
@@ -66,6 +61,8 @@ def _cycle_offset(n: int) -> int:
 
 def g_vertex(lam: Partition, n: int) -> VertexFunction:
     """Vertex of the hull of C_N at lam: the f-values minus o = k(k-1)/2."""
+    from .moebius import require_circ
+
     require_circ(lam, n)
     o = _cycle_offset(n)
     return tuple(v - o for v in f_vertex(lam, n))
@@ -184,10 +181,12 @@ def build_hull(kind: str, n: int) -> HullComplex:
     comes out a cube.
     """
     space = ModelSpace(kind, n)
-    ranges, o = (
-        (band_rows(n, 0, n), 0) if kind == "xn"
-        else (circ_rows(n), _cycle_offset(n))
-    )
+    if kind == "xn":
+        ranges, o = band_rows(n, 0, n), 0
+    else:
+        from .moebius import circ_rows
+
+        ranges, o = circ_rows(n), _cycle_offset(n)
     rows = dict(corner_walk(n, ranges))
     # f(tau^i lam) is f(lam) rotated by i places; an orbit of period p
     # lists each member N/p times, with the same rotation each time
@@ -211,6 +210,8 @@ def retract_face(face: Face, n: int) -> Face:
     along all other directions: fold(top minus W) equals the fold of top
     minus (W intersect surviving rows), box by box.
     """
+    from .moebius import circ_inner_corners, fold
+
     top0 = fold(face.top, n)
     pad = list(top0) + [0] * (len(face.top) - len(top0))
     circ = circ_inner_corners(top0, n)
@@ -327,6 +328,8 @@ def max_cube_decomposition(n: int) -> tuple[tuple[Face, ...], tuple[Partition, .
     (k, .., 1); the others are its translates under the shift.  Returns
     (cubes, extras) where extras are the hull vertices on no maximal cube.
     """
+    from .moebius import circ_inner_corners, enumerate_circ
+
     if n % 2 == 0 or n < 3:
         from .census import BadParity  # only this error needs the census
 

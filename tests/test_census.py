@@ -44,14 +44,6 @@ def test_tpoly_arithmetic():
     assert p == ONE - T * T
     assert p(3) == -8
     assert compose(T ** 2, ONE + T) == ONE + 2 * T + T ** 2
-    assert (ONE + T).subs_t_plus_1() == TPoly.const(2) + T
-
-
-@given(st.lists(st.integers(-10**6, 10**6), max_size=12))
-def test_subs_t_plus_1_equals_compose(coeffs):
-    # covers ZERO (empty or all-zero lists) and constants
-    p = TPoly(coeffs)
-    assert p.subs_t_plus_1() == compose(p, ONE + T)
 
 
 @given(st.integers(0, 6), st.integers(0, 6))
@@ -109,6 +101,23 @@ def test_face_polynomial_small():
     assert face_polynomial(1) == ONE
     assert str(face_polynomial(5)) == "11 + 15*t + 5*t^2"
     assert face_polynomial(6) == (TPoly.const(2) + T) ** 3
+
+
+def test_face_polynomial_recurrence_equals_the_matchings_route():
+    # the corner enumerator (cycle matchings) at 1 + t, by composition
+    for n in range(3, 402, 2):
+        want = compose(corner_enumerator(n), ONE + T)
+        assert face_polynomial(n) == want, n
+
+
+def test_face_polynomial_far_out():
+    n = 10001
+    p = face_polynomial(n)
+    assert p.coeff(0) == sequences(n)[0]
+    assert p.coeff(1) == n * sequences(n - 1)[1]
+    assert p(1) == 2 ** n - 1
+    assert p(-1) == 1
+    assert len(p.coeffs) == n // 2 + 1
 
 
 def test_face_count_matches_polynomial():

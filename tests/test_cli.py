@@ -275,6 +275,7 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
          ["census", "moebius", "partitions"]),
         (["vertices", "--n", "9", "--space", "cycle"],
          ["hull", "moebius", "partitions"]),
+        (["vertices", "--n", "9", "--space", "xn"], ["hull", "partitions"]),
         (["oracle", "--metric", metric], ["oracle"]),
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -404,6 +405,7 @@ expect(NotExtremal, _tight_graph, (0, 1), [[0, 2], [2, 0]], 2)
 exact_div = census._exact_div
 census._exact_div = lambda num, den: num // den + 1
 expect(IdentityFailure, census.face_count, 7, 1)
+expect(IdentityFailure, census.face_polynomial, 9)
 census._exact_div = exact_div
 expect(BadBandIndex, census.count_band, 5, 0)
 reference.matrix_circcirc = lambda: (reference.matrix_S(), reference.matrix_S())
@@ -424,6 +426,7 @@ expect(FoldFailure, moebius.fold, (4,), 5)
     assert proc.stdout.split() == [
         "BadParity", "ValueError", "ValueError",
         "IdentityFailure", "NotExtremal", "NotExtremal",
-        "IdentityFailure", "BadBandIndex", "IdentityFailure",
+        "IdentityFailure", "IdentityFailure", "BadBandIndex",
+        "IdentityFailure",
         "OrbitLeavesPool", "OrbitNotClosed", "FoldFailure", "FoldFailure",
     ], proc.stderr
