@@ -207,7 +207,7 @@ def face_polynomial(n: int) -> TPoly:
         return ONE
     if n % 2 == 0:
         return TPoly((2, 1)) ** (n // 2)
-    lucas, fib, _ = sequences(n)
+    lucas, fib = _lucas_fibonacci(n)
     f = [lucas, n * _exact_div(lucas - fib, 2)]  # L_N - F_N = 2 F_(N-1)
     for v in range(n // 2 - 1):
         a, b = (v + 1) * (5 * n - 7 - 9 * v), (2 * v - n) * (2 * v - n + 1)
@@ -247,17 +247,19 @@ def face_count(n: int, v: int) -> int:
     return first
 
 
+def _lucas_fibonacci(n: int) -> tuple[int, int]:
+    # (Lucas_n, Fibonacci_n) for n >= 0; L_n = F_(n-1) + F_(n+1)
+    fu, fv = 0, 1
+    for _ in range(n):
+        fu, fv = fv, fu + fv
+    return 2 * fv - fu, fu
+
+
 def sequences(n: int) -> tuple[int, int, int]:
     """(Lucas_n, Fibonacci_n, Catalan_n) by exact integer recurrences."""
     if n < 0:
         raise ValueError(f"sequences needs n >= 0, got {n}")
-    lu, lv = 2, 1
-    fu, fv = 0, 1
-    for _ in range(n):
-        lu, lv = lv, lu + lv
-        fu, fv = fv, fu + fv
-    cat = _exact_div(math.comb(2 * n, n), n + 1)
-    return lu, fu, cat
+    return (*_lucas_fibonacci(n), _exact_div(math.comb(2 * n, n), n + 1))
 
 
 def count_band(n: int, m: int) -> int:

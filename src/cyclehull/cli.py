@@ -40,12 +40,9 @@ def _cmd_vertices(args) -> int:
         sys.stdout.writelines(json_chunks(hull, faces=False))
         print()
         return 0
-    # sorted by name: a whole-line sort puts "2,1: ..." before "2: ..."
     sys.stdout.writelines(
-        f"{name}: {' '.join(map(str, vals))}\n"
-        for name, vals in sorted(
-            (_name(lam), vals) for lam, vals in hull.vertices.items()
-        )
+        f"{name or '()'}: {' '.join(map(str, hull.vertices[lam]))}\n"
+        for lam, name in hull.names().items()
     )
     return 0
 
@@ -65,14 +62,13 @@ def _cmd_skeleton(args) -> int:
         sys.stdout.writelines(json_chunks(hull))
         print()
         return 0
+    graph = skeleton(hull)
     roles = None
     if args.space == "cycle" and args.n % 2 == 1 and args.n >= 3:
-        extras = frozenset(max_cube_decomposition(args.n)[1])
-        roles = {
-            format_partition(lam): "extra" if lam in extras else "cube-member"
-            for lam in hull.vertices
-        }
-    sys.stdout.write(to_dot(skeleton(hull), roles))
+        roles = dict.fromkeys(graph.nodes, "cube-member")
+        for lam in max_cube_decomposition(args.n)[1]:
+            roles[format_partition(lam)] = "extra"
+    sys.stdout.write(to_dot(graph, roles))
     return 0
 
 
@@ -101,8 +97,6 @@ def _cmd_fibre(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from fractions import Fraction
-
     from .oracle import FiniteMetric, tight_span
 
     metric = FiniteMetric.from_file(args.metric)
@@ -130,15 +124,11 @@ def _cmd_oracle(args) -> int:
     from .hull import build_hull
 
     hull = build_hull(kind, metric.n)
-    want_v = frozenset(
-        tuple(Fraction(x) for x in vals) for vals in hull.vertices.values()
-    )
-    want_e = set()
-    for a, b in hull.edges():
-        fa = tuple(Fraction(x) for x in hull.vertices[a])
-        fb = tuple(Fraction(x) for x in hull.vertices[b])
-        want_e.add((min(fa, fb), max(fa, fb)))
-    if verts == want_v and norm_edges == frozenset(want_e):
+    # int tuples compare and hash equal to the oracle's Fraction tuples
+    want_v = frozenset(hull.vertices.values())
+    pairs = ((hull.vertices[a], hull.vertices[b]) for a, b in hull.edges())
+    want_e = {(min(pair), max(pair)) for pair in pairs}
+    if verts == want_v and norm_edges == want_e:
         print(f"MATCH: {len(verts)} vertices, {len(norm_edges)} edges")
         return 0
     print(

@@ -1,24 +1,26 @@
 """Explicit polyhedral models of the two injective hulls.
 
-Vertices of the hull of X_N are indexed by all of Y_N, vertices of the
-hull of C_N by the band partitions Y_N°; in both cases the vertex at lam
-is the function j -> |tau^j(lam)| (shifted down by the constant
-o = k(k-1)/2 in the cycle case).  Both pools are tau-invariant and
-f(tau lam) is f(lam) rotated by one place, so vertex functions are read
-once per tau orbit: one walk gives the sizes of all N members, each from
-the last by |tau mu| = |mu| + N - 1 - 2 len(mu).  A v-face is the cube
-(top, removed): the partitions obtained from top by deleting any subset
-of v corner boxes.  Vertices and their corner rows come out of one
-partitions.corner_walk over the pool's row ranges, band_rows(n, 0, n)
-for Y_N and circ_rows for Y_N°, so both hulls take one path and its cost
-follows the number of vertices, not the 2^(N-1) of Y_N; the per-vertex
-rules removable_rows, f_vertex and g_vertex give the same answers one
-vertex at a time.  Faces stay implicit in each vertex's corner rows: the
-f-vector and edges are read off the rows, and faces are made on demand
-or streamed straight into the JSON export, one chunk per top and
-dimension, from text made once per dimension and corner-row pattern.
-The functions that need moebius import it inside, so the X_N hull loads
-none of it.
+A hull is plain data: its kind ('xn' or 'cycle'), N, the vertex
+functions and the faces.  Vertices of the hull of X_N are indexed by all
+of Y_N, vertices of the hull of C_N by the band partitions Y_N°; in both
+cases the vertex at lam is the function j -> |tau^j(lam)| (shifted down
+by the constant o = k(k-1)/2 in the cycle case).  Both pools are
+tau-invariant and f(tau lam) is f(lam) rotated by one place, so vertex
+functions are read once per tau orbit: one walk gives the sizes of all N
+members, each from the last by |tau mu| = |mu| + N - 1 - 2 len(mu).  A
+v-face is the cube (top, removed): the partitions obtained from top by
+deleting any subset of v corner boxes.  Vertices and their corner rows
+come out of one partitions.corner_walk over the pool's row ranges,
+band_rows(n, 0, n) for Y_N and circ_rows for Y_N°, so both hulls take
+one path and its cost follows the number of vertices, not the 2^(N-1) of
+Y_N; the per-vertex rules removable_rows, f_vertex and g_vertex give the
+same answers one vertex at a time.  Faces stay implicit in each vertex's
+corner rows: the f-vector and edges are read off the rows, and faces are
+made on demand or streamed straight into the JSON export, one chunk per
+top and dimension, from text made once per dimension and corner-row
+pattern.  Every export names and orders the vertices by one
+HullComplex.names.  The functions that need moebius import it inside, so
+the X_N hull loads none of it.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .partitions import (
-    ModelSpace,
     Partition,
     band_rows,
     corner_walk,
     format_partition,
     make_partition,
+    require_space,
     require_YN,
     size,
     tau,
@@ -117,12 +119,9 @@ class Faces:
         return sum(1 << len(rows) for rows in self.corner_rows.values())
 
     def __iter__(self) -> Iterator[Face]:
-        return (Face(t, frozenset(r)) for t, r in self.keys())
-
-    def keys(self) -> Iterator[tuple[Partition, tuple[int, ...]]]:
-        """(top, sorted removed rows) of every face, in iteration order."""
         for v, top, rows in self.groups():
-            yield from ((top, sub) for sub in combinations(rows, v))
+            for sub in combinations(rows, v):
+                yield Face(top, frozenset(sub))
 
     def groups(self) -> Iterator[tuple[int, Partition, tuple[int, ...]]]:
         """(v, top, rows) for the faces in order (dim, top, removed).
@@ -141,7 +140,8 @@ class Faces:
 class HullComplex(NamedTuple):
     """Vertex functions and the implicit faces of one hull."""
 
-    space: ModelSpace
+    kind: str
+    n: int
     vertices: dict[Partition, VertexFunction]
     faces: Faces
 
@@ -154,16 +154,22 @@ class HullComplex(NamedTuple):
         )
 
     def edges(self) -> tuple[tuple[Partition, Partition], ...]:
+        return tuple(sorted(self._edge_pairs()))
+
+    def _edge_pairs(self) -> Iterator[tuple[Partition, Partition]]:
         # removing a box gives a lexicographically smaller partition; r is
         # a corner row, so lam_r > lam_(r+1), and a part 1 there is the last
-        return tuple(sorted(
-            (
-                (*lam[: r - 1], lam[r - 1] - 1, *lam[r:]) if lam[r - 1] > 1
-                else lam[: r - 1],
-                lam,
-            )
-            for lam, rows in self.faces.corner_rows.items()
-            for r in rows
+        for lam, rows in self.faces.corner_rows.items():
+            for r in rows:
+                q = lam[r - 1] - 1
+                yield (*lam[: r - 1], q, *lam[r:]) if q else lam[: r - 1], lam
+
+    def names(self) -> dict[Partition, str]:
+        """{lam: format_partition(lam)} for every vertex, sorted by name
+        (so "10" before "2"), the order of every export."""
+        return dict(sorted(
+            ((lam, format_partition(lam)) for lam in self.vertices),
+            key=itemgetter(1),
         ))
 
 
@@ -180,7 +186,7 @@ def build_hull(kind: str, n: int) -> HullComplex:
     the sizes follow |tau mu| = |mu| + N - 1 - 2 len(mu).  The even cycle
     comes out a cube.
     """
-    space = ModelSpace(kind, n)
+    require_space(kind, n)
     if kind == "xn":
         ranges, o = band_rows(n, 0, n), 0
     else:
@@ -198,7 +204,7 @@ def build_hull(kind: str, n: int) -> HullComplex:
         )) * 2
         for i, mu in enumerate(orbit):
             vertices[mu] = tuple(values[i : i + n])
-    return HullComplex(space, vertices, Faces(rows))
+    return HullComplex(kind, n, vertices, Faces(rows))
 
 
 def retract_face(face: Face, n: int) -> Face:
@@ -232,15 +238,11 @@ class Graph(NamedTuple):
 
 
 def skeleton(complex_: HullComplex) -> Graph:
-    names = sorted(format_partition(lam) for lam in complex_.vertices)
-    labels = {
-        format_partition(lam): vals for lam, vals in complex_.vertices.items()
-    }
-    edges = sorted(
-        tuple(sorted((format_partition(a), format_partition(b))))
-        for a, b in complex_.edges()
-    )
-    return Graph(tuple(names), tuple(edges), labels)
+    names = complex_.names()
+    labels = {name: complex_.vertices[lam] for lam, name in names.items()}
+    pairs = ((names[a], names[b]) for a, b in complex_._edge_pairs())
+    edges = sorted((a, b) if a < b else (b, a) for a, b in pairs)
+    return Graph(tuple(labels), tuple(edges), labels)
 
 
 def to_dot(graph: Graph, roles: dict[str, str] | None = None) -> str:
@@ -287,7 +289,7 @@ def json_chunks(complex_: HullComplex, faces: bool = True) -> Iterator[str]:
     dropped when v moves on, so only one dimension's are held at a time.
     Partition names are digits and commas, so nothing needs escaping.
     """
-    names = {lam: format_partition(lam) for lam in complex_.vertices}
+    names = complex_.names()
     yield "{\n"
     if faces:
         yield ' "faces": ['
@@ -302,10 +304,9 @@ def json_chunks(complex_: HullComplex, faces: bool = True) -> Iterator[str]:
             yield names[top].join(template)[skip:]
             skip = 0
         yield "\n ],\n"
-    n, kind = complex_.space.n, complex_.space.kind
-    yield f' "n": {n},\n "space": "{kind}",\n "vertices": {{'
+    yield f' "n": {complex_.n},\n "space": "{complex_.kind}",\n "vertices": {{'
     sep = "\n"
-    for lam, name in sorted(names.items(), key=itemgetter(1)):
+    for lam, name in names.items():
         vals = ",\n   ".join(map(str, complex_.vertices[lam]))
         yield f'{sep}  "{name}": [\n   {vals}\n  ]'
         sep = ",\n"

@@ -159,21 +159,28 @@ def _clamp_rows(lam: Partition, n: int) -> Partition:
     return tuple(q for q in parts if q)
 
 
-def fold_trace(lam: Partition, n: int) -> tuple[Partition, tuple[FoldStep, ...]]:
-    """Fold lam into Y_N° and report every site that was flipped.
-
-    The fold clamps each row of lam into its range in circ_rows.  Each box
-    (r, c) it removes is a valley of the rim on delta = N - r - c, flipped
-    at upper (c, N - r); each box it adds is a peak on delta = N - r - c + 2,
-    flipped at lower (c - 1, N - r + 1), glued to (0, c - 1) for r = 1.
-    Flips come in rounds u = 0 .. k-2: round u removes the valleys on
-    delta = u, then adds the peaks on delta = N - u, each bottom row first.
-    FoldFailure if the result is not in Y_N°.
-    """
+def fold(lam: Partition, n: int) -> Partition:
+    """The retraction Y_N -> Y_N°; identity on Y_N° and tau-equivariant:
+    each row of lam clamped into its range in circ_rows.  FoldFailure if
+    the result is not in Y_N°."""
     require_YN(lam, n)
     rows = _clamp_rows(lam, n)
     if not (in_YN(rows, n) and in_circ(rows, n)):
         raise FoldFailure(f"fold of {lam} ends outside the band m=1: {rows}")
+    return rows
+
+
+def fold_trace(lam: Partition, n: int) -> tuple[Partition, tuple[FoldStep, ...]]:
+    """fold(lam, n) and every site that the fold flipped.
+
+    Each box (r, c) the fold removes is a valley of the rim on
+    delta = N - r - c, flipped at upper (c, N - r); each box it adds is a
+    peak on delta = N - r - c + 2, flipped at lower (c - 1, N - r + 1),
+    glued to (0, c - 1) for r = 1.  Flips come in rounds u = 0 .. k-2:
+    round u removes the valleys on delta = u, then adds the peaks on
+    delta = N - u, each bottom row first.
+    """
+    rows = fold(lam, n)
     pairs = list(enumerate(zip_longest(lam, rows, fillvalue=0), 1))
     moved = [
         (n - r - c, 0, -r, ("upper", (c, n - r)))
@@ -184,11 +191,6 @@ def fold_trace(lam: Partition, n: int) -> tuple[Partition, tuple[FoldStep, ...]]
         for r, (was, now) in pairs for c in range(was + 1, now + 1)
     ]
     return rows, tuple(step for *_, step in sorted(moved))
-
-
-def fold(lam: Partition, n: int) -> Partition:
-    """The retraction Y_N -> Y_N°; identity on Y_N° and tau-equivariant."""
-    return fold_trace(lam, n)[0]
 
 
 def _fibre_rows(lam0: Partition, n: int) -> tuple[range, ...]:

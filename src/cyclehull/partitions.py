@@ -55,7 +55,7 @@ def make_partition(parts: Iterable[int]) -> Partition:
 
 def format_partition(lam: Partition) -> str:
     """Serialize as comma-joined parts; the empty partition is ''."""
-    return ",".join(str(p) for p in lam)
+    return ",".join(map(str, lam))
 
 
 def parse_partition(text: str) -> Partition:
@@ -345,38 +345,17 @@ def corners(lam: Partition, n: int) -> Corners:
     return Corners(inner, outer)
 
 
-class ModelSpace:
-    """One of the two finite metric spaces whose hull we build.
+def require_space(kind: str, n: int) -> None:
+    """A model space is a kind, 'xn' or 'cycle', and N >= 1 points."""
+    if kind not in ("xn", "cycle"):
+        raise ValueError(f"unknown space kind {kind!r}")
+    if n < 1:
+        raise IndexOutOfRange(f"n must be >= 1, got {n}")
 
-    kind 'xn'    : points R_0..R_{N-1}, distance |i-j|(N-|i-j|)
-    kind 'cycle' : points alpha_0..alpha_{N-1}, an N-cycle
-    """
 
-    __slots__ = ("kind", "n")
-
-    def __init__(self, kind: str, n: int) -> None:
-        if kind not in ("xn", "cycle"):
-            raise ValueError(f"unknown space kind {kind!r}")
-        if n < 1:
-            raise IndexOutOfRange(f"n must be >= 1, got {n}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ModelSpace is immutable")
-
-    def distance(self, i: int, j: int) -> int:
-        if self.kind == "xn":
-            return xn_distance(i, j, self.n)
-        return cycle_distance(i, j, self.n)
-
-    def point(self, j: int) -> Partition:
-        if self.kind == "xn":
-            return rectangular(j % self.n, self.n)
-        return alpha(j % self.n, self.n)
-
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(self.distance(i, j) for j in range(self.n))
-            for i in range(self.n)
-        )
+def model_matrix(kind: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """Distances of the N model points of a hull: R_0..R_{N-1} at
+    |i-j|(N-|i-j|) for 'xn', the N-cycle alpha_0..alpha_{N-1} for 'cycle'."""
+    require_space(kind, n)
+    distance = xn_distance if kind == "xn" else cycle_distance
+    return tuple(tuple(distance(i, j, n) for j in range(n)) for i in range(n))

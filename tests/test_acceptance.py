@@ -39,9 +39,9 @@ from cyclehull.oracle import (
     tight_span_vertices,
 )
 from cyclehull.partitions import (
-    ModelSpace,
     cycle_distance,
     enumerate_YN,
+    model_matrix,
     tau,
     tau_orbit,
     tau_orbits,
@@ -123,7 +123,7 @@ def test_05_oracle_agrees_with_construction():
         ("xn", 3), ("xn", 4), ("xn", 5), ("xn", 6),
         ("cycle", 9), ("xn", 8),
     ):
-        metric = FiniteMetric.from_rows(ModelSpace(kind, n).matrix())
+        metric = FiniteMetric.from_rows(model_matrix(kind, n))
         verts = tight_span_vertices(metric, cap=n)
         hull = build_hull(kind, n)
         assert verts == {fr(v) for v in hull.vertices.values()}

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 from cyclehull.cli import main
 from cyclehull.hull import build_hull
 from cyclehull.moebius import fold
-from cyclehull.partitions import ModelSpace, format_partition, parse_partition
+from cyclehull.partitions import format_partition, model_matrix, parse_partition
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,7 +20,7 @@ def run(capsys, *argv):
 
 
 def write_metric(tmp_path, kind, n):
-    rows = ModelSpace(kind, n).matrix()
+    rows = model_matrix(kind, n)
     path = tmp_path / f"{kind}{n}.txt"
     lines = [str(n)] + [" ".join(str(x) for x in r) for r in rows]
     path.write_text("\n".join(lines) + "\n")
@@ -349,6 +350,23 @@ def test_vertices_json_is_the_vertex_half(capsys):
         )
         assert code == 0
         assert out == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def test_exports_list_vertices_in_name_order(capsys):
+    for kind, n in (("cycle", 9), ("xn", 11)):
+        hull = build_hull(kind, n)
+        want = list(hull.names().values())
+        if kind == "xn":  # "10,..." comes before "2,...": not tuple order
+            assert want != [format_partition(lam) for lam in sorted(hull.vertices)]
+        space = ("--n", str(n), "--space", kind)
+        _, out, _ = run(capsys, "vertices", *space)
+        assert [line.partition(": ")[0] for line in out.splitlines()] == [
+            name or "()" for name in want
+        ]
+        _, out, _ = run(capsys, "vertices", *space, "--json")
+        assert list(json.loads(out)["vertices"]) == want
+        _, out, _ = run(capsys, "skeleton", *space, "--format", "dot")
+        assert re.findall(r'label="([^"]*)"', out) == want
 
 
 def test_vertices_text_names_the_empty_partition(capsys):

@@ -1,5 +1,6 @@
 import json
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -22,7 +23,6 @@ from cyclehull.moebius import enumerate_circ, fold, outer_rim
 from cyclehull.oracle import FiniteMetric, _bipartite_components
 from cyclehull import hull as hull_module
 from cyclehull.partitions import (
-    ModelSpace,
     OrbitLeavesPool,
     OrbitNotClosed,
     corners,
@@ -121,7 +121,6 @@ def test_face_members():
 
 def test_value_types_are_immutable():
     values = (
-        (ModelSpace("cycle", 5), "n"),
         (FiniteMetric.from_rows([[0, 3], [3, 0]]), "d"),
         (Face((3, 2, 1), frozenset({1, 3})), "top"),
         (outer_rim((2, 1), 5), "sites"),
@@ -191,6 +190,34 @@ def test_dot_roles():
     roles = {name: "cube-member" for name in graph.nodes}
     dot = to_dot(graph, roles)
     assert dot.count('role="cube-member"') == 11
+
+
+def test_names_list_every_vertex_once_in_name_order():
+    for kind, top in (("cycle", 13), ("xn", 12)):
+        for n in range(1, top + 1):
+            hull = build_hull(kind, n)
+            names = hull.names()
+            assert list(names.items()) == sorted(
+                ((lam, format_partition(lam)) for lam in hull.vertices),
+                key=lambda pair: pair[1],
+            ), (kind, n)
+            assert skeleton(hull).nodes == tuple(names.values()), (kind, n)
+
+
+def test_exports_name_each_vertex_once(monkeypatch):
+    hull = build_hull("cycle", 11)
+    want_graph, want_json = skeleton(hull), to_json(hull)
+    named = Counter()
+
+    def counting(lam):
+        named[lam] += 1
+        return format_partition(lam)
+
+    monkeypatch.setattr(hull_module, "format_partition", counting)
+    for export, want in ((skeleton, want_graph), (to_json, want_json)):
+        named.clear()
+        assert export(hull) == want
+        assert named == dict.fromkeys(hull.vertices, 1), export.__name__
 
 
 def test_to_json_round_trip():

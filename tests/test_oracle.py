@@ -18,7 +18,7 @@ from cyclehull.oracle import (
     tight_span_edges,
     tight_span_vertices,
 )
-from cyclehull.partitions import ModelSpace
+from cyclehull.partitions import model_matrix
 
 
 def fr(values):
@@ -26,7 +26,7 @@ def fr(values):
 
 
 def metric_for(kind, n):
-    return FiniteMetric.from_rows(ModelSpace(kind, n).matrix())
+    return FiniteMetric.from_rows(model_matrix(kind, n))
 
 
 def brute_force_vertices(metric):

@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 from cyclehull.partitions import (
     Corners,
     IndexOutOfRange,
-    ModelSpace,
     NotInYN,
     NotWeaklyDecreasing,
     alpha,
@@ -20,6 +19,7 @@ from cyclehull.partitions import (
     in_YN,
     make_partition,
     max_hook,
+    model_matrix,
     parse_partition,
     rectangular,
     removable_rows,
@@ -225,12 +225,14 @@ def test_require_errors():
     with pytest.raises(IndexOutOfRange):
         rectangular(9, 4)
     with pytest.raises(ValueError):
-        ModelSpace("torus", 5)
+        model_matrix("torus", 5)
+    with pytest.raises(IndexOutOfRange):
+        model_matrix("cycle", 0)
 
 
 def test_model_space_matrices_are_metrics():
     for kind, n in (("xn", 6), ("cycle", 6), ("cycle", 7)):
-        m = ModelSpace(kind, n).matrix()
+        m = model_matrix(kind, n)
         npts = len(m)
         for i in range(npts):
             assert m[i][i] == 0
