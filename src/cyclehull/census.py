@@ -265,7 +265,7 @@ def sequences(n: int) -> tuple[int, int, int]:
 def count_band(n: int, m: int) -> int:
     """Number of partitions whose rim stays in the band of half-width m.
 
-    With (lo, hi) = moebius.band_limits(n, m), the outer rim of lam is a
+    With (lo, hi) = partitions.band_limits(n, m), the outer rim of lam is a
     walk of N steps of +-1 in delta, from the width lam_1 to its mirror
     level N - lam_1, and lam is in the band when the walk stays on the
     P - 1 levels lo .. hi, P = hi - lo + 2 (2m + 3 for odd N, 2m + 2 for
@@ -282,7 +282,7 @@ def count_band(n: int, m: int) -> int:
     tr(S_m^N), S_m the adjacency matrix of a path with one loop, whose
     unfolding is the path on the P - 1 levels.
     """
-    from .moebius import band_limits  # the census command loads no moebius
+    from .partitions import band_limits  # census --n loads no other module
 
     lo, hi = band_limits(n, m)
     p = hi - lo + 2

@@ -19,8 +19,10 @@ corner rows: the f-vector and edges are read off the rows, and faces are
 made on demand or streamed straight into the JSON export, one chunk per
 top and dimension, from text made once per dimension and corner-row
 pattern.  Every export names and orders the vertices by one
-HullComplex.names.  The functions that need moebius import it inside, so
-the X_N hull loads none of it.
+HullComplex.names.  The N maximal k-cubes of the odd cycle hull are read
+off the same walk: their tops are the vertices with k corner rows.  Only
+retract_face needs moebius, and imports it inside, so no hull command
+loads it.
 """
 
 from __future__ import annotations
@@ -35,13 +37,14 @@ from typing import Iterable, Iterator, NamedTuple
 from .partitions import (
     Partition,
     band_rows,
+    circ_rows,
     corner_walk,
     format_partition,
     make_partition,
+    require_circ,
     require_space,
     require_YN,
     size,
-    tau,
     tau_orbit,
     tau_orbits,
 )
@@ -63,8 +66,6 @@ def _cycle_offset(n: int) -> int:
 
 def g_vertex(lam: Partition, n: int) -> VertexFunction:
     """Vertex of the hull of C_N at lam: the f-values minus o = k(k-1)/2."""
-    from .moebius import require_circ
-
     require_circ(lam, n)
     o = _cycle_offset(n)
     return tuple(v - o for v in f_vertex(lam, n))
@@ -190,8 +191,6 @@ def build_hull(kind: str, n: int) -> HullComplex:
     if kind == "xn":
         ranges, o = band_rows(n, 0, n), 0
     else:
-        from .moebius import circ_rows
-
         ranges, o = circ_rows(n), _cycle_offset(n)
     rows = dict(corner_walk(n, ranges))
     # f(tau^i lam) is f(lam) rotated by i places; an orbit of period p
@@ -318,45 +317,35 @@ def to_json(complex_: HullComplex) -> str:
 
 
 class CubeCoverFailure(ValueError):
-    """A shifted base cube is not a hull face, or the cubes miscover."""
+    """The odd cycle hull's maximal cubes miss their count, base or cover."""
 
 
 @lru_cache(maxsize=None)
 def max_cube_decomposition(n: int) -> tuple[tuple[Face, ...], tuple[Partition, ...]]:
     """The N maximal k-cubes of the odd cycle hull, plus leftover vertices.
 
-    The base cube is the interval between the staircases (k-1, .., 1) and
-    (k, .., 1); the others are its translates under the shift.  Returns
-    (cubes, extras) where extras are the hull vertices on no maximal cube.
+    One corner_walk over circ_rows lists Y_N° with the corner rows of
+    each vertex.  No vertex has more than k of them and exactly N have k
+    (the top coefficient N/(N-k)·C(N-k, k) of the corner enumerator);
+    each spans one maximal cube, the base cube between the staircases
+    (k-1, .., 1) and (k, .., 1) among them, and the others are its
+    translates under the shift.  Returns (cubes, extras), the cubes in
+    walk order and extras the hull vertices on no maximal cube, sorted.
     """
-    from .moebius import circ_inner_corners, enumerate_circ
-
     if n % 2 == 0 or n < 3:
         from .census import BadParity  # only this error needs the census
 
         raise BadParity(f"maximal cubes need odd N >= 3, got {n}")
     k = n // 2
-    staircase = tuple(range(k, 0, -1))
-    base = Face(staircase, frozenset(range(1, k + 1)))
-    if not base.removed <= circ_inner_corners(staircase, n):
+    rows = dict(corner_walk(n, circ_rows(n)))
+    cubes = tuple(
+        Face(top, frozenset(r)) for top, r in rows.items() if len(r) >= k
+    )
+    if len(cubes) != n:
+        raise CubeCoverFailure(f"C_{n} has {len(cubes)} maximal cubes, not {n}")
+    if Face(tuple(range(k, 0, -1)), frozenset(range(1, k + 1))) not in cubes:
         raise CubeCoverFailure(f"base cube of C_{n} is not a hull face")
-    cubes = []
-    current = base.members()
-    for j in range(n):
-        if j:
-            current = frozenset(tau(v, n) for v in current)
-        top = max(current, key=size)
-        bottom = min(current, key=size)
-        pad = list(bottom) + [0] * (len(top) - len(bottom))
-        rows = frozenset(
-            r for r in range(1, len(top) + 1) if top[r - 1] != pad[r - 1]
-        )
-        face = Face(top, rows)
-        if face.members() != current or not rows <= circ_inner_corners(top, n):
-            raise CubeCoverFailure(f"shift {j} of the C_{n} base cube")
-        cubes.append(face)
     incident = frozenset().union(*(c.members() for c in cubes))
-    if len(set(cubes)) != n or len(incident) != 1 + n * 2 ** (k - 1):
+    if len(incident) != 1 + n * 2 ** (k - 1):
         raise CubeCoverFailure(f"C_{n} cubes cover {len(incident)} vertices")
-    extras = tuple(sorted(set(enumerate_circ(n)) - incident))
-    return tuple(cubes), extras
+    return cubes, tuple(lam for lam in rows if lam not in incident)

@@ -8,8 +8,10 @@ run of it lies on the level j = N - r.  The central band of half-width m
 consists of the sites with k - m <= delta <= N - k + m where k = N // 2;
 partitions whose rim stays inside the band m = 1 form the subfamily
 written Y_N° here (`enumerate_circ`).  All of these families are read
-off the rows of a partition: `circ_rows` gives the parts each row of a
-partition in Y_N° may take.  The fold map pushes an arbitrary rim into
+off the rows of a partition, by rules that live beside
+`partitions.band_rows`: `band_limits` gives a band's delta range,
+`circ_rows` the parts each row of a partition in Y_N° may take, and
+`in_circ` and `require_circ` test membership.  The fold map pushes an arbitrary rim into
 that band by clamping each row into its range, and its fibre over a
 partition is again a set of row ranges, walked by `partitions.rim_walk`,
 with a Catalan word read off the rows too.  It is the vertex-level
@@ -28,10 +30,14 @@ from typing import NamedTuple
 
 from .partitions import (
     Partition,
+    band_limits,
     band_rows,
+    circ_rows,
+    in_circ,
     in_YN,
     make_partition,
     removable_rows,
+    require_circ,
     require_YN,
     rim_walk,
     tau,
@@ -43,14 +49,6 @@ Site = tuple[int, int]
 
 class InvalidRim(ValueError):
     """Point sequence is not the lift of an outer rim."""
-
-
-class BadBandIndex(ValueError):
-    """Band half-width m outside 1 <= m <= N // 2, or N below 2."""
-
-
-class NotInYNCirc(ValueError):
-    """Partition's rim leaves the central band of half-width 1."""
 
 
 class FoldFailure(ValueError):
@@ -94,37 +92,6 @@ def outer_rim(lam: Partition, n: int) -> RimPath:
     if len(pts) != n + 1:
         raise InvalidRim(f"rim of {lam} does not close up after {n} steps")
     return RimPath(n, tuple(pts), tuple(pts[:n]))
-
-
-def band_limits(n: int, m: int) -> tuple[int, int]:
-    """The delta range (k - m, N - k + m), k = N // 2, of the band m.
-
-    For odd N the band spans 2m + 2 levels, for even N the symmetric
-    2m + 1.  BadBandIndex unless N >= 2 and 1 <= m <= k.
-    """
-    if n < 2:
-        raise BadBandIndex(f"N = {n} has no central band (needs N >= 2)")
-    k = n // 2
-    if not 1 <= m <= k:
-        raise BadBandIndex(f"band index {m} not in [1, {k}]")
-    return k - m, n - k + m
-
-
-def circ_rows(n: int) -> tuple[range, ...]:
-    """The rows of Y_N°: band_rows for m = 1, or those of Y_N below N = 2."""
-    return band_rows(n, *band_limits(n, 1)) if n >= 2 else band_rows(n, 0, n)
-
-
-def in_circ(lam: Partition, n: int) -> bool:
-    """Membership in Y_N°: the rows of lam obey circ_rows."""
-    require_YN(lam, n)
-    p = (*lam, 0)  # the zero part counts while a row may follow
-    return all(q in row for q, row in zip(p[: n - p[0]], circ_rows(n)))
-
-
-def require_circ(lam: Partition, n: int) -> None:
-    if not in_circ(lam, n):
-        raise NotInYNCirc(f"{lam or '()'} has a rim outside the band m=1")
 
 
 @lru_cache(maxsize=None)

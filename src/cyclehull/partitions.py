@@ -36,6 +36,14 @@ class OrbitLeavesPool(ValueError):
     """A tau orbit reached a partition outside a pool meant to be closed."""
 
 
+class BadBandIndex(ValueError):
+    """Band half-width m outside 1 <= m <= N // 2, or N below 2."""
+
+
+class NotInYNCirc(ValueError):
+    """Partition's rim leaves the central band of half-width 1."""
+
+
 def make_partition(parts: Iterable[int]) -> Partition:
     """Validate and canonicalize a part sequence.
 
@@ -119,6 +127,37 @@ def band_rows(n: int, lo: int, hi: int) -> tuple[range, ...]:
         range(max(0, n - s + 1 - hi), max(0, n - s - lo) + 1)
         for s in range(2, n + 1)
     ))
+
+
+def band_limits(n: int, m: int) -> tuple[int, int]:
+    """The delta range (k - m, N - k + m), k = N // 2, of the band m.
+
+    For odd N the band spans 2m + 2 levels, for even N the symmetric
+    2m + 1.  BadBandIndex unless N >= 2 and 1 <= m <= k.
+    """
+    if n < 2:
+        raise BadBandIndex(f"N = {n} has no central band (needs N >= 2)")
+    k = n // 2
+    if not 1 <= m <= k:
+        raise BadBandIndex(f"band index {m} not in [1, {k}]")
+    return k - m, n - k + m
+
+
+def circ_rows(n: int) -> tuple[range, ...]:
+    """The rows of Y_N°: band_rows for m = 1, or those of Y_N below N = 2."""
+    return band_rows(n, *band_limits(n, 1)) if n >= 2 else band_rows(n, 0, n)
+
+
+def in_circ(lam: Partition, n: int) -> bool:
+    """Membership in Y_N°: the rows of lam obey circ_rows."""
+    require_YN(lam, n)
+    p = (*lam, 0)  # the zero part counts while a row may follow
+    return all(q in row for q, row in zip(p[: n - p[0]], circ_rows(n)))
+
+
+def require_circ(lam: Partition, n: int) -> None:
+    if not in_circ(lam, n):
+        raise NotInYNCirc(f"{lam or '()'} has a rim outside the band m=1")
 
 
 def rim_walk(n: int, rows: tuple[range, ...]) -> list[Partition]:

@@ -16,6 +16,9 @@ m = 1 extends site by site; a summand t^s stands for a rim with s
 foldable inner corners, so traces of matrix words enumerate band
 partitions weighted by corner count.  The census itself uses the closed
 forms those traces take.
+
+The maximal cubes of the odd cycle hull as shifts of one staircase cube,
+which hull.max_cube_decomposition reads off the corner rows instead.
 """
 
 from __future__ import annotations
@@ -23,8 +26,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from cyclehull.census import ONE, T, ZERO, IdentityFailure, TPoly
-from cyclehull.moebius import InvalidRim, RimPath, Site, band_limits, outer_rim
-from cyclehull.partitions import IndexOutOfRange, Partition, make_partition
+from cyclehull.hull import CubeCoverFailure, Face
+from cyclehull.moebius import (
+    InvalidRim,
+    RimPath,
+    Site,
+    circ_inner_corners,
+    enumerate_circ,
+    outer_rim,
+)
+from cyclehull.partitions import (
+    IndexOutOfRange,
+    Partition,
+    band_limits,
+    make_partition,
+    size,
+    tau,
+)
 
 
 def canon_site(i: int, j: int, n: int) -> Site:
@@ -242,3 +260,40 @@ def generating_series_check(k_max: int) -> bool:
         if traces[k] != (ONE + T + T) * traces[k - 1] - T * T * traces[k - 2]:
             return False
     return True
+
+
+def shifted_cubes(n: int) -> tuple[tuple[Face, ...], tuple[Partition, ...]]:
+    """The N maximal k-cubes of the odd cycle hull, N = 2k + 1, as the
+    translates of the base cube between the staircases (k-1, .., 1) and
+    (k, .., 1) under the shift, plus the hull vertices on none of them.
+
+    Each shift of the members must be the member set of a hull face (its
+    rows removable in Y_N°), and the N cubes must be distinct and cover
+    1 + N·2^(k-1) vertices; CubeCoverFailure otherwise.  The cubes come
+    in shift order, the extras sorted.
+    """
+    k = n // 2
+    staircase = tuple(range(k, 0, -1))
+    base = Face(staircase, frozenset(range(1, k + 1)))
+    if not base.removed <= circ_inner_corners(staircase, n):
+        raise CubeCoverFailure(f"base cube of C_{n} is not a hull face")
+    cubes = []
+    current = base.members()
+    for j in range(n):
+        if j:
+            current = frozenset(tau(v, n) for v in current)
+        top = max(current, key=size)
+        bottom = min(current, key=size)
+        pad = list(bottom) + [0] * (len(top) - len(bottom))
+        rows = frozenset(
+            r for r in range(1, len(top) + 1) if top[r - 1] != pad[r - 1]
+        )
+        face = Face(top, rows)
+        if face.members() != current or not rows <= circ_inner_corners(top, n):
+            raise CubeCoverFailure(f"shift {j} of the C_{n} base cube")
+        cubes.append(face)
+    incident = frozenset().union(*(c.members() for c in cubes))
+    if len(set(cubes)) != n or len(incident) != 1 + n * 2 ** (k - 1):
+        raise CubeCoverFailure(f"C_{n} cubes cover {len(incident)} vertices")
+    extras = tuple(sorted(set(enumerate_circ(n)) - incident))
+    return tuple(cubes), extras

@@ -274,10 +274,13 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
          ["moebius", "partitions"]),
         (["counts", "--n", "9", "--m", "1"],
          ["census", "moebius", "partitions"]),
-        (["vertices", "--n", "9", "--space", "cycle"],
-         ["hull", "moebius", "partitions"]),
+        (["vertices", "--n", "9", "--space", "cycle"], ["hull", "partitions"]),
         (["vertices", "--n", "9", "--space", "xn"], ["hull", "partitions"]),
+        (["skeleton", "--n", "9", "--space", "cycle", "--format", "dot"],
+         ["hull", "partitions"]),
         (["oracle", "--metric", metric], ["oracle"]),
+        (["oracle", "--metric", metric, "--compare", "cycle:5"],
+         ["hull", "oracle", "partitions"]),
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for argv, modules in rows:
@@ -404,9 +407,9 @@ import cyclehull.moebius as moebius
 import reference
 from cyclehull.census import BadParity, IdentityFailure
 from cyclehull.hull import max_cube_decomposition
-from cyclehull.moebius import BadBandIndex, FoldFailure
+from cyclehull.moebius import FoldFailure
 from cyclehull.oracle import NotExtremal, _tight_graph
-from cyclehull.partitions import OrbitLeavesPool, OrbitNotClosed
+from cyclehull.partitions import BadBandIndex, OrbitLeavesPool, OrbitNotClosed
 
 def expect(error, call, *args):
     try:

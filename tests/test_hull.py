@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from cyclehull.census import BadParity
 from cyclehull.hull import (
+    CubeCoverFailure,
     Face,
     build_hull,
     f_vertex,
@@ -35,7 +36,7 @@ from cyclehull.partitions import (
     xn_distance,
     young_distance,
 )
-from reference import delta
+from reference import delta, shifted_cubes
 
 Y7 = enumerate_YN(7)
 
@@ -333,3 +334,29 @@ def test_max_cube_decomposition_rejects_even_and_small_n():
     for n in (1, 2, 4):
         with pytest.raises(BadParity):
             max_cube_decomposition(n)
+
+
+def test_max_cube_decomposition_matches_the_shifted_base_cube():
+    # the corner-row reading against the shift-by-shift construction
+    for n in range(3, 18, 2):
+        cubes, extras = max_cube_decomposition(n)
+        want_cubes, want_extras = shifted_cubes(n)
+        assert set(cubes) == set(want_cubes), n
+        assert len(cubes) == n
+        assert extras == want_extras, n
+
+
+def test_max_cube_decomposition_checks_its_tops(monkeypatch):
+    # a walk that loses one top with k corner rows leaves N - 1 cubes
+    walk = hull_module.corner_walk
+    def walk_without_one(n, rows):
+        dropped = False
+        for lam, r in walk(n, rows):
+            if not dropped and len(r) == n // 2:
+                dropped = True
+                continue
+            yield lam, r
+
+    monkeypatch.setattr(hull_module, "corner_walk", walk_without_one)
+    with pytest.raises(CubeCoverFailure):
+        max_cube_decomposition.__wrapped__(9)

@@ -8,13 +8,10 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from cyclehull.moebius import (
-    BadBandIndex,
     FoldFailure,
     InvalidRim,
-    NotInYNCirc,
     RimPath,
     _boundary_runs,
-    band_limits,
     circ_inner_corners,
     double_embed,
     enumerate_band_partitions,
@@ -25,15 +22,18 @@ from cyclehull.moebius import (
     fold_fibre,
     fold_fibre_size,
     fold_trace,
-    in_circ,
     outer_rim,
     tau_equivariance_defect,
 )
 from cyclehull.partitions import (
+    BadBandIndex,
     IndexOutOfRange,
+    NotInYNCirc,
+    band_limits,
     corners,
     enumerate_YN,
     band_rows,
+    in_circ,
     make_partition,
     removable_rows,
     tau,

@@ -10,7 +10,9 @@ from cyclehull.partitions import (
     NotInYN,
     NotWeaklyDecreasing,
     alpha,
+    band_limits,
     band_rows,
+    circ_rows,
     corner_walk,
     corners,
     cycle_distance,
@@ -33,8 +35,6 @@ from cyclehull.partitions import (
 )
 from cyclehull.moebius import (
     _fibre_rows,
-    band_limits,
-    circ_rows,
     enumerate_circ,
     fold_fibre,
     fold_fibre_size,
