@@ -17,7 +17,6 @@ kept beside the tests, which check the closed forms against them.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 
 class BadParity(ValueError):
@@ -171,7 +170,6 @@ def _cycle_matchings(n: int, s: int) -> int:
     return _exact_div(n * math.comb(n - s, s), n - s)
 
 
-@lru_cache(maxsize=None)
 def corner_enumerator(n: int) -> TPoly:
     """Generating polynomial of Y_N° by number of removable corners.
 
@@ -189,7 +187,6 @@ def corner_enumerator(n: int) -> TPoly:
     return TPoly(_cycle_matchings(n, s) for s in range(n // 2 + 1))
 
 
-@lru_cache(maxsize=None)
 def face_polynomial(n: int) -> TPoly:
     """Sum over all faces of the cycle hull of t^dim.
 

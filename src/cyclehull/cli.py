@@ -15,13 +15,6 @@ import os
 import sys
 
 
-def _name(lam) -> str:
-    """A partition as printed in text output: format_partition's text, or
-    () for the empty one (spelled out, as cli imports no module of the
-    package until a command runs)."""
-    return ",".join(map(str, lam)) or "()"
-
-
 def _cmd_census(args) -> int:
     from .census import face_count, face_polynomial
 
@@ -48,13 +41,7 @@ def _cmd_vertices(args) -> int:
 
 
 def _cmd_skeleton(args) -> int:
-    from .hull import (
-        build_hull,
-        json_chunks,
-        max_cube_decomposition,
-        skeleton,
-        to_dot,
-    )
+    from .hull import build_hull, json_chunks, skeleton, to_dot
     from .partitions import format_partition
 
     hull = build_hull(args.space, args.n)
@@ -66,7 +53,7 @@ def _cmd_skeleton(args) -> int:
     roles = None
     if args.space == "cycle" and args.n % 2 == 1 and args.n >= 3:
         roles = dict.fromkeys(graph.nodes, "cube-member")
-        for lam in max_cube_decomposition(args.n)[1]:
+        for lam in hull.faces.max_cubes(args.n)[1]:
             roles[format_partition(lam)] = "extra"
     sys.stdout.write(to_dot(graph, roles))
     return 0
@@ -74,11 +61,11 @@ def _cmd_skeleton(args) -> int:
 
 def _cmd_fold(args) -> int:
     from .moebius import fold_trace, site_str
-    from .partitions import parse_partition
+    from .partitions import format_partition, parse_partition
 
     lam = parse_partition(args.partition)
     folded, trace = fold_trace(lam, args.n)
-    print(_name(folded))
+    print(format_partition(folded) or "()")
     for part, site in trace:
         print(f"{part} {site_str(site)}")
     return 0
@@ -86,12 +73,12 @@ def _cmd_fold(args) -> int:
 
 def _cmd_fibre(args) -> int:
     from .moebius import fibre_factorization, fold_fibre
-    from .partitions import parse_partition
+    from .partitions import format_partition, parse_partition
 
     lam = parse_partition(args.partition)
     members = fold_fibre(lam, args.n)  # as many as fold_fibre_size says
     for member in members:
-        print(_name(member))
+        print(format_partition(member) or "()")
     print(f"{fibre_factorization(lam, args.n)} = {len(members)}")
     return 0
 
@@ -140,19 +127,20 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_counts(args) -> int:
     from .census import count_band
-    from .moebius import enumerate_band_partitions
+    from .partitions import band_limits, band_rows, corner_walk
 
     print(f"trace: {count_band(args.n, args.m)}")
-    print(f"enumeration: {len(enumerate_band_partitions(args.n, args.m))}")
+    rows = band_rows(args.n, *band_limits(args.n, args.m))
+    print(f"enumeration: {sum(1 for _ in corner_walk(args.n, rows))}")
     return 0
 
 
 def _cmd_embed(args) -> int:
     from .moebius import double_embed
-    from .partitions import parse_partition
+    from .partitions import format_partition, parse_partition
 
     lam = parse_partition(args.partition)
-    print(_name(double_embed(lam, args.n)))
+    print(format_partition(double_embed(lam, args.n)) or "()")
     return 0
 
 

@@ -20,15 +20,15 @@ made on demand or streamed straight into the JSON export, one chunk per
 top and dimension, from text made once per dimension and corner-row
 pattern.  Every export names and orders the vertices by one
 HullComplex.names.  The N maximal k-cubes of the odd cycle hull are read
-off the same walk: their tops are the vertices with k corner rows.  Only
-retract_face needs moebius, and imports it inside, so no hull command
-loads it.
+off the corner rows the hull already holds (Faces.max_cubes): their tops
+are the vertices with k corner rows, so a DOT export walks Y_N° once.
+Only retract_face needs moebius, and imports it inside, so no hull
+command loads it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb
 from operator import itemgetter
@@ -104,6 +104,10 @@ class Face(NamedTuple):
         return (self.dim, self.top, tuple(sorted(self.removed)))
 
 
+class CubeCoverFailure(ValueError):
+    """The odd cycle hull's maximal cubes miss their count, base or cover."""
+
+
 class Faces:
     """The faces of a hull, kept as the sorted corner rows of each vertex.
 
@@ -136,6 +140,29 @@ class Faces:
             for top, rows in items:
                 if len(rows) >= v:
                     yield v, top, rows
+
+    def max_cubes(self, n: int) -> tuple[tuple[Face, ...], tuple[Partition, ...]]:
+        """The N maximal k-cubes of C_N, N = 2k + 1, and the vertices on
+        none of them, read off these faces in corner_rows order.
+
+        No vertex of Y_N° has more than k corner rows and exactly N have
+        k (the top coefficient N/(N-k)·C(N-k, k) of the corner
+        enumerator); each spans one maximal cube, the base cube between
+        the staircases (k-1, .., 1) and (k, .., 1) among them, and the
+        others are its shifts.  Faces of another hull miss the count,
+        the base cube or the cover 1 + N·2^(k-1): CubeCoverFailure.
+        """
+        k = n // 2
+        rows = self.corner_rows
+        cubes = tuple(Face(top, frozenset(r)) for top, r in rows.items() if len(r) >= k)
+        if len(cubes) != n:
+            raise CubeCoverFailure(f"C_{n} has {len(cubes)} maximal cubes, not {n}")
+        if Face(tuple(range(k, 0, -1)), frozenset(range(1, k + 1))) not in cubes:
+            raise CubeCoverFailure(f"base cube of C_{n} is not a hull face")
+        incident = frozenset().union(*(c.members() for c in cubes))
+        if len(incident) != 1 + n * 2 ** (k - 1):
+            raise CubeCoverFailure(f"C_{n} cubes cover {len(incident)} vertices")
+        return cubes, tuple(lam for lam in rows if lam not in incident)
 
 
 class HullComplex(NamedTuple):
@@ -316,36 +343,11 @@ def to_json(complex_: HullComplex) -> str:
     return "".join(json_chunks(complex_))
 
 
-class CubeCoverFailure(ValueError):
-    """The odd cycle hull's maximal cubes miss their count, base or cover."""
-
-
-@lru_cache(maxsize=None)
 def max_cube_decomposition(n: int) -> tuple[tuple[Face, ...], tuple[Partition, ...]]:
-    """The N maximal k-cubes of the odd cycle hull, plus leftover vertices.
-
-    One corner_walk over circ_rows lists Y_N° with the corner rows of
-    each vertex.  No vertex has more than k of them and exactly N have k
-    (the top coefficient N/(N-k)·C(N-k, k) of the corner enumerator);
-    each spans one maximal cube, the base cube between the staircases
-    (k-1, .., 1) and (k, .., 1) among them, and the others are its
-    translates under the shift.  Returns (cubes, extras), the cubes in
-    walk order and extras the hull vertices on no maximal cube, sorted.
-    """
+    """The N maximal k-cubes of the odd cycle hull, plus leftover vertices:
+    Faces.max_cubes on the corner rows of one corner_walk over circ_rows."""
     if n % 2 == 0 or n < 3:
         from .census import BadParity  # only this error needs the census
 
         raise BadParity(f"maximal cubes need odd N >= 3, got {n}")
-    k = n // 2
-    rows = dict(corner_walk(n, circ_rows(n)))
-    cubes = tuple(
-        Face(top, frozenset(r)) for top, r in rows.items() if len(r) >= k
-    )
-    if len(cubes) != n:
-        raise CubeCoverFailure(f"C_{n} has {len(cubes)} maximal cubes, not {n}")
-    if Face(tuple(range(k, 0, -1)), frozenset(range(1, k + 1))) not in cubes:
-        raise CubeCoverFailure(f"base cube of C_{n} is not a hull face")
-    incident = frozenset().union(*(c.members() for c in cubes))
-    if len(incident) != 1 + n * 2 ** (k - 1):
-        raise CubeCoverFailure(f"C_{n} cubes cover {len(incident)} vertices")
-    return cubes, tuple(lam for lam in rows if lam not in incident)
+    return Faces(dict(corner_walk(n, circ_rows(n)))).max_cubes(n)

@@ -24,7 +24,6 @@ against it.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import groupby, zip_longest
 from typing import NamedTuple
 
@@ -94,13 +93,11 @@ def outer_rim(lam: Partition, n: int) -> RimPath:
     return RimPath(n, tuple(pts), tuple(pts[:n]))
 
 
-@lru_cache(maxsize=None)
 def enumerate_band_partitions(n: int, m: int) -> tuple[Partition, ...]:
     """All lam in Y_N whose rim stays in the band of half-width m."""
     return tuple(rim_walk(n, band_rows(n, *band_limits(n, m))))
 
 
-@lru_cache(maxsize=None)
 def enumerate_circ(n: int) -> tuple[Partition, ...]:
     return tuple(rim_walk(n, circ_rows(n)))
 
@@ -232,7 +229,6 @@ def fibre_factorization(lam0: Partition, n: int) -> str:
     )
 
 
-@lru_cache(maxsize=None)
 def enumerate_circcirc(n: int) -> tuple[Partition, ...]:
     """Partitions of Y_N° whose fold fibre is a singleton."""
     return tuple(

@@ -249,7 +249,6 @@ def corner_walk(
             settled[-1] = settled[-2]
 
 
-@lru_cache(maxsize=None)
 def enumerate_YN(n: int) -> tuple[Partition, ...]:
     """All of Y_N in lexicographic order; the count is 2**(n-1)."""
     if n < 1:

@@ -18,7 +18,8 @@ partitions weighted by corner count.  The census itself uses the closed
 forms those traces take.
 
 The maximal cubes of the odd cycle hull as shifts of one staircase cube,
-which hull.max_cube_decomposition reads off the corner rows instead.
+which hull.Faces.max_cubes reads off the corner rows a built hull holds
+instead (hull.max_cube_decomposition walks Y_N° once for those rows).
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ import sys
 from pathlib import Path
 
 from cyclehull.cli import main
-from cyclehull.hull import build_hull
+from cyclehull import hull as hull_module
+from cyclehull.hull import build_hull, max_cube_decomposition, skeleton, to_dot
 from cyclehull.moebius import fold
 from cyclehull.partitions import format_partition, model_matrix, parse_partition
 
@@ -124,6 +125,27 @@ def test_skeleton_dot_lint_and_roles(capsys):
         capsys, "skeleton", "--n", "5", "--space", "cycle", "--format", "dot"
     )
     assert out2 == out
+
+
+def test_odd_cycle_dot_walks_the_band_once(capsys, monkeypatch):
+    # the cube roles come off the exported hull's corner rows; the text
+    # is the one that build_hull and max_cube_decomposition give apart
+    walk, walks = hull_module.corner_walk, []
+
+    def counting(n, rows):
+        walks.append(n)
+        return walk(n, rows)
+
+    monkeypatch.setattr(hull_module, "corner_walk", counting)
+    code, out, _ = run(
+        capsys, "skeleton", "--n", "11", "--space", "cycle", "--format", "dot"
+    )
+    assert (code, walks) == (0, [11])
+    hull = build_hull("cycle", 11)
+    roles = dict.fromkeys(skeleton(hull).nodes, "cube-member")
+    for lam in max_cube_decomposition(11)[1]:
+        roles[format_partition(lam)] = "extra"
+    assert out == to_dot(skeleton(hull), roles)
 
 
 def test_skeleton_json(capsys):
@@ -272,8 +294,7 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
          ["moebius", "partitions"]),
         (["embed", "--n", "9", "--partition", "3,2,1"],
          ["moebius", "partitions"]),
-        (["counts", "--n", "9", "--m", "1"],
-         ["census", "moebius", "partitions"]),
+        (["counts", "--n", "9", "--m", "1"], ["census", "partitions"]),
         (["vertices", "--n", "9", "--space", "cycle"], ["hull", "partitions"]),
         (["vertices", "--n", "9", "--space", "xn"], ["hull", "partitions"]),
         (["skeleton", "--n", "9", "--space", "cycle", "--format", "dot"],

@@ -11,6 +11,7 @@ from cyclehull.census import BadParity
 from cyclehull.hull import (
     CubeCoverFailure,
     Face,
+    Faces,
     build_hull,
     f_vertex,
     g_vertex,
@@ -346,17 +347,9 @@ def test_max_cube_decomposition_matches_the_shifted_base_cube():
         assert extras == want_extras, n
 
 
-def test_max_cube_decomposition_checks_its_tops(monkeypatch):
-    # a walk that loses one top with k corner rows leaves N - 1 cubes
-    walk = hull_module.corner_walk
-    def walk_without_one(n, rows):
-        dropped = False
-        for lam, r in walk(n, rows):
-            if not dropped and len(r) == n // 2:
-                dropped = True
-                continue
-            yield lam, r
-
-    monkeypatch.setattr(hull_module, "corner_walk", walk_without_one)
+def test_max_cube_decomposition_checks_its_tops():
+    # corner rows that lose one top with k corner rows leave N - 1 cubes
+    rows = dict(build_hull("cycle", 9).faces.corner_rows)
+    del rows[next(lam for lam, r in rows.items() if len(r) == 9 // 2)]
     with pytest.raises(CubeCoverFailure):
-        max_cube_decomposition.__wrapped__(9)
+        Faces(rows).max_cubes(9)

@@ -1,9 +1,11 @@
+import importlib
 from operator import contains
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import cyclehull
 from cyclehull.partitions import (
     Corners,
     IndexOutOfRange,
@@ -190,8 +192,8 @@ def test_fibre_walk_length_is_the_catalan_product():
 def test_corner_walk_is_the_rim_walk_with_removable_rows():
     # items and order against a row-range filter of Y_N: every band for
     # N <= 14, Y_N for N <= 13, Y_N° for N <= 21 and the fold fibre of
-    # every member of Y_N° for N <= 11; Y_N is taken uncached, as Y_21
-    # alone is 2^20 tuples, and is complete: 2^(N-1) distinct members
+    # every member of Y_N° for N <= 11; Y_N is complete: 2^(N-1)
+    # distinct members
     for n in range(1, 22):
         cases = [circ_rows(n)]
         if n <= 14:
@@ -202,7 +204,7 @@ def test_corner_walk_is_the_rim_walk_with_removable_rows():
             cases.append(band_rows(n, 0, n))
         if n <= 11:
             cases += [_fibre_rows(lam, n) for lam in enumerate_circ(n)]
-        pool = enumerate_YN.__wrapped__(n)
+        pool = enumerate_YN(n)
         assert len(set(pool)) == 2 ** (n - 1), n
         assert all(in_YN(lam, n) for lam in pool), n
         zeros = (0,) * n
@@ -240,3 +242,18 @@ def test_model_space_matrices_are_metrics():
                 assert m[i][j] == m[j][i]
                 for l in range(npts):
                     assert m[i][j] <= m[i][l] + m[l][j]
+
+
+def test_only_band_rows_keeps_a_cache():
+    # band_rows is a bounded table of N row ranges per (n, lo, hi) that
+    # every membership check reads; no listing or census result is kept
+    cached = set()
+    for name in cyclehull.__all__:
+        module = importlib.import_module(f"cyclehull.{name}")
+        for obj in vars(module).values():
+            inner = vars(obj).values() if isinstance(obj, type) else ()
+            cached.update(
+                f"{f.__module__}.{f.__qualname__}"
+                for f in (obj, *inner) if hasattr(f, "cache_info")
+            )
+    assert cached == {"cyclehull.partitions.band_rows"}
