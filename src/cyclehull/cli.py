@@ -14,6 +14,21 @@ import argparse
 import os
 import sys
 
+_BLOCK = 1 << 16  # characters gathered for each write of a hull export
+
+
+def _write_blocks(chunks) -> None:
+    # an export is thousands of small chunks, and an unbuffered stdout
+    # (PYTHONUNBUFFERED=1) makes each write one system call
+    block, size = [], 0
+    for chunk in chunks:
+        block.append(chunk)
+        size += len(chunk)
+        if size >= _BLOCK:
+            sys.stdout.write("".join(block))
+            block, size = [], 0
+    sys.stdout.write("".join(block))
+
 
 def _cmd_census(args) -> int:
     from .census import face_count, face_polynomial
@@ -30,12 +45,12 @@ def _cmd_vertices(args) -> int:
 
     hull = build_hull(args.space, args.n)
     if args.json:
-        sys.stdout.writelines(json_chunks(hull, faces=False))
+        _write_blocks(json_chunks(hull, faces=False))
         print()
         return 0
-    sys.stdout.writelines(
+    _write_blocks(
         f"{name or '()'}: {' '.join(map(str, hull.vertices[lam]))}\n"
-        for lam, name in hull.names().items()
+        for lam, name in hull.name_order()
     )
     return 0
 
@@ -46,7 +61,7 @@ def _cmd_skeleton(args) -> int:
 
     hull = build_hull(args.space, args.n)
     if args.format == "json":
-        sys.stdout.writelines(json_chunks(hull))
+        _write_blocks(json_chunks(hull))
         print()
         return 0
     graph = skeleton(hull)

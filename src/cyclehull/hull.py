@@ -17,11 +17,11 @@ Y_N; the per-vertex rules removable_rows, f_vertex and g_vertex give the
 same answers one vertex at a time.  Faces stay implicit in each vertex's
 corner rows: the f-vector and edges are read off the rows, and faces are
 made on demand or streamed straight into the JSON export, one chunk per
-top and dimension, from text made once per dimension and corner-row
-pattern.  Every export names and orders the vertices by one
-HullComplex.names.  The N maximal k-cubes of the odd cycle hull are read
-off the corner rows the hull already holds (Faces.max_cubes): their tops
-are the vertices with k corner rows, so a DOT export walks Y_N° once.
+top and dimension, from text made once per removed-row subset.  Every
+export names and orders the vertices by one HullComplex.name_order.  The
+N maximal k-cubes of the odd cycle hull are read off the corner rows the
+hull already holds (Faces.max_cubes): their tops are the vertices with k
+corner rows, so a DOT export walks Y_N° once.
 Only retract_face needs moebius, and imports it inside, so no hull
 command loads it.
 """
@@ -192,13 +192,17 @@ class HullComplex(NamedTuple):
                 q = lam[r - 1] - 1
                 yield (*lam[: r - 1], q, *lam[r:]) if q else lam[: r - 1], lam
 
-    def names(self) -> dict[Partition, str]:
-        """{lam: format_partition(lam)} for every vertex, sorted by name
+    def name_order(self) -> list[tuple[Partition, str]]:
+        """(lam, format_partition(lam)) for every vertex, sorted by name
         (so "10" before "2"), the order of every export."""
-        return dict(sorted(
+        return sorted(
             ((lam, format_partition(lam)) for lam in self.vertices),
             key=itemgetter(1),
-        ))
+        )
+
+    def names(self) -> dict[Partition, str]:
+        """{lam: name} in name_order, for the exports that look names up."""
+        return dict(self.name_order())
 
 
 def build_hull(kind: str, n: int) -> HullComplex:
@@ -287,18 +291,15 @@ def to_dot(graph: Graph, roles: dict[str, str] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _face_template(v: int, rows: tuple[int, ...]) -> list[str]:
-    # the v-faces of a top with these corner rows, each led by ",\n" as
-    # json.dumps(indent=1) prints them, cut where the top's name goes
-    bracket, close = ("[\n", "\n   ]") if v else ("[", "]")
-    head = ',\n  {\n   "removed": ' + bracket
-    tail = close + ',\n   "top": "'
-    shut = '"\n  }'
-    faces = [
-        head + ",\n".join(f"    {r}" for r in sub) + tail
-        for sub in combinations(rows, v)
-    ]
-    return [faces[0], *(shut + face for face in faces[1:]), shut]
+_SHUT = '"\n  }'  # closes a face after its top's name
+
+
+def _face_text(removed: tuple[int, ...]) -> str:
+    # one face up to its top's name, led by the previous face's close and
+    # ",\n" as json.dumps(indent=1) prints them
+    rows = ",".join(f"\n    {r}" for r in removed)
+    bracket = "\n   ]" if removed else "]"
+    return _SHUT + ',\n  {\n   "removed": [' + rows + bracket + ',\n   "top": "'
 
 
 def json_chunks(complex_: HullComplex, faces: bool = True) -> Iterator[str]:
@@ -308,31 +309,41 @@ def json_chunks(complex_: HullComplex, faces: bool = True) -> Iterator[str]:
     Joined, the pieces are json.dumps(doc, sort_keys=True, indent=1) of
     {"faces": [{"removed": [...], "top": name}, ...], "n": N,
     "space": kind, "vertices": {name: values}}, faces in Face.sort_key
-    order; faces=False leaves the "faces" key out.  The v-faces above a
-    top depend on the top only through its name, so their text is made
-    once per (v, corner rows) as a template cut where the name goes, and
-    each piece is one str.join of the name into it.  The templates are
-    dropped when v moves on, so only one dimension's are held at a time.
-    Partition names are digits and commas, so nothing needs escaping.
+    order; faces=False leaves the "faces" key out.  A face's text depends
+    on its top only through the name, so the text of each removed-row
+    subset, cut where the name goes, is made once; it is led by the
+    previous face's close, so each piece ends on a name.  The v-faces
+    above a top are one template per (v, corner rows), a list of those
+    texts, and each piece is one str.join of the name into it.  Subsets
+    of v rows only occur in dimension v, so texts and templates are
+    dropped when v moves on.  Partition names are digits and commas, so
+    nothing needs escaping.  Without faces no name is looked up, so the
+    vertices are walked in name_order with no names dict.
     """
-    names = complex_.names()
     yield "{\n"
     if faces:
+        names = complex_.names()
         yield ' "faces": ['
+        texts: dict[tuple[int, ...], str] = {}
         templates: dict[tuple[int, ...], list[str]] = {}
-        dim, skip = 0, 1  # the first face has no "," before it
+        dim, skip = 0, len(_SHUT) + 1  # no face before the first to close, no ","
         for v, top, rows in complex_.faces.groups():
             if v != dim:
-                templates, dim = {}, v
+                texts, templates, dim = {}, {}, v
             template = templates.get(rows)
             if template is None:
-                template = templates[rows] = _face_template(v, rows)
+                template = templates[rows] = []
+                for sub in combinations(rows, v):
+                    if sub not in texts:
+                        texts[sub] = _face_text(sub)
+                    template.append(texts[sub])
+                template.append("")
             yield names[top].join(template)[skip:]
             skip = 0
-        yield "\n ],\n"
+        yield _SHUT + "\n ],\n"
     yield f' "n": {complex_.n},\n "space": "{complex_.kind}",\n "vertices": {{'
     sep = "\n"
-    for lam, name in names.items():
+    for lam, name in names.items() if faces else complex_.name_order():
         vals = ",\n   ".join(map(str, complex_.vertices[lam]))
         yield f'{sep}  "{name}": [\n   {vals}\n  ]'
         sep = ",\n"

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 from cyclehull.cli import main
 from cyclehull import hull as hull_module
-from cyclehull.hull import build_hull, max_cube_decomposition, skeleton, to_dot
+from cyclehull.hull import build_hull, max_cube_decomposition, skeleton, to_dot, to_json
 from cyclehull.moebius import fold
 from cyclehull.partitions import format_partition, model_matrix, parse_partition
 
@@ -253,22 +254,57 @@ def test_module_entry_point():
 
 def test_closed_stdout_exits_141_quietly():
     # the reader takes one line and closes the pipe, as `| head -1` does;
-    # both outputs are far larger than a pipe's buffer
+    # both outputs are far larger than a pipe's buffer; their 64 KiB
+    # blocks go through a buffered stdout, or with PYTHONUNBUFFERED=1
+    # straight to the file descriptor
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for argv in (
+    env.pop("PYTHONUNBUFFERED", None)
+    jobs = (
         ["skeleton", "--n", "13", "--space", "cycle", "--format", "json"],
         ["vertices", "--n", "17", "--space", "cycle"],
-    ):
+    )
+    modes = ({}, {"PYTHONUNBUFFERED": "1"})
+    for unbuffered, argv in ((mode, job) for mode in modes for job in jobs):
         proc = subprocess.Popen(
             [sys.executable, "-m", "cyclehull", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**env, **unbuffered},
         )
         first = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
-        assert proc.wait(timeout=60) == 141, err
-        assert first and err == b"", err
+        assert proc.wait(timeout=60) == 141, (unbuffered, err)
+        assert first and err == b"", (unbuffered, err)
+
+
+class CountingStdout(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_hull_exports_write_in_few_blocks(monkeypatch):
+    # an unbuffered stdout makes each write one system call, so exports
+    # go out in blocks of about 64 KiB, not one write per chunk
+    json_13 = to_json(build_hull("cycle", 13)) + "\n"
+    hull = build_hull("cycle", 17)
+    lines_17 = "".join(
+        f"{name or '()'}: {' '.join(map(str, hull.vertices[lam]))}\n"
+        for lam, name in hull.name_order()
+    )
+    for argv, want in (
+        (["skeleton", "--n", "13", "--space", "cycle", "--format", "json"], json_13),
+        (["vertices", "--n", "17", "--space", "cycle"], lines_17),
+    ):
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv) == 0
+        monkeypatch.undo()
+        assert out.getvalue() == want, argv
+        assert out.writes <= len(want) // 65536 + 2, (argv, out.writes)
 
 
 def test_each_command_imports_only_what_it_runs(tmp_path):
