@@ -196,12 +196,10 @@ def face_polynomial(n: int) -> TPoly:
       5(v+1)(v+2) f_(v+2) = (v+1)(5N-7-9v) f_(v+1) - (2v-N)(2v-N+1) f_v
     by exact divisions from f_0 = L_N and f_1 = N F_(N-1), checked at the
     end by p(1) = 2^N - 1 and p(-1) = 1.  Even N: (2 + t)^(N/2), the face
-    polynomial of a cube.  N = 1: a single point.
+    polynomial of a cube.  N = 1: a single point, [L_1, F_0] = [1, 0].
     """
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
-    if n == 1:
-        return ONE
     if n % 2 == 0:
         return TPoly((2, 1)) ** (n // 2)
     lucas, fib = _lucas_fibonacci(n)

@@ -57,20 +57,13 @@ def _cmd_vertices(args) -> int:
 
 def _cmd_skeleton(args) -> int:
     from .hull import build_hull, json_chunks, skeleton, to_dot
-    from .partitions import format_partition
 
     hull = build_hull(args.space, args.n)
     if args.format == "json":
         _write_blocks(json_chunks(hull))
         print()
         return 0
-    graph = skeleton(hull)
-    roles = None
-    if args.space == "cycle" and args.n % 2 == 1 and args.n >= 3:
-        roles = dict.fromkeys(graph.nodes, "cube-member")
-        for lam in hull.faces.max_cubes(args.n)[1]:
-            roles[format_partition(lam)] = "extra"
-    sys.stdout.write(to_dot(graph, roles))
+    sys.stdout.write(to_dot(skeleton(hull)))
     return 0
 
 

@@ -21,9 +21,9 @@ top and dimension, from text made once per removed-row subset.  Every
 export names and orders the vertices by one HullComplex.name_order.  The
 N maximal k-cubes of the odd cycle hull are read off the corner rows the
 hull already holds (Faces.max_cubes): their tops are the vertices with k
-corner rows, so a DOT export walks Y_N° once.
-Only retract_face needs moebius, and imports it inside, so no hull
-command loads it.
+corner rows, so skeleton gives each vertex its cube role and a DOT
+export walks Y_N° once.  Only retract_face needs moebius, for the fold,
+and imports it inside, so no hull command loads it.
 """
 
 from __future__ import annotations
@@ -200,10 +200,6 @@ class HullComplex(NamedTuple):
             key=itemgetter(1),
         )
 
-    def names(self) -> dict[Partition, str]:
-        """{lam: name} in name_order, for the exports that look names up."""
-        return dict(self.name_order())
-
 
 def build_hull(kind: str, n: int) -> HullComplex:
     """Assemble the hull complex of X_N ('xn') or C_N ('cycle').
@@ -240,50 +236,53 @@ def build_hull(kind: str, n: int) -> HullComplex:
 def retract_face(face: Face, n: int) -> Face:
     """Image of a face of the X_N hull under the folding retraction.
 
-    The top vertex folds; a removed direction survives only when the very
-    corner box it deletes is still present in the fold (the row kept its
-    length) and is still removable inside the band.  The face collapses
-    along all other directions: fold(top minus W) equals the fold of top
-    minus (W intersect surviving rows), box by box.
+    The top vertex folds; a removed direction survives exactly when
+    deleting its box alone changes the fold of the top.  The face
+    collapses along all other directions: fold(top minus W) equals the
+    fold of top minus (W intersect surviving rows), box by box.
     """
-    from .moebius import circ_inner_corners, fold
+    from .moebius import fold
 
     top0 = fold(face.top, n)
-    pad = list(top0) + [0] * (len(face.top) - len(top0))
-    circ = circ_inner_corners(top0, n)
     keep = frozenset(
-        r
-        for r in face.removed
-        if face.top[r - 1] == pad[r - 1] and r in circ
+        r for r in face.removed if fold(_remove_boxes(face.top, (r,)), n) != top0
     )
     return Face(top0, keep)
 
 
 class Graph(NamedTuple):
-    """1-skeleton with nodes named by partition strings."""
+    """1-skeleton with nodes named by partition strings, and their roles."""
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     labels: dict[str, VertexFunction]
+    roles: dict[str, str]
 
 
 def skeleton(complex_: HullComplex) -> Graph:
-    names = complex_.names()
+    """The named 1-skeleton.  Only C_N, N odd and >= 3, has roles: a node
+    on none of the N maximal cubes is "extra", the others "cube-member"."""
+    names = dict(complex_.name_order())
     labels = {name: complex_.vertices[lam] for lam, name in names.items()}
     pairs = ((names[a], names[b]) for a, b in complex_._edge_pairs())
     edges = sorted((a, b) if a < b else (b, a) for a, b in pairs)
-    return Graph(tuple(labels), tuple(edges), labels)
+    roles: dict[str, str] = {}
+    if complex_.kind == "cycle" and complex_.n % 2 and complex_.n >= 3:
+        roles = dict.fromkeys(labels, "cube-member")
+        for lam in complex_.faces.max_cubes(complex_.n)[1]:
+            roles[names[lam]] = "extra"
+    return Graph(tuple(labels), tuple(edges), labels, roles)
 
 
-def to_dot(graph: Graph, roles: dict[str, str] | None = None) -> str:
+def to_dot(graph: Graph) -> str:
     """Deterministic DOT text; nodes in lexicographic label order."""
     ident = {name: f"n{i}" for i, name in enumerate(graph.nodes)}
     lines = ["graph hull {"]
     for name in graph.nodes:
         vals = " ".join(str(v) for v in graph.labels[name])
         attrs = [f'label="{name}"', f'values="{vals}"']
-        if roles and name in roles:
-            attrs.append(f'role="{roles[name]}"')
+        if name in graph.roles:
+            attrs.append(f'role="{graph.roles[name]}"')
         lines.append(f'  {ident[name]} [{", ".join(attrs)}];')
     for a, b in graph.edges:
         lines.append(f"  {ident[a]} -- {ident[b]};")
@@ -322,7 +321,7 @@ def json_chunks(complex_: HullComplex, faces: bool = True) -> Iterator[str]:
     """
     yield "{\n"
     if faces:
-        names = complex_.names()
+        names = dict(complex_.name_order())
         yield ' "faces": ['
         texts: dict[tuple[int, ...], str] = {}
         templates: dict[tuple[int, ...], list[str]] = {}

@@ -182,10 +182,11 @@ def fold_fibre(lam0: Partition, n: int) -> tuple[Partition, ...]:
     """
     require_circ(lam0, n)
     members = rim_walk(n, _fibre_rows(lam0, n))
-    if len(members) != fold_fibre_size(lam0, n):
+    want = fold_fibre_size(lam0, n)
+    if len(members) != want:
         raise FoldFailure(
             f"{lam0 or '()'} unfolds to {len(members)} partitions, "
-            f"not the {fold_fibre_size(lam0, n)} its Catalan word gives")
+            f"not the {want} its Catalan word gives")
     return tuple(members)
 
 

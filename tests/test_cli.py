@@ -4,12 +4,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from cyclehull.cli import main
-from cyclehull import hull as hull_module
+from cyclehull import hull as hull_module, partitions as partitions_module
 from cyclehull.hull import build_hull, max_cube_decomposition, skeleton, to_dot, to_json
-from cyclehull.moebius import fold
+from cyclehull.moebius import enumerate_circ, fold
 from cyclehull.partitions import format_partition, model_matrix, parse_partition
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -142,11 +143,29 @@ def test_odd_cycle_dot_walks_the_band_once(capsys, monkeypatch):
         capsys, "skeleton", "--n", "11", "--space", "cycle", "--format", "dot"
     )
     assert (code, walks) == (0, [11])
-    hull = build_hull("cycle", 11)
-    roles = dict.fromkeys(skeleton(hull).nodes, "cube-member")
+    graph = skeleton(build_hull("cycle", 11))
+    roles = dict.fromkeys(graph.nodes, "cube-member")
     for lam in max_cube_decomposition(11)[1]:
         roles[format_partition(lam)] = "extra"
-    assert out == to_dot(skeleton(hull), roles)
+    assert graph.roles == roles
+    assert out == to_dot(graph)
+
+
+def test_odd_cycle_dot_names_each_vertex_once(capsys, monkeypatch):
+    # the cube roles are keyed by the names skeleton already made
+    named = Counter()
+
+    def counting(lam):
+        named[lam] += 1
+        return format_partition(lam)
+
+    for module in (hull_module, partitions_module):
+        monkeypatch.setattr(module, "format_partition", counting)
+    code, out, _ = run(
+        capsys, "skeleton", "--n", "11", "--space", "cycle", "--format", "dot"
+    )
+    assert code == 0 and out.count('role="extra"') == 22
+    assert named == dict.fromkeys(enumerate_circ(11), 1)
 
 
 def test_skeleton_json(capsys):
@@ -415,7 +434,7 @@ def test_vertices_json_is_the_vertex_half(capsys):
 def test_exports_list_vertices_in_name_order(capsys):
     for kind, n in (("cycle", 9), ("xn", 11)):
         hull = build_hull(kind, n)
-        want = list(hull.names().values())
+        want = [name for _, name in hull.name_order()]
         if kind == "xn":  # "10,..." comes before "2,...": not tuple order
             assert want != [format_partition(lam) for lam in sorted(hull.vertices)]
         space = ("--n", str(n), "--space", kind)

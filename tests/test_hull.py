@@ -27,11 +27,13 @@ from cyclehull import hull as hull_module
 from cyclehull.partitions import (
     OrbitLeavesPool,
     OrbitNotClosed,
+    alpha,
     corners,
     cycle_distance,
     enumerate_YN,
     format_partition,
     make_partition,
+    rectangular,
     tau,
     tau_orbit,
     xn_distance,
@@ -76,6 +78,21 @@ def test_f_vertex_rows_realize_the_model_metric():
             fj = f_vertex(rectangular(j, n), n)
             sup = max(abs(x - y) for x, y in zip(fi, fj))
             assert sup == xn_distance(i, j, n)
+
+
+def test_vertices_are_distances_to_the_model_points():
+    # the tight-span statement, with no tau: f(lam)_j = d(lam, R_j) and
+    # g(lam)_j = d(lam, alpha_(-j)), distances in the Young lattice
+    for n in range(1, 12):
+        for lam in enumerate_YN(n):
+            assert f_vertex(lam, n) == tuple(
+                young_distance(lam, rectangular(j, n)) for j in range(n)
+            ), (n, lam)
+    for n in range(1, 14):
+        for lam in enumerate_circ(n):
+            assert g_vertex(lam, n) == tuple(
+                young_distance(lam, alpha(-j % n, n)) for j in range(n)
+            ), (n, lam)
 
 
 def test_orbit_built_vertex_functions_equal_the_per_vertex_ones():
@@ -153,12 +170,11 @@ def test_xn_hull_shape():
 
 
 def test_retract_face_collapses_consistently():
-    n = 7
-    hull = build_hull("xn", n)
-    for face in hull.faces:
-        image = retract_face(face, n)
-        want = {fold(m, n) for m in face.members()}
-        assert image.members() == want, face
+    for n in range(1, 10):
+        for face in build_hull("xn", n).faces:
+            image = retract_face(face, n)
+            want = {fold(m, n) for m in face.members()}
+            assert image.members() == want, (n, face)
 
 
 def test_retract_face_box_example():
@@ -189,21 +205,28 @@ def test_skeleton_and_dot():
 def test_dot_roles():
     hull = build_hull("cycle", 5)
     graph = skeleton(hull)
-    roles = {name: "cube-member" for name in graph.nodes}
-    dot = to_dot(graph, roles)
+    assert graph.roles == {name: "cube-member" for name in graph.nodes}
+    dot = to_dot(graph)
     assert dot.count('role="cube-member"') == 11
+    # C_9: L_9 = 76 vertices, 1 + 9 * 2^3 = 73 of them on the cubes
+    dot = to_dot(skeleton(build_hull("cycle", 9)))
+    assert (dot.count('role="cube-member"'), dot.count('role="extra"')) == (73, 3)
+    for kind, n in (("cycle", 1), ("cycle", 2), ("cycle", 6), ("xn", 5)):
+        graph = skeleton(build_hull(kind, n))
+        assert graph.roles == {} and "role=" not in to_dot(graph), (kind, n)
 
 
 def test_names_list_every_vertex_once_in_name_order():
     for kind, top in (("cycle", 13), ("xn", 12)):
         for n in range(1, top + 1):
             hull = build_hull(kind, n)
-            names = hull.names()
-            assert list(names.items()) == hull.name_order() == sorted(
+            order = hull.name_order()
+            assert order == sorted(
                 ((lam, format_partition(lam)) for lam in hull.vertices),
                 key=lambda pair: pair[1],
             ), (kind, n)
-            assert skeleton(hull).nodes == tuple(names.values()), (kind, n)
+            names = tuple(name for _, name in order)
+            assert skeleton(hull).nodes == names, (kind, n)
 
 
 def test_exports_name_each_vertex_once(monkeypatch):
