@@ -41,17 +41,14 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_vertices(args) -> int:
-    from .hull import build_hull, json_chunks
+    from .hull import build_hull, json_chunks, vertex_lines
 
     hull = build_hull(args.space, args.n)
     if args.json:
         _write_blocks(json_chunks(hull, faces=False))
         print()
         return 0
-    _write_blocks(
-        f"{name or '()'}: {' '.join(map(str, hull.vertices[lam]))}\n"
-        for lam, name in hull.name_order()
-    )
+    _write_blocks(vertex_lines(hull))
     return 0
 
 

@@ -18,7 +18,10 @@ same answers one vertex at a time.  Faces stay implicit in each vertex's
 corner rows: the f-vector and edges are read off the rows, and faces are
 made on demand or streamed straight into the JSON export, one chunk per
 top and dimension, from text made once per removed-row subset.  Every
-export names and orders the vertices by one HullComplex.name_order.  The
+export names and orders the vertices by one HullComplex.name_order, and
+makes the text of each distinct part and value once per hull: names join
+the texts of range(N), values are looked up in a table over the hull's
+own values (_numerals), so no export calls str() per printed int.  The
 N maximal k-cubes of the odd cycle hull are read off the corner rows the
 hull already holds (Faces.max_cubes): their tops are the vertices with k
 corner rows, so skeleton gives each vertex its cube role and a DOT
@@ -29,17 +32,16 @@ and imports it inside, so no hull command loads it.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .partitions import (
     Partition,
     band_rows,
     circ_rows,
     corner_walk,
-    format_partition,
     make_partition,
     require_circ,
     require_space,
@@ -194,9 +196,12 @@ class HullComplex(NamedTuple):
 
     def name_order(self) -> list[tuple[Partition, str]]:
         """(lam, format_partition(lam)) for every vertex, sorted by name
-        (so "10" before "2"), the order of every export."""
+        (so "10" before "2"), the order of every export.  Every part is
+        below N, so each name joins the texts of range(N), made once per
+        hull, with no str() per part."""
+        part = [str(i) for i in range(self.n)].__getitem__
         return sorted(
-            ((lam, format_partition(lam)) for lam in self.vertices),
+            ((lam, ",".join(map(part, lam))) for lam in self.vertices),
             key=itemgetter(1),
         )
 
@@ -274,12 +279,20 @@ def skeleton(complex_: HullComplex) -> Graph:
     return Graph(tuple(labels), tuple(edges), labels, roles)
 
 
+def _numerals(functions: Iterable[VertexFunction]) -> Callable[[int], str]:
+    """int -> str over the values of the vertex functions: each distinct
+    value's text is made once (they are few, 0..42 on X_13), not once
+    per vertex and place."""
+    return {v: str(v) for v in set(chain.from_iterable(functions))}.__getitem__
+
+
 def to_dot(graph: Graph) -> str:
     """Deterministic DOT text; nodes in lexicographic label order."""
     ident = {name: f"n{i}" for i, name in enumerate(graph.nodes)}
+    numeral = _numerals(graph.labels.values())
     lines = ["graph hull {"]
     for name in graph.nodes:
-        vals = " ".join(str(v) for v in graph.labels[name])
+        vals = " ".join(map(numeral, graph.labels[name]))
         attrs = [f'label="{name}"', f'values="{vals}"']
         if name in graph.roles:
             attrs.append(f'role="{graph.roles[name]}"')
@@ -341,12 +354,21 @@ def json_chunks(complex_: HullComplex, faces: bool = True) -> Iterator[str]:
             skip = 0
         yield _SHUT + "\n ],\n"
     yield f' "n": {complex_.n},\n "space": "{complex_.kind}",\n "vertices": {{'
+    numeral = _numerals(complex_.vertices.values())
     sep = "\n"
     for lam, name in names.items() if faces else complex_.name_order():
-        vals = ",\n   ".join(map(str, complex_.vertices[lam]))
+        vals = ",\n   ".join(map(numeral, complex_.vertices[lam]))
         yield f'{sep}  "{name}": [\n   {vals}\n  ]'
         sep = ",\n"
     yield "\n }\n}"
+
+
+def vertex_lines(complex_: HullComplex) -> Iterator[str]:
+    """The text export of the vertices: "name: values" per vertex in
+    name_order, space-separated values, the empty partition named "()"."""
+    numeral = _numerals(complex_.vertices.values())
+    for lam, name in complex_.name_order():
+        yield f"{name or '()'}: {' '.join(map(numeral, complex_.vertices[lam]))}\n"
 
 
 def to_json(complex_: HullComplex) -> str:

@@ -9,7 +9,9 @@ from pathlib import Path
 
 from cyclehull.cli import main
 from cyclehull import hull as hull_module, partitions as partitions_module
-from cyclehull.hull import build_hull, max_cube_decomposition, skeleton, to_dot, to_json
+from cyclehull.hull import (
+    HullComplex, build_hull, max_cube_decomposition, skeleton, to_dot, to_json,
+)
 from cyclehull.moebius import enumerate_circ, fold
 from cyclehull.partitions import format_partition, model_matrix, parse_partition
 
@@ -152,20 +154,27 @@ def test_odd_cycle_dot_walks_the_band_once(capsys, monkeypatch):
 
 
 def test_odd_cycle_dot_names_each_vertex_once(capsys, monkeypatch):
-    # the cube roles are keyed by the names skeleton already made
-    named = Counter()
+    # the cube roles are keyed by the names of the one name_order that
+    # skeleton makes; no vertex is named through format_partition
+    calls = Counter()
+    name_order = HullComplex.name_order
 
-    def counting(lam):
-        named[lam] += 1
+    def counting_order(self):
+        calls["name_order"] += 1
+        return name_order(self)
+
+    def counting_format(lam):
+        calls["format_partition"] += 1
         return format_partition(lam)
 
-    for module in (hull_module, partitions_module):
-        monkeypatch.setattr(module, "format_partition", counting)
+    monkeypatch.setattr(HullComplex, "name_order", counting_order)
+    monkeypatch.setattr(partitions_module, "format_partition", counting_format)
+    monkeypatch.setattr(hull_module, "format_partition", counting_format, raising=False)
     code, out, _ = run(
         capsys, "skeleton", "--n", "11", "--space", "cycle", "--format", "dot"
     )
     assert code == 0 and out.count('role="extra"') == 22
-    assert named == dict.fromkeys(enumerate_circ(11), 1)
+    assert calls == {"name_order": 1}
 
 
 def test_skeleton_json(capsys):
@@ -390,8 +399,9 @@ def test_oracle_metric_with_extra_rows_exits_two(capsys, tmp_path):
 
 
 def test_skeleton_json_equals_dumps_of_the_faces(capsys):
+    # xn 11 and 12 and cycle 13 print two-digit parts and values
     for kind, n in (("cycle", 1), ("cycle", 2), ("cycle", 7), ("cycle", 8),
-                    ("xn", 5)):
+                    ("cycle", 13), ("xn", 5), ("xn", 11), ("xn", 12)):
         hull = build_hull(kind, n)
         doc = {
             "faces": [
@@ -414,7 +424,8 @@ def test_skeleton_json_equals_dumps_of_the_faces(capsys):
 
 
 def test_vertices_json_is_the_vertex_half(capsys):
-    for kind, n in (("cycle", 3), ("cycle", 7), ("xn", 5)):
+    for kind, n in (("cycle", 3), ("cycle", 7), ("cycle", 13), ("xn", 5),
+                    ("xn", 11), ("xn", 12)):
         hull = build_hull(kind, n)
         doc = {
             "space": kind,
@@ -429,6 +440,22 @@ def test_vertices_json_is_the_vertex_half(capsys):
         )
         assert code == 0
         assert out == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def test_vertices_text_is_the_str_lines(capsys):
+    # one line per vertex in the order of its format_partition name, its
+    # values through str: parts up to 16 and values up to 36
+    for kind, top in (("cycle", 17), ("xn", 12)):
+        for n in range(1, top + 1):
+            hull = build_hull(kind, n)
+            named = sorted(
+                (format_partition(lam), vals) for lam, vals in hull.vertices.items()
+            )
+            want = "".join(
+                f"{name or '()'}: {' '.join(map(str, vals))}\n" for name, vals in named
+            )
+            code, out, _ = run(capsys, "vertices", "--n", str(n), "--space", kind)
+            assert (code, out) == (0, want), (kind, n)
 
 
 def test_exports_list_vertices_in_name_order(capsys):

@@ -12,6 +12,7 @@ from cyclehull.hull import (
     CubeCoverFailure,
     Face,
     Faces,
+    HullComplex,
     build_hull,
     f_vertex,
     g_vertex,
@@ -20,10 +21,11 @@ from cyclehull.hull import (
     skeleton,
     to_dot,
     to_json,
+    vertex_lines,
 )
 from cyclehull.moebius import enumerate_circ, fold, outer_rim
 from cyclehull.oracle import FiniteMetric, _bipartite_components
-from cyclehull import hull as hull_module
+from cyclehull import hull as hull_module, partitions as partitions_module
 from cyclehull.partitions import (
     OrbitLeavesPool,
     OrbitNotClosed,
@@ -230,19 +232,34 @@ def test_names_list_every_vertex_once_in_name_order():
 
 
 def test_exports_name_each_vertex_once(monkeypatch):
+    # every export names the vertices by one name_order, which joins the
+    # texts of the parts and calls no format_partition
     hull = build_hull("cycle", 11)
-    want_graph, want_json = skeleton(hull), to_json(hull)
-    named = Counter()
+    exports = (
+        ("skeleton", skeleton),
+        ("to_json", to_json),
+        ("vertices json", lambda h: "".join(hull_module.json_chunks(h, faces=False))),
+        ("vertex_lines", lambda h: "".join(vertex_lines(h))),
+    )
+    wants = [export(hull) for _, export in exports]
+    calls = Counter()
+    name_order = HullComplex.name_order
 
-    def counting(lam):
-        named[lam] += 1
+    def counting_order(self):
+        calls["name_order"] += 1
+        return name_order(self)
+
+    def counting_format(lam):
+        calls["format_partition"] += 1
         return format_partition(lam)
 
-    monkeypatch.setattr(hull_module, "format_partition", counting)
-    for export, want in ((skeleton, want_graph), (to_json, want_json)):
-        named.clear()
-        assert export(hull) == want
-        assert named == dict.fromkeys(hull.vertices, 1), export.__name__
+    monkeypatch.setattr(HullComplex, "name_order", counting_order)
+    monkeypatch.setattr(partitions_module, "format_partition", counting_format)
+    monkeypatch.setattr(hull_module, "format_partition", counting_format, raising=False)
+    for (label, export), want in zip(exports, wants):
+        calls.clear()
+        assert export(hull) == want, label
+        assert calls == {"name_order": 1}, label
 
 
 def test_to_json_round_trip():
