@@ -15,12 +15,20 @@ cone of tight constraints that stays bounded, steps exactly to the next
 tight constraint, and so meets every vertex and every 1-face.  The cost
 grows with the size of the answer, not with the C(n(n-1)/2, n) subsets
 of pairs that could pin a vertex.
+
+The walk is reduced by the metric's own isometry group, found from d
+alone by a backtracking search (_symmetries), so it shares nothing with
+the constructions it checks.  Rays are computed at one vertex per orbit,
+and every vertex or edge met adds its whole orbit (Bremner, Dutour
+Sikiric, Schurmann, Polyhedral representation conversion up to
+symmetries, 2009); for C_N and X_N the group is dihedral of order 2N.
+Tight graphs and the minus and plus sets of rays are int bitmasks.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 
@@ -118,63 +126,89 @@ class NotExtremal(ValueError):
     """A point the walk reached is not an extremal vertex of P(d)."""
 
 
-def _bipartite_components(adj: list[list[int]], skip=(), loops=()) -> int:
+def _bits(mask: int) -> list[int]:
+    """The points of a bitmask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _reach(adj: list[int], mask: int) -> int:
+    """The neighbours of the points of a bitmask, as a bitmask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _bipartite_components(adj: list[int], skip: int = 0, loops: int = 0) -> int:
     """Components off `skip` with no odd cycle and no loop.
 
-    The system f_i + f_j = d_ij over the edges (f_i = 0 at a loop) has
-    one free parameter per such component.  Edges into `skip` are
-    ignored.
+    adj[i] is the bitmask of the neighbours of point i; skip and loops are
+    bitmasks.  The system f_i + f_j = d_ij over the edges (f_i = 0 at a
+    loop) has one free parameter per such component.  Edges into `skip`
+    are ignored.  Each component is 2-coloured one breadth-first layer at
+    a time: a layer whose neighbours meet its own colour closes an odd
+    cycle.
     """
-    n = len(adj)
-    color = [2 if i in skip else -1 for i in range(n)]
+    alive = ((1 << len(adj)) - 1) & ~skip
     count = 0
-    for root in range(n):
-        if color[root] >= 0:
-            continue
-        color[root] = 0
-        stack = [root]
+    while alive:
+        layer = alive & -alive
+        comp = same = layer  # same: the points coloured like this layer
+        other = 0
         free = True
-        while stack:
-            u = stack.pop()
-            if u in loops:
+        while layer:
+            reach = _reach(adj, layer) & alive
+            if reach & same:
                 free = False
-            for v in adj[u]:
-                if color[v] < 0:
-                    color[v] = color[u] ^ 1
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    free = False
-        count += free
+            layer = reach & ~comp
+            same, other = other | layer, same
+            comp |= layer
+        if free and not comp & loops:
+            count += 1
+        alive &= ~comp
     return count
 
 
-def _tight_graph(f2, d2, n: int) -> tuple[list[list[int]], frozenset]:
-    """Tight pairs and zero coordinates of the doubled point f2 = 2f.
+def _tight_graph(f2, d2, n: int) -> tuple[list[int], int]:
+    """Tight pairs and zero coordinates of the doubled point f2 = 2f, as
+    bitmasks: adj[i] holds the points tight with i, loops the zeros.
 
     Raises NotExtremal unless f is a vertex of P(d): feasible, and pinned
     by its tight equations, i.e. every component of the tight graph holds
     an odd cycle or a zero coordinate.  Vertices of P(d) are extremal, so
     this certifies every vertex the walk emits.
     """
-    adj: list[list[int]] = [[] for _ in range(n)]
+    adj = [0] * n
+    loops = 0
     for i in range(n):
-        if f2[i] < 0:
+        fi = f2[i]
+        if fi < 0:
             raise NotExtremal(f"coordinate {i} of {f2}/2 is negative")
+        if fi == 0:
+            loops |= 1 << i
+        row = d2[i]
         for j in range(i + 1, n):
-            slack = f2[i] + f2[j] - d2[i][j]
+            slack = fi + f2[j] - row[j]
             if slack < 0:
                 raise NotExtremal(f"pair ({i},{j}) is violated by {f2}/2")
             if slack == 0:
-                adj[i].append(j)
-                adj[j].append(i)
-    loops = frozenset(i for i in range(n) if f2[i] == 0)
-    if _bipartite_components(adj, loops=loops):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    if _bipartite_components(adj, 0, loops):
         raise NotExtremal(f"{f2}/2 is not pinned by its tight pairs")
     return adj, loops
 
 
-def _bounded_rays(n: int, adj, loops) -> list[tuple[frozenset, frozenset]]:
-    """Extreme rays of the tight cone at a vertex that end in a vertex.
+def _bounded_rays(n: int, adj: list[int], loops: int) -> list[tuple[int, int]]:
+    """Extreme rays of the tight cone at a vertex that end in a vertex, as
+    (minus, plus) bitmasks.
 
     The cone is {x : x_i + x_j >= 0 on tight pairs, x_i >= 0 at zeros}.
     An extreme ray is -1 on a minus set M, +1 on P = N(M) and 0 on the
@@ -183,85 +217,169 @@ def _bounded_rays(n: int, adj, loops) -> list[tuple[frozenset, frozenset]]:
     rest holds an odd cycle or a zero.  An empty M gives the unit rays,
     which lie in the recession cone and are unbounded; every other ray
     lowers a coordinate toward 0 and is bounded.  M grows by depth-first
-    search through shared neighbours, so it is never guessed.
+    search through shared neighbours, so it is never guessed, and each
+    M is pushed once.
     """
     out = []
-    seen = set()
-    stack = [frozenset((m,)) for m in range(n) if m not in loops]
+    two = [_reach(adj, a) for a in adj]  # two tight pairs away
+    stack = [(1 << m, adj[m], two[m]) for m in range(n) if not loops >> m & 1]
+    seen = {minus for minus, _, _ in stack}
     while stack:
-        minus = stack.pop()
-        if minus in seen:
-            continue
-        seen.add(minus)
-        plus = frozenset(q for m in minus for q in adj[m])
+        minus, plus, grow = stack.pop()
         if not _bipartite_components(adj, minus | plus, loops):
             out.append((minus, plus))
-        for q in plus:
-            for m in adj[q]:
-                if m not in minus and m not in plus and m not in loops:
-                    stack.append(minus | {m})
+        for m in _bits(grow & ~(minus | plus | loops)):
+            bigger = minus | 1 << m
+            if bigger not in seen:
+                seen.add(bigger)
+                stack.append((bigger, plus | adj[m], grow | two[m]))
     return out
 
 
-def tight_span(metric: FiniteMetric, cap: int = 7) -> tuple[frozenset, frozenset]:
-    """Vertices and edges of the tight span, as tuples of Fractions.
+def _extend(d, rows, p: list[int], n: int) -> tuple[int, ...] | None:
+    # a distance-preserving permutation that begins with p, by backtracking
+    k = len(p)
+    if k == n:
+        return tuple(p)
+    dk = d[k]
+    for t in range(n):
+        if t in p or rows[t] != rows[k]:
+            continue
+        dt = d[t]
+        if all(dt[p[j]] == dk[j] for j in range(k)):
+            p.append(t)
+            found = _extend(d, rows, p, n)
+            if found is not None:
+                return found
+            p.pop()
+    return None
 
-    Walks the vertices of P(d) = {f : f_i + f_j >= d_ij, f_i >= 0} along
-    its bounded edges, from the distance row of point 0.  The vertices
-    are half-integral, since the tight graph pinning one has an odd
-    cycle or a zero in every component; the walk therefore runs on
-    doubled integers and every step is an exact integer.  Edges are
-    pairs (u, v) with u < v.
+
+def _symmetries(d, n: int) -> list[tuple[int, ...]]:
+    """Generators of the isometry group of the metric d, from d alone.
+
+    For each point i and each point c > i, one permutation p with
+    d[p[a]][p[b]] == d[a][b] that fixes 0..i-1 and sends i to c, if any
+    exists (a backtracking search, pruned by each point's sorted
+    distances).  These are the transversals of the stabiliser chain of
+    0, 1, ..., so they generate the whole group without listing it.
     """
+    rows = [sorted(r) for r in d]
+    gens = []
+    for i in range(n):
+        for c in range(i + 1, n):
+            if rows[c] == rows[i]:
+                p = _extend(d, rows, [*range(i), c], n)
+                if p is not None:
+                    gens.append(p)
+    return gens
+
+
+def _close(item, found: set, images) -> None:
+    """Add the orbit of item to found, by closure under images(x)."""
+    found.add(item)
+    todo = [item]
+    while todo:
+        for y in images(todo.pop()):
+            if y not in found:
+                found.add(y)
+                todo.append(y)
+
+
+def _span(metric: FiniteMetric, gens) -> tuple[frozenset, frozenset]:
+    """tight_span's walk, computing rays at one vertex per orbit of the
+    group generated by the permutations gens; with none, every vertex."""
     n = metric.n
-    if n > cap:
-        raise TooLarge(f"{n} points exceeds the cap {cap}")
     d2 = [[2 * x for x in row] for row in metric.d]
+    moves = [itemgetter(*p) for p in gens]
+
+    def vertex_images(f2):
+        return (g(f2) for g in moves)
+
+    def edge_images(edge):
+        for g in moves:
+            u, v = g(edge[0]), g(edge[1])
+            yield (u, v) if u < v else (v, u)
+
     start = tuple(d2[0]) if n else ()
-    seen = {start}
+    seen: set = set()
+    edges: set = set()
+    _close(start, seen, vertex_images)
     stack = [start]
-    edges = set()
     while stack:
         f2 = stack.pop()
         adj, loops = _tight_graph(f2, d2, n)
         for minus, plus in _bounded_rays(n, adj, loops):
             # twice the step to the first constraint that turns tight;
             # x_i + x_j is -2 on pairs inside M, -1 from M to the rest
-            twice = min(2 * f2[i] for i in minus)
-            for i in minus:
-                for j in range(n):
-                    if j != i and j not in plus:
-                        slack = f2[i] + f2[j] - d2[i][j]
-                        twice = min(twice, slack if j in minus else 2 * slack)
+            ms = _bits(minus)
+            rest = _bits(((1 << n) - 1) & ~(minus | plus))
+            twice = min(2 * f2[i] for i in ms)
+            for i in ms:
+                fi, row = f2[i], d2[i]
+                for j in ms:
+                    if j != i:
+                        twice = min(twice, fi + f2[j] - row[j])
+                for j in rest:
+                    twice = min(twice, 2 * (fi + f2[j] - row[j]))
             step, odd = divmod(twice, 2)
             if odd:
                 raise NotExtremal(f"the edge from {f2}/2 ends off the lattice")
             g2 = tuple(
-                x - step if i in minus else x + step if i in plus else x
+                x - step if minus >> i & 1 else x + step if plus >> i & 1 else x
                 for i, x in enumerate(f2)
             )
-            edges.add((min(f2, g2), max(f2, g2)))
+            edge = (f2, g2) if f2 < g2 else (g2, f2)
+            if edge not in edges:
+                _close(edge, edges, edge_images)
             if g2 not in seen:
-                seen.add(g2)
+                _close(g2, seen, vertex_images)
                 stack.append(g2)
 
-    def half(f2):
-        return tuple(Fraction(x, 2) for x in f2)
+    # each distinct doubled value is halved once: int when even, Fraction
+    # when odd (imported only then: the model metrics' spans have none)
+    half = {x: x // 2 for f2 in seen for x in f2}
+    odd = [x for x in half if x % 2]
+    if odd:
+        from fractions import Fraction
 
+        half.update((x, Fraction(x, 2)) for x in odd)
+    halved = {f2: tuple(map(half.__getitem__, f2)) for f2 in seen}
     return (
-        frozenset(half(f2) for f2 in seen),
-        frozenset((half(u), half(v)) for u, v in edges),
+        frozenset(halved.values()),
+        frozenset((halved[u], halved[v]) for u, v in edges),
     )
 
 
+def tight_span(metric: FiniteMetric, cap: int = 7) -> tuple[frozenset, frozenset]:
+    """Vertices and edges of the tight span, as tuples of exact numbers:
+    int where a coordinate is integral, Fraction where it is a half.
+
+    Walks the vertices of P(d) = {f : f_i + f_j >= d_ij, f_i >= 0} along
+    its bounded edges, from the distance row of point 0.  The vertices
+    are half-integral, since the tight graph pinning one has an odd
+    cycle or a zero in every component; the walk therefore runs on
+    doubled integers and every step is an exact integer.  It computes
+    rays only at one vertex per orbit of the metric's isometry group
+    (_symmetries) and adds the images of every vertex and edge it meets.
+    Edges are pairs (u, v) with u < v.  The tuples compare and hash equal
+    to the same values as Fractions or ints.
+    """
+    n = metric.n
+    if n > cap:
+        raise TooLarge(f"{n} points exceeds the cap {cap}")
+    return _span(metric, _symmetries(metric.d, n))
+
+
 def tight_span_vertices(metric: FiniteMetric, cap: int = 7) -> frozenset:
-    """All 0-faces of the tight span, as tuples of Fractions."""
+    """All 0-faces of the tight span, as tuples of exact numbers."""
     return tight_span(metric, cap)[0]
 
 
 def tight_span_edges(vertices, metric: FiniteMetric) -> frozenset:
     """Unordered vertex pairs whose midpoint lies on a 1-face.
 
+    Vertices are tuples of ints and Fractions, as tight_span gives them.
     The midpoint must be extremal and its tight-pair graph must leave
     exactly one degree of freedom; the solution space of the tight system
     has dimension equal to the number of bipartite components of that
@@ -270,8 +388,8 @@ def tight_span_edges(vertices, metric: FiniteMetric) -> frozenset:
     n = metric.n
     vs = sorted(vertices)
     # with s clearing every denominator, u + v is 2s times the midpoint
-    s = math.lcm(*(Fraction(x).denominator for f in vs for x in f))
-    ints = [tuple(int(Fraction(x) * s) for x in f) for f in vs]
+    s = math.lcm(*(x.denominator for f in vs for x in f))
+    ints = [tuple(int(x * s) for x in f) for f in vs]
     scaled = FiniteMetric.from_rows([[2 * s * x for x in r] for r in metric.d])
     d = scaled.d
     out = set()
@@ -280,12 +398,12 @@ def tight_span_edges(vertices, metric: FiniteMetric) -> frozenset:
             mid = tuple(x + y for x, y in zip(ints[a], ints[b]))
             if not is_extremal(mid, scaled):
                 continue
-            adj: list[list[int]] = [[] for _ in range(n)]
+            adj = [0] * n
             for i in range(n):
                 for j in range(i + 1, n):
                     if mid[i] + mid[j] == d[i][j]:
-                        adj[i].append(j)
-                        adj[j].append(i)
+                        adj[i] |= 1 << j
+                        adj[j] |= 1 << i
             if _bipartite_components(adj) == 1:
                 out.add((vs[a], vs[b]))
     return frozenset(out)

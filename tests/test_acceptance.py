@@ -121,7 +121,7 @@ def test_05_oracle_agrees_with_construction():
     for kind, n in (
         ("cycle", 3), ("cycle", 5), ("cycle", 7),
         ("xn", 3), ("xn", 4), ("xn", 5), ("xn", 6),
-        ("cycle", 9), ("xn", 8),
+        ("cycle", 9), ("xn", 8), ("cycle", 11), ("xn", 9),
     ):
         metric = FiniteMetric.from_rows(model_matrix(kind, n))
         verts = tight_span_vertices(metric, cap=n)
@@ -139,8 +139,8 @@ def test_05_oracle_agrees_with_construction():
     elapsed = time.time() - t0
     assert elapsed < 120.0
     print(
-        "PASS criterion 5: oracle = construction on C_3,C_5,C_7,C_9,"
-        "X_3..X_6,X_8 "
+        "PASS criterion 5: oracle = construction on C_3,C_5,C_7,C_9,C_11,"
+        "X_3..X_6,X_8,X_9 "
         f"({elapsed:.1f}s)"
     )
 

@@ -338,7 +338,8 @@ def test_hull_exports_write_in_few_blocks(monkeypatch):
 def test_each_command_imports_only_what_it_runs(tmp_path):
     # one fresh interpreter per command: the cyclehull modules it loads,
     # no dataclasses or its imports (inspect pulls in dis, ast, ...), and
-    # exact fractions only for the oracle
+    # exact fractions only for an oracle whose span has a half-integral
+    # coordinate: the uniform triangle's centre (1/2, 1/2, 1/2), not C_5
     code = (
         "import contextlib, io, sys\n"
         "from cyclehull import cli\n"
@@ -349,6 +350,8 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         " *sorted(m for m in sys.modules if m.startswith('cyclehull.')))"
     )
     metric = write_metric(tmp_path, "cycle", 5)
+    triangle = tmp_path / "triangle.txt"
+    triangle.write_text("3\n0 1 1\n1 0 1\n1 1 0\n")
     rows = (
         (["--help"], []),
         (["census", "--n", "7"], ["census"]),
@@ -366,6 +369,7 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         (["oracle", "--metric", metric], ["oracle"]),
         (["oracle", "--metric", metric, "--compare", "cycle:5"],
          ["hull", "oracle", "partitions"]),
+        (["oracle", "--metric", str(triangle)], ["oracle"]),
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for argv, modules in rows:
@@ -373,7 +377,7 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
             [sys.executable, "-c", code, *argv],
             capture_output=True, text=True, env=env,
         )
-        fractions = str(argv[0] == "oracle")
+        fractions = str(str(triangle) in argv)
         assert proc.stdout.split() == [
             "0", "False", "False", fractions, fractions,
             *(f"cyclehull.{m}" for m in sorted(["cli", *modules])),

@@ -293,20 +293,41 @@ def test_rim_vertex_solution_matches_constructions():
     for lam in Y7:
         sites = [(i % n, j % n) for i, j in outer_rim(lam, n).sites]
         assert len(sites) == n
-        adj = [[] for _ in range(n)]
-        loops = set()
+        adj = [0] * n
+        loops = 0
         for i, j in sites:
             if i == j:
-                loops.add(i)
+                loops |= 1 << i
             else:
-                adj[i].append(j)
-                adj[j].append(i)
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
         assert _bipartite_components(adj, loops=loops) == 0
         f = f_vertex(lam, n)
         g = g_vertex(fold(lam, n), n)
         for i, j in sites:
             assert f[i] + f[j] == xn_distance(i, j, n)
             assert g[i] + g[j] == cycle_distance(i, j, n)
+
+
+def conjugate(lam):
+    """The transposed diagram: its j-th part counts the parts above j."""
+    return tuple(sum(p > j for p in lam) for j in range(lam[0] if lam else 0))
+
+
+def test_conjugation_reflects_both_hulls():
+    # lam -> lam' maps each pool onto itself, keeps the corner rows'
+    # count and reverses the vertex function: the reflection j -> -j of
+    # the dihedral isometry group, beside the rotation tau
+    for kind, top in (("cycle", 15), ("xn", 13)):
+        for n in range(1, top + 1):
+            hull = build_hull(kind, n)
+            rows = hull.faces.corner_rows
+            for lam, f in hull.vertices.items():
+                mu = conjugate(lam)
+                assert mu in hull.vertices, (kind, n, lam)
+                assert len(rows[mu]) == len(rows[lam]), (kind, n, lam)
+                g = hull.vertices[mu]
+                assert all(g[j] == f[-j % n] for j in range(n)), (kind, n, lam)
 
 
 def _reference_corner_rows(kind, lam, n):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +12,8 @@ from cyclehull.oracle import (
     FiniteMetric,
     NotExtremal,
     TooLarge,
+    _span,
+    _symmetries,
     _tight_graph,
     is_extremal,
     is_feasible,
@@ -252,10 +255,96 @@ def test_walk_reaches_past_seven_points():
 def test_tight_graph_rejects_non_vertices():
     d2 = [[0, 2], [2, 0]]  # two points at distance 1, doubled
     adj, loops = _tight_graph((0, 2), d2, 2)
-    assert adj == [[1], [0]] and loops == {0}
+    assert adj == [0b10, 0b01] and loops == 0b01
     with pytest.raises(NotExtremal, match="violated"):
         _tight_graph((0, 1), d2, 2)
     with pytest.raises(NotExtremal, match="negative"):
         _tight_graph((-1, 4), d2, 2)
     with pytest.raises(NotExtremal, match="not pinned"):
         _tight_graph((2, 2), d2, 2)
+
+
+def graph_metric(n, pairs):
+    """Shortest-path metric of a connected graph on n points."""
+    d = [[0 if i == j else n for j in range(n)] for i in range(n)]
+    for i, j in pairs:
+        d[i][j] = d[j][i] = 1
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return FiniteMetric.from_rows(d)
+
+
+def symmetric_metrics():
+    """Metrics with large isometry groups: uniform metrics, K_{3,3}, the
+    3-cube Q_3, the Petersen graph and seeded circulant graphs."""
+    out = [
+        FiniteMetric.from_rows(
+            [[0 if i == j else w for j in range(n)] for i in range(n)]
+        )
+        for n in range(1, 10) for w in (1, 2)
+    ]
+    out.append(graph_metric(6, [(i, 3 + j) for i in range(3) for j in range(3)]))
+    out.append(graph_metric(
+        8, [(i, i ^ b) for i in range(8) for b in (1, 2, 4) if i < i ^ b]
+    ))
+    out.append(graph_metric(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    ))
+    rng = random.Random(22)
+    for _ in range(12):
+        n = rng.randint(5, 9)
+        jumps = {1} | {s for s in range(2, n // 2 + 1) if rng.random() < 0.4}
+        out.append(graph_metric(
+            n, [(i, (i + s) % n) for i in range(n) for s in jumps]
+        ))
+    return out
+
+
+def test_orbit_walk_equals_blind_walk():
+    metrics = random_metrics(2013, 200) + symmetric_metrics()
+    for metric in metrics:
+        assert tight_span(metric, cap=metric.n) == _span(metric, ()), metric.d
+
+
+def test_symmetries_preserve_the_metric():
+    for metric in random_metrics(2013, 60) + symmetric_metrics():
+        n, d = metric.n, metric.d
+        for p in _symmetries(d, n):
+            assert sorted(p) == list(range(n))
+            assert all(d[p[a]][p[b]] == d[a][b]
+                       for a in range(n) for b in range(n))
+
+
+def group_order(gens, n):
+    """Order of the permutation group generated by gens, by closure."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        g = todo.pop()
+        for p in gens:
+            h = tuple(p[x] for x in g)
+            if h not in group:
+                group.add(h)
+                todo.append(h)
+    return len(group)
+
+
+def test_symmetries_of_the_models_are_dihedral():
+    for kind in ("cycle", "xn"):
+        for n in range(3, 12):
+            gens = _symmetries(model_matrix(kind, n), n)
+            assert group_order(gens, n) == 2 * n, (kind, n)
+
+
+def test_symmetries_of_a_uniform_metric_are_fast():
+    n = 20
+    d = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+    t0 = time.perf_counter()
+    gens = _symmetries(d, n)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(gens) == n * (n - 1) // 2
