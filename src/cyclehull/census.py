@@ -1,17 +1,18 @@
 """Exact census of the hull complexes in closed forms.
 
-Everything is computed in Z[t] with arbitrary-precision integers: dense
-polynomials (TPoly) and the handful of integer sequences (Lucas,
-Fibonacci, Catalan) that the face counts specialize to.  No floating
-point and no radicals anywhere; the closed forms that are usually
-written with square roots are certified through the equivalent
-polynomial recurrences instead.
+Every count is an arbitrary-precision integer: the coefficients of a
+polynomial in t (TPoly, which holds, evaluates and prints them) and the
+handful of integer sequences (Lucas, Fibonacci, Catalan) that the face
+counts specialize to.  No floating point and no radicals anywhere; the
+closed forms that are usually written with square roots are certified
+through the equivalent polynomial recurrences instead.
 
 Each count is the closed form of a transfer-matrix trace: the corner
 enumerator's coefficients count the matchings of the N-cycle, and
 count_band, for a band of any half-width and either parity of N, is a
-sum of binomials by André's reflection.  The matrices themselves are
-kept beside the tests, which check the closed forms against them.
+sum of binomials by André's reflection.  The matrices, and the Z[t]
+arithmetic they run on, are kept beside the tests, which check the
+closed forms against them.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ class IdentityFailure(ValueError):
 
 
 class TPoly:
-    """Dense univariate polynomial over arbitrary-precision integers.
+    """A polynomial in t as its integer coefficients, lowest degree first.
 
     Immutable; trailing zero coefficients are never stored, so the zero
-    polynomial has an empty coefficient tuple and degree None.
+    polynomial has an empty coefficient tuple.  It holds, evaluates and
+    prints the census; the arithmetic of Z[t] is a reference beside the
+    tests.  Equality and hashing go by the coefficient tuple.
     """
 
     __slots__ = ("coeffs",)
@@ -48,74 +51,8 @@ class TPoly:
     def __setattr__(self, *a):
         raise AttributeError("TPoly is immutable")
 
-    @classmethod
-    def const(cls, c: int) -> "TPoly":
-        return cls((c,))
-
-    @property
-    def degree(self):
-        """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
     def coeff(self, v: int) -> int:
         return self.coeffs[v] if 0 <= v < len(self.coeffs) else 0
-
-    def _as_poly(self, other):
-        if isinstance(other, TPoly):
-            return other
-        if isinstance(other, int):
-            return TPoly((other,))
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._as_poly(other)
-        if o is NotImplemented:
-            return o
-        n = max(len(self.coeffs), len(o.coeffs))
-        return TPoly(
-            tuple(self.coeff(v) + o.coeff(v) for v in range(n))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._as_poly(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._as_poly(other)
-        if o is NotImplemented:
-            return o
-        if not self.coeffs or not o.coeffs:
-            return TPoly(())
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    out[i + j] += a * b
-        return TPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError(f"TPoly power needs n >= 0, got {n}")
-        out = TPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __call__(self, x: int) -> int:
         out = 0
@@ -124,8 +61,9 @@ class TPoly:
         return out
 
     def __eq__(self, other):
-        o = self._as_poly(other)
-        return NotImplemented if o is NotImplemented else self.coeffs == o.coeffs
+        if not isinstance(other, TPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -151,11 +89,6 @@ class TPoly:
             else:
                 s += (" + " if c > 0 else " - ") + term
         return s
-
-
-ZERO = TPoly(())
-ONE = TPoly((1,))
-T = TPoly((0, 1))
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -195,13 +128,15 @@ def face_polynomial(n: int) -> TPoly:
     w = (1+u)^N + (1-u)^N solves (1-u^2) w'' + 2(N-1) u w' = N(N-1) w, so
       5(v+1)(v+2) f_(v+2) = (v+1)(5N-7-9v) f_(v+1) - (2v-N)(2v-N+1) f_v
     by exact divisions from f_0 = L_N and f_1 = N F_(N-1), checked at the
-    end by p(1) = 2^N - 1 and p(-1) = 1.  Even N: (2 + t)^(N/2), the face
-    polynomial of a cube.  N = 1: a single point, [L_1, F_0] = [1, 0].
+    end by p(1) = 2^N - 1 and p(-1) = 1.  Even N = 2k: the face polynomial
+    of the k-cube, (2 + t)^k, whose coefficient of t^v is C(k, v) 2^(k-v).
+    N = 1: a single point, [L_1, F_0] = [1, 0].
     """
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
     if n % 2 == 0:
-        return TPoly((2, 1)) ** (n // 2)
+        k = n // 2
+        return TPoly(math.comb(k, v) << (k - v) for v in range(k + 1))
     lucas, fib = _lucas_fibonacci(n)
     f = [lucas, n * _exact_div(lucas - fib, 2)]  # L_N - F_N = 2 F_(N-1)
     for v in range(n // 2 - 1):
@@ -289,19 +224,3 @@ def count_band(n: int, m: int) -> int:
         c = c * math.perm(n - j, p) // math.perm(j + p, p)
         j += p
     return _exact_div(2**n - p * hits, 2)
-
-
-def circcirc_count(k: int) -> int:
-    """Number of singleton-fibre band partitions for N = 2k+1.
-
-    Coefficient of q^k in (1 + 3q) / (1 - q - 2q^2 - q^3), by the linear
-    recurrence u_k = u_(k-1) + 2 u_(k-2) + u_(k-3).
-    """
-    if k < 0:
-        raise ValueError(f"circcirc_count needs k >= 0, got {k}")
-    u = [1, 4, 6]
-    if k < 3:
-        return u[k]
-    for _ in range(3, k + 1):
-        u.append(u[-1] + 2 * u[-2] + u[-3])
-    return u[-1]

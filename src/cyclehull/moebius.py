@@ -39,8 +39,6 @@ from .partitions import (
     require_circ,
     require_YN,
     rim_walk,
-    tau,
-    young_distance,
 )
 
 Site = tuple[int, int]
@@ -230,13 +228,6 @@ def fibre_factorization(lam0: Partition, n: int) -> str:
     )
 
 
-def enumerate_circcirc(n: int) -> tuple[Partition, ...]:
-    """Partitions of Y_N° whose fold fibre is a singleton."""
-    return tuple(
-        lam for lam in enumerate_circ(n) if fold_fibre_size(lam, n) == 1
-    )
-
-
 def double_embed(lam: Partition, n: int) -> Partition:
     """Embed Y_N° into Y_2N° (N odd) compatibly with the squared shift.
 
@@ -260,8 +251,3 @@ def double_embed(lam: Partition, n: int) -> Partition:
     image = make_partition((*out, p[k]))
     require_circ(image, 2 * n)
     return image
-
-
-def tau_equivariance_defect(lam: Partition, n: int) -> int:
-    """young_distance(fold(tau lam), tau(fold lam)); zero when equivariant."""
-    return young_distance(fold(tau(lam, n), n), tau(fold(lam, n), n))

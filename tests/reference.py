@@ -10,12 +10,17 @@ makes the strip one-sided.  The package reads the band, its corners, the
 fold and the Catalan word off a partition's rows; the tests check those
 row rules against this form.
 
-The transfer-matrix certification of the census.  The 3x3 matrices Z, S,
-A over Z[t] encode how a rim segment crossing one period of the band
-m = 1 extends site by site; a summand t^s stands for a rim with s
-foldable inner corners, so traces of matrix words enumerate band
-partitions weighted by corner count.  The census itself uses the closed
-forms those traces take.
+The ring Z[t] (Poly, a census.TPoly with + - * ** and degree; ZERO, ONE
+and T) and the transfer-matrix certification of the census on it.  The
+3x3 matrices Z, S, A over Z[t] encode how a rim segment crossing one
+period of the band m = 1 extends site by site; a summand t^s stands for
+a rim with s foldable inner corners, so traces of matrix words
+enumerate band partitions weighted by corner count.  The census itself
+prints the closed forms those traces take.
+
+The doubly folded family Y_N°° (the band partitions whose fold fibre is
+a singleton), counted by a recurrence and by a matrix trace, and the
+fold's tau-equivariance defect.
 
 The maximal cubes of the odd cycle hull as shifts of one staircase cube,
 which hull.Faces.max_cubes reads off the corner rows a built hull holds
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from cyclehull.census import ONE, T, ZERO, IdentityFailure, TPoly
+from cyclehull.census import IdentityFailure, TPoly
 from cyclehull.hull import CubeCoverFailure, Face
 from cyclehull.moebius import (
     InvalidRim,
@@ -34,6 +39,8 @@ from cyclehull.moebius import (
     Site,
     circ_inner_corners,
     enumerate_circ,
+    fold,
+    fold_fibre_size,
     outer_rim,
 )
 from cyclehull.partitions import (
@@ -43,6 +50,7 @@ from cyclehull.partitions import (
     make_partition,
     size,
     tau,
+    young_distance,
 )
 
 
@@ -105,19 +113,98 @@ def boundary_loop(n: int) -> tuple[Site, ...]:
     return tuple(canon_site(x, x + k - 1, n) for x in range(n))
 
 
-def compose(p: TPoly, inner: TPoly) -> TPoly:
+class Poly(TPoly):
+    """A census.TPoly with the arithmetic of Z[t]; every result is a Poly.
+
+    An int operand stands for the constant polynomial.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def const(cls, c: int) -> "Poly":
+        return cls((c,))
+
+    @property
+    def degree(self):
+        """Degree, or None for the zero polynomial."""
+        return len(self.coeffs) - 1 if self.coeffs else None
+
+    @staticmethod
+    def _as_poly(other):
+        if isinstance(other, TPoly):
+            return Poly(other.coeffs)
+        if isinstance(other, int):
+            return Poly((other,))
+        return NotImplemented
+
+    def __add__(self, other):
+        o = self._as_poly(other)
+        if o is NotImplemented:
+            return o
+        n = max(len(self.coeffs), len(o.coeffs))
+        return Poly(self.coeff(v) + o.coeff(v) for v in range(n))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        o = self._as_poly(other)
+        if o is NotImplemented:
+            return o
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._as_poly(other)
+        if o is NotImplemented:
+            return o
+        if not self.coeffs or not o.coeffs:
+            return ZERO
+        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(o.coeffs):
+                    out[i + j] += a * b
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"Poly power needs n >= 0, got {n}")
+        out = ONE
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+
+ZERO = Poly(())
+ONE = Poly((1,))
+T = Poly((0, 1))
+
+
+def compose(p: TPoly, inner: Poly) -> Poly:
     """Substitute inner for t in p, by Horner evaluation in Z[t]."""
-    out = TPoly(())
+    out = ZERO
     for c in reversed(p.coeffs):
-        out = out * inner + TPoly((c,))
+        out = out * inner + c
     return out
 
 
 @dataclass(frozen=True)
 class TMatrix:
-    """Small square matrix over TPoly."""
+    """Small square matrix over Poly."""
 
-    rows: tuple[tuple[TPoly, ...], ...]
+    rows: tuple[tuple[Poly, ...], ...]
 
     def __post_init__(self):
         d = len(self.rows)
@@ -127,7 +214,7 @@ class TMatrix:
     @classmethod
     def from_rows(cls, rows) -> "TMatrix":
         conv = tuple(
-            tuple(x if isinstance(x, TPoly) else TPoly((x,)) for x in row)
+            tuple(x if isinstance(x, Poly) else Poly((x,)) for x in row)
             for row in rows
         )
         return cls(conv)
@@ -174,7 +261,7 @@ class TMatrix:
             )
         )
 
-    def scale(self, p: TPoly) -> "TMatrix":
+    def scale(self, p: Poly) -> "TMatrix":
         return TMatrix(tuple(tuple(p * a for a in r) for r in self.rows))
 
     def power(self, n: int) -> "TMatrix":
@@ -189,7 +276,7 @@ class TMatrix:
             n >>= 1
         return out
 
-    def trace(self) -> TPoly:
+    def trace(self) -> Poly:
         return sum((self.rows[i][i] for i in range(self.dim)), ZERO)
 
 
@@ -211,9 +298,36 @@ def matrix_circcirc() -> tuple[TMatrix, TMatrix]:
     return m, w
 
 
+def circcirc_count(k: int) -> int:
+    """Number of singleton-fibre band partitions for N = 2k+1.
+
+    Coefficient of q^k in (1 + 3q) / (1 - q - 2q^2 - q^3), by the linear
+    recurrence u_k = u_(k-1) + 2 u_(k-2) + u_(k-3).
+    """
+    if k < 0:
+        raise ValueError(f"circcirc_count needs k >= 0, got {k}")
+    u = [1, 4, 6]
+    if k < 3:
+        return u[k]
+    for _ in range(3, k + 1):
+        u.append(u[-1] + 2 * u[-2] + u[-3])
+    return u[-1]
+
+
+def enumerate_circcirc(n: int) -> tuple[Partition, ...]:
+    """Partitions of Y_N° whose fold fibre is a singleton."""
+    return tuple(
+        lam for lam in enumerate_circ(n) if fold_fibre_size(lam, n) == 1
+    )
+
+
+def tau_equivariance_defect(lam: Partition, n: int) -> int:
+    """young_distance(fold(tau lam), tau(fold lam)); zero when equivariant."""
+    return young_distance(fold(tau(lam, n), n), tau(fold(lam, n), n))
+
+
 def circcirc_trace(k: int) -> int:
-    """The same count as census.circcirc_count, via the 3x3 transfer
-    matrices."""
+    """The same count as circcirc_count, via the 3x3 transfer matrices."""
     if k < 0:
         raise ValueError(f"circcirc_trace needs k >= 0, got {k}")
     m, w = matrix_circcirc()
@@ -223,7 +337,7 @@ def circcirc_trace(k: int) -> int:
     return p.coeff(0)
 
 
-def _series_mul(a: list[TPoly], b: list[TPoly], order: int) -> list[TPoly]:
+def _series_mul(a: list[Poly], b: list[Poly], order: int) -> list[Poly]:
     out = [ZERO] * (order + 1)
     for i, x in enumerate(a[: order + 1]):
         for j, y in enumerate(b[: order + 1]):

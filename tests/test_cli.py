@@ -525,7 +525,7 @@ def expect(error, call, *args):
         print(error.__name__)
 
 expect(BadParity, max_cube_decomposition, 4)
-expect(ValueError, census.T.__pow__, -1)
+expect(ValueError, reference.T.__pow__, -1)
 expect(ValueError, reference.matrix_S().power, -1)
 expect(IdentityFailure, census._exact_div, 3, 2)
 expect(NotExtremal, _tight_graph, (2, 2), [[0, 2], [2, 0]], 2)

@@ -17,14 +17,12 @@ from cyclehull.moebius import (
     double_embed,
     enumerate_band_partitions,
     enumerate_circ,
-    enumerate_circcirc,
     fibre_factorization,
     fold,
     fold_fibre,
     fold_fibre_size,
     fold_trace,
     outer_rim,
-    tau_equivariance_defect,
 )
 from cyclehull.partitions import (
     BadBandIndex,
@@ -44,8 +42,10 @@ from reference import (
     boundary_loop,
     canon_site,
     delta,
+    enumerate_circcirc,
     in_band,
     rim_to_partition,
+    tau_equivariance_defect,
 )
 
 Y9 = enumerate_YN(9)
