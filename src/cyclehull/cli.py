@@ -41,26 +41,26 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_vertices(args) -> int:
-    from .hull import build_hull, json_chunks, vertex_lines
+    from .export import json_chunks, vertex_lines
 
-    hull = build_hull(args.space, args.n)
     if args.json:
-        _write_blocks(json_chunks(hull, faces=False))
+        _write_blocks(json_chunks(args.space, args.n, faces=False))
         print()
         return 0
-    _write_blocks(vertex_lines(hull))
+    _write_blocks(vertex_lines(args.space, args.n))
     return 0
 
 
 def _cmd_skeleton(args) -> int:
-    from .hull import build_hull, json_chunks, skeleton, to_dot
-
-    hull = build_hull(args.space, args.n)
     if args.format == "json":
-        _write_blocks(json_chunks(hull))
+        from .export import json_chunks
+
+        _write_blocks(json_chunks(args.space, args.n))
         print()
         return 0
-    sys.stdout.write(to_dot(skeleton(hull)))
+    from .hull import build_hull, skeleton, to_dot
+
+    sys.stdout.write(to_dot(skeleton(build_hull(args.space, args.n))))
     return 0
 
 

@@ -10,23 +10,23 @@ functions are read once per tau orbit: one walk gives the sizes of all N
 members, each from the last by |tau mu| = |mu| + N - 1 - 2 len(mu).  A
 v-face is the cube (top, removed): the partitions obtained from top by
 deleting any subset of v corner boxes.  Vertices and their corner rows
-come out of one partitions.corner_walk over the pool's row ranges,
-band_rows(n, 0, n) for Y_N and circ_rows for Y_N°, so both hulls take
-one path and its cost follows the number of vertices, not the 2^(N-1) of
-Y_N; the per-vertex rules removable_rows, f_vertex and g_vertex give the
-same answers one vertex at a time.  Faces stay implicit in each vertex's
-corner rows: the f-vector and edges are read off the rows, and faces are
-made on demand or streamed straight into the JSON export, one chunk per
-top and dimension, from text made once per removed-row subset.  Every
-export names and orders the vertices by one HullComplex.name_order, and
-makes the text of each distinct part and value once per hull: names join
-the texts of range(N), values are looked up in a table over the hull's
-own values (_numerals), so no export calls str() per printed int.  The
+come out of one partitions.corner_walk over the pool's row ranges
+(partitions.hull_pool: band_rows(n, 0, n) for Y_N, circ_rows for Y_N°),
+so both hulls take one path and its cost follows the number of
+vertices, not the 2^(N-1) of Y_N; the per-vertex rules removable_rows,
+f_vertex and g_vertex give the same answers one vertex at a time.
+Faces stay implicit in each vertex's corner rows: the f-vector and
+edges are read off the rows, and faces are made on demand.
+HullComplex.name_order names and orders the vertices of the DOT export,
+whose values are looked up in a table over the hull's own values
+(_numerals), so it calls str() once per distinct part and value.  The
 N maximal k-cubes of the odd cycle hull are read off the corner rows the
 hull already holds (Faces.max_cubes): their tops are the vertices with k
 corner rows, so skeleton gives each vertex its cube role and a DOT
-export walks Y_N° once.  Only retract_face needs moebius, for the fold,
-and imports it inside, so no hull command loads it.
+export walks Y_N° once.  The vertices and JSON exports build no hull:
+they stream from walks over the pool (export), and to_json returns that
+export.  Only retract_face needs moebius, for the fold, and imports it
+inside, so no hull command loads it.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .partitions import (
     Partition,
-    band_rows,
     circ_rows,
     corner_walk,
+    hull_pool,
     make_partition,
     require_circ,
-    require_space,
     require_YN,
     size,
     tau_orbit,
@@ -60,16 +59,10 @@ def f_vertex(lam: Partition, n: int) -> VertexFunction:
     return tuple(size(mu) for mu in tau_orbit(lam, n))
 
 
-def _cycle_offset(n: int) -> int:
-    # o = k(k-1)/2, the constant the C_N vertex functions sit below X_N's
-    k = n // 2
-    return k * (k - 1) // 2
-
-
 def g_vertex(lam: Partition, n: int) -> VertexFunction:
     """Vertex of the hull of C_N at lam: the f-values minus o = k(k-1)/2."""
     require_circ(lam, n)
-    o = _cycle_offset(n)
+    o = hull_pool("cycle", n)[1]
     return tuple(v - o for v in f_vertex(lam, n))
 
 
@@ -126,22 +119,13 @@ class Faces:
         return sum(1 << len(rows) for rows in self.corner_rows.values())
 
     def __iter__(self) -> Iterator[Face]:
-        for v, top, rows in self.groups():
-            for sub in combinations(rows, v):
-                yield Face(top, frozenset(sub))
-
-    def groups(self) -> Iterator[tuple[int, Partition, tuple[int, ...]]]:
-        """(v, top, rows) for the faces in order (dim, top, removed).
-
-        The v-faces with this top remove the subsets
-        combinations(rows, v), already in order; tops with fewer than v
-        corner rows are left out.
-        """
+        # the v-faces with this top remove the subsets combinations(rows, v),
+        # already in order, and none when it has fewer than v corner rows
         items = sorted(self.corner_rows.items())
         for v in range(max(map(len, self.corner_rows.values()), default=-1) + 1):
             for top, rows in items:
-                if len(rows) >= v:
-                    yield v, top, rows
+                for sub in combinations(rows, v):
+                    yield Face(top, frozenset(sub))
 
     def max_cubes(self, n: int) -> tuple[tuple[Face, ...], tuple[Partition, ...]]:
         """The N maximal k-cubes of C_N, N = 2k + 1, and the vertices on
@@ -196,7 +180,7 @@ class HullComplex(NamedTuple):
 
     def name_order(self) -> list[tuple[Partition, str]]:
         """(lam, format_partition(lam)) for every vertex, sorted by name
-        (so "10" before "2"), the order of every export.  Every part is
+        (so "10" before "2"), the order of the DOT export.  Every part is
         below N, so each name joins the texts of range(N), made once per
         hull, with no str() per part."""
         part = [str(i) for i in range(self.n)].__getitem__
@@ -209,21 +193,17 @@ class HullComplex(NamedTuple):
 def build_hull(kind: str, n: int) -> HullComplex:
     """Assemble the hull complex of X_N ('xn') or C_N ('cycle').
 
-    Both spaces take one path: the row ranges of a pool (all of Y_N with
-    band_rows(n, 0, n), or Y_N° with circ_rows) and the offset o.  One
-    corner_walk over the ranges lists the pool with the removable rows of
-    each member; faces with top lam are in bijection with subsets of
-    them.  Vertex functions are read once per tau orbit (tau_orbits over
+    Both spaces take one path: the row ranges of a pool and the offset o
+    (hull_pool: all of Y_N with band_rows(n, 0, n), or Y_N° with
+    circ_rows).  One corner_walk over the ranges lists the pool with the
+    removable rows of each member; faces with top lam are in bijection
+    with subsets of them.  Vertex functions are read once per tau orbit (tau_orbits over
     the walk's own dict, so an orbit that leaves the pool raises
     OrbitLeavesPool and one that does not close raises OrbitNotClosed);
     the sizes follow |tau mu| = |mu| + N - 1 - 2 len(mu).  The even cycle
     comes out a cube.
     """
-    require_space(kind, n)
-    if kind == "xn":
-        ranges, o = band_rows(n, 0, n), 0
-    else:
-        ranges, o = circ_rows(n), _cycle_offset(n)
+    ranges, o = hull_pool(kind, n)
     rows = dict(corner_walk(n, ranges))
     # f(tau^i lam) is f(lam) rotated by i places; an orbit of period p
     # lists each member N/p times, with the same rotation each time
@@ -303,76 +283,13 @@ def to_dot(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SHUT = '"\n  }'  # closes a face after its top's name
-
-
-def _face_text(removed: tuple[int, ...]) -> str:
-    # one face up to its top's name, led by the previous face's close and
-    # ",\n" as json.dumps(indent=1) prints them
-    rows = ",".join(f"\n    {r}" for r in removed)
-    bracket = "\n   ]" if removed else "]"
-    return _SHUT + ',\n  {\n   "removed": [' + rows + bracket + ',\n   "top": "'
-
-
-def json_chunks(complex_: HullComplex, faces: bool = True) -> Iterator[str]:
-    """The JSON export in pieces, made as they are written: one piece per
-    top and face dimension (Faces.groups), then one per vertex.
-
-    Joined, the pieces are json.dumps(doc, sort_keys=True, indent=1) of
-    {"faces": [{"removed": [...], "top": name}, ...], "n": N,
-    "space": kind, "vertices": {name: values}}, faces in Face.sort_key
-    order; faces=False leaves the "faces" key out.  A face's text depends
-    on its top only through the name, so the text of each removed-row
-    subset, cut where the name goes, is made once; it is led by the
-    previous face's close, so each piece ends on a name.  The v-faces
-    above a top are one template per (v, corner rows), a list of those
-    texts, and each piece is one str.join of the name into it.  Subsets
-    of v rows only occur in dimension v, so texts and templates are
-    dropped when v moves on.  Partition names are digits and commas, so
-    nothing needs escaping.  Without faces no name is looked up, so the
-    vertices are walked in name_order with no names dict.
-    """
-    yield "{\n"
-    if faces:
-        names = dict(complex_.name_order())
-        yield ' "faces": ['
-        texts: dict[tuple[int, ...], str] = {}
-        templates: dict[tuple[int, ...], list[str]] = {}
-        dim, skip = 0, len(_SHUT) + 1  # no face before the first to close, no ","
-        for v, top, rows in complex_.faces.groups():
-            if v != dim:
-                texts, templates, dim = {}, {}, v
-            template = templates.get(rows)
-            if template is None:
-                template = templates[rows] = []
-                for sub in combinations(rows, v):
-                    if sub not in texts:
-                        texts[sub] = _face_text(sub)
-                    template.append(texts[sub])
-                template.append("")
-            yield names[top].join(template)[skip:]
-            skip = 0
-        yield _SHUT + "\n ],\n"
-    yield f' "n": {complex_.n},\n "space": "{complex_.kind}",\n "vertices": {{'
-    numeral = _numerals(complex_.vertices.values())
-    sep = "\n"
-    for lam, name in names.items() if faces else complex_.name_order():
-        vals = ",\n   ".join(map(numeral, complex_.vertices[lam]))
-        yield f'{sep}  "{name}": [\n   {vals}\n  ]'
-        sep = ",\n"
-    yield "\n }\n}"
-
-
-def vertex_lines(complex_: HullComplex) -> Iterator[str]:
-    """The text export of the vertices: "name: values" per vertex in
-    name_order, space-separated values, the empty partition named "()"."""
-    numeral = _numerals(complex_.vertices.values())
-    for lam, name in complex_.name_order():
-        yield f"{name or '()'}: {' '.join(map(numeral, complex_.vertices[lam]))}\n"
-
-
 def to_json(complex_: HullComplex) -> str:
-    return "".join(json_chunks(complex_))
+    """The JSON export of the hull's kind and N, as `skeleton --format
+    json` prints it: export.json_chunks streams it from walks over the
+    pool, not from complex_, which only names the hull."""
+    from .export import json_chunks  # DOT and oracle --compare never load it
+
+    return "".join(json_chunks(complex_.kind, complex_.n))
 
 
 def max_cube_decomposition(n: int) -> tuple[tuple[Face, ...], tuple[Partition, ...]]:

@@ -183,6 +183,12 @@ def removable_rows(lam: Partition, rows: tuple[range, ...]) -> tuple[int, ...]:
     )
 
 
+def fewest_parts(rows: tuple[range, ...]) -> int:
+    """The fewest parts a partition over rows may have: it may end after
+    s parts only when every later row admits 0."""
+    return 1 + max((s for s, row in enumerate(rows) if 0 not in row), default=-1)
+
+
 def corner_walk(
     n: int, rows: tuple[range, ...]
 ) -> Iterator[tuple[Partition, tuple[int, ...]]]:
@@ -205,10 +211,7 @@ def corner_walk(
     lam is removable when it is above its range's low end, since the part
     after it is 0.
     """
-    # lam may end after s parts only when every later row admits 0
-    fewest = 1 + max(
-        (s for s, row in enumerate(rows) if 0 not in row), default=-1
-    )
+    fewest = fewest_parts(rows)
     if fewest == 0:
         yield (), ()
     starts = [row.start for row in rows]
@@ -397,3 +400,15 @@ def model_matrix(kind: str, n: int) -> tuple[tuple[int, ...], ...]:
     require_space(kind, n)
     distance = xn_distance if kind == "xn" else cycle_distance
     return tuple(tuple(distance(i, j, n) for j in range(n)) for i in range(n))
+
+
+def hull_pool(kind: str, n: int) -> tuple[tuple[range, ...], int]:
+    """The vertices of a hull as row ranges, and the offset o that its
+    vertex functions sit below X_N's: all of Y_N (band_rows(n, 0, n)) and
+    o = 0 for 'xn', Y_N° (circ_rows) and o = k(k-1)/2, k = N // 2, for
+    'cycle'."""
+    require_space(kind, n)
+    if kind == "xn":
+        return band_rows(n, 0, n), 0
+    k = n // 2
+    return circ_rows(n), k * (k - 1) // 2

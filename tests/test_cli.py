@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -335,6 +336,33 @@ def test_hull_exports_write_in_few_blocks(monkeypatch):
         assert out.writes <= len(want) // 65536 + 2, (argv, out.writes)
 
 
+class Sink(io.TextIOBase):
+    """A stdout that counts the lines written to it and keeps none."""
+
+    lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return len(text)
+
+
+def test_vertices_export_memory_does_not_grow_with_the_hull(monkeypatch):
+    # C_19 has L_19 = 9,349 vertices; the streamed export holds its path,
+    # its row tables and a 64 KiB block, about 1.2 MB at any N, where a
+    # built hull with its sorted names takes 6.8 MB at N = 19
+    out = Sink()
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        code = main(["vertices", "--n", "19", "--space", "cycle"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert (code, out.lines) == (0, 9349)
+    assert peak < 3 << 20, peak
+
+
 def test_each_command_imports_only_what_it_runs(tmp_path):
     # one fresh interpreter per command: the cyclehull modules it loads,
     # no dataclasses or its imports (inspect pulls in dis, ast, ...), and
@@ -362,8 +390,12 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         (["embed", "--n", "9", "--partition", "3,2,1"],
          ["moebius", "partitions"]),
         (["counts", "--n", "9", "--m", "1"], ["census", "partitions"]),
-        (["vertices", "--n", "9", "--space", "cycle"], ["hull", "partitions"]),
-        (["vertices", "--n", "9", "--space", "xn"], ["hull", "partitions"]),
+        (["vertices", "--n", "9", "--space", "cycle"], ["export", "partitions"]),
+        (["vertices", "--n", "9", "--space", "xn"], ["export", "partitions"]),
+        (["vertices", "--n", "9", "--space", "xn", "--json"],
+         ["export", "partitions"]),
+        (["skeleton", "--n", "9", "--space", "xn", "--format", "json"],
+         ["export", "partitions"]),
         (["skeleton", "--n", "9", "--space", "cycle", "--format", "dot"],
          ["hull", "partitions"]),
         (["oracle", "--metric", metric], ["oracle"]),
@@ -402,10 +434,12 @@ def test_oracle_metric_with_extra_rows_exits_two(capsys, tmp_path):
     assert err == "error: expected 2 rows, got 3\n"
 
 
+SPACES = [("cycle", n) for n in range(1, 18)] + [("xn", n) for n in range(1, 14)]
+
+
 def test_skeleton_json_equals_dumps_of_the_faces(capsys):
-    # xn 11 and 12 and cycle 13 print two-digit parts and values
-    for kind, n in (("cycle", 1), ("cycle", 2), ("cycle", 7), ("cycle", 8),
-                    ("cycle", 13), ("xn", 5), ("xn", 11), ("xn", 12)):
+    # xn 11 to 13 and cycle 13 to 17 print two-digit parts and values
+    for kind, n in SPACES:
         hull = build_hull(kind, n)
         doc = {
             "faces": [
@@ -424,12 +458,11 @@ def test_skeleton_json_equals_dumps_of_the_faces(capsys):
             "--format", "json",
         )
         assert code == 0
-        assert out == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        assert out == json.dumps(doc, sort_keys=True, indent=1) + "\n", (kind, n)
 
 
 def test_vertices_json_is_the_vertex_half(capsys):
-    for kind, n in (("cycle", 3), ("cycle", 7), ("cycle", 13), ("xn", 5),
-                    ("xn", 11), ("xn", 12)):
+    for kind, n in SPACES:
         hull = build_hull(kind, n)
         doc = {
             "space": kind,
@@ -443,23 +476,27 @@ def test_vertices_json_is_the_vertex_half(capsys):
             capsys, "vertices", "--n", str(n), "--space", kind, "--json"
         )
         assert code == 0
-        assert out == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        assert out == json.dumps(doc, sort_keys=True, indent=1) + "\n", (kind, n)
+        names = list(json.loads(out)["vertices"])
+        assert all(a < b for a, b in zip(names, names[1:])), (kind, n)
 
 
 def test_vertices_text_is_the_str_lines(capsys):
     # one line per vertex in the order of its format_partition name, its
-    # values through str: parts up to 16 and values up to 36
-    for kind, top in (("cycle", 17), ("xn", 12)):
-        for n in range(1, top + 1):
-            hull = build_hull(kind, n)
-            named = sorted(
-                (format_partition(lam), vals) for lam, vals in hull.vertices.items()
-            )
-            want = "".join(
-                f"{name or '()'}: {' '.join(map(str, vals))}\n" for name, vals in named
-            )
-            code, out, _ = run(capsys, "vertices", "--n", str(n), "--space", kind)
-            assert (code, out) == (0, want), (kind, n)
+    # values through str: parts up to 16 and values up to 42
+    for kind, n in SPACES:
+        hull = build_hull(kind, n)
+        named = sorted(
+            (format_partition(lam), vals) for lam, vals in hull.vertices.items()
+        )
+        want = "".join(
+            f"{name or '()'}: {' '.join(map(str, vals))}\n" for name, vals in named
+        )
+        code, out, _ = run(capsys, "vertices", "--n", str(n), "--space", kind)
+        assert (code, out) == (0, want), (kind, n)
+        names = [line.partition(": ")[0] for line in out.splitlines()]
+        names = ["" if name == "()" else name for name in names]
+        assert all(a < b for a, b in zip(names, names[1:])), (kind, n)
 
 
 def test_exports_list_vertices_in_name_order(capsys):

@@ -1,4 +1,5 @@
 import json
+import re
 
 from collections import Counter
 from itertools import combinations
@@ -21,11 +22,15 @@ from cyclehull.hull import (
     skeleton,
     to_dot,
     to_json,
-    vertex_lines,
 )
+from cyclehull.export import json_chunks, vertex_lines
 from cyclehull.moebius import enumerate_circ, fold, outer_rim
 from cyclehull.oracle import FiniteMetric, _bipartite_components
-from cyclehull import hull as hull_module, partitions as partitions_module
+from cyclehull import (
+    export as export_module,
+    hull as hull_module,
+    partitions as partitions_module,
+)
 from cyclehull.partitions import (
     OrbitLeavesPool,
     OrbitNotClosed,
@@ -34,8 +39,10 @@ from cyclehull.partitions import (
     cycle_distance,
     enumerate_YN,
     format_partition,
+    hull_pool,
     make_partition,
     rectangular,
+    rim_walk,
     tau,
     tau_orbit,
     xn_distance,
@@ -130,6 +137,32 @@ def test_build_hull_orbit_walk_keeps_its_checks(monkeypatch):
     monkeypatch.setattr("cyclehull.partitions.tau", lambda lam, n: ())
     with pytest.raises(OrbitNotClosed):
         build_hull("cycle", 5)
+
+
+def test_streamed_walk_keeps_the_orbit_check(monkeypatch):
+    # the exports check tau lam against the pool's rows at each vertex of
+    # the name walk: Y_7 without width 6 loses only tau () = (6,), Y_7
+    # without (5, 5) in row 2 loses tau (6,) = (5, 5); build_hull's orbit
+    # walk refuses both pools too
+    rows, _ = hull_pool("xn", 7)
+    for pool, leaver in (
+        ((range(0, 6), *rows[1:]), ()),
+        ((rows[0], range(0, 5), *rows[2:]), (6,)),
+    ):
+        members = rim_walk(7, pool)
+        assert [lam for lam in members if tau(lam, 7) not in members] == [leaver]
+        for module in (export_module, hull_module):
+            monkeypatch.setattr(module, "hull_pool", lambda kind, n: (pool, 0))
+        message = re.escape(f"orbit of {leaver or '()'} reaches {tau(leaver, 7)}")
+        for export in (
+            lambda: list(vertex_lines("xn", 7)),
+            lambda: list(json_chunks("xn", 7, faces=False)),
+            lambda: list(json_chunks("xn", 7)),
+        ):
+            with pytest.raises(OrbitLeavesPool, match=message):
+                export()
+        with pytest.raises(OrbitLeavesPool):
+            build_hull("xn", 7)
 
 
 def test_face_members():
@@ -232,34 +265,42 @@ def test_names_list_every_vertex_once_in_name_order():
 
 
 def test_exports_name_each_vertex_once(monkeypatch):
-    # every export names the vertices by one name_order, which joins the
-    # texts of the parts and calls no format_partition
+    # skeleton names the vertices by one name_order; the vertices and
+    # JSON exports by one name walk, the JSON faces by one corner_walk;
+    # none calls format_partition
     hull = build_hull("cycle", 11)
     exports = (
-        ("skeleton", skeleton),
-        ("to_json", to_json),
-        ("vertices json", lambda h: "".join(hull_module.json_chunks(h, faces=False))),
-        ("vertex_lines", lambda h: "".join(vertex_lines(h))),
+        ("skeleton", skeleton, {"name_order": 1}),
+        ("to_json", to_json, {"name_walk": 1, "corner_walk": 1}),
+        ("vertices json", lambda h: "".join(json_chunks(h.kind, h.n, faces=False)),
+         {"name_walk": 1}),
+        ("vertex_lines", lambda h: "".join(vertex_lines(h.kind, h.n)),
+         {"name_walk": 1}),
     )
-    wants = [export(hull) for _, export in exports]
+    wants = [export(hull) for _, export, _ in exports]
     calls = Counter()
-    name_order = HullComplex.name_order
 
-    def counting_order(self):
-        calls["name_order"] += 1
-        return name_order(self)
+    def counting(label, call):
+        def counted(*args):
+            calls[label] += 1
+            return call(*args)
+        return counted
 
-    def counting_format(lam):
-        calls["format_partition"] += 1
-        return format_partition(lam)
-
-    monkeypatch.setattr(HullComplex, "name_order", counting_order)
-    monkeypatch.setattr(partitions_module, "format_partition", counting_format)
-    monkeypatch.setattr(hull_module, "format_partition", counting_format, raising=False)
-    for (label, export), want in zip(exports, wants):
+    monkeypatch.setattr(
+        HullComplex, "name_order", counting("name_order", HullComplex.name_order)
+    )
+    for name in ("name_walk", "corner_walk"):
+        monkeypatch.setattr(
+            export_module, name, counting(name, getattr(export_module, name))
+        )
+    format_partition_ = counting("format_partition", format_partition)
+    monkeypatch.setattr(partitions_module, "format_partition", format_partition_)
+    for module in (hull_module, export_module):
+        monkeypatch.setattr(module, "format_partition", format_partition_, raising=False)
+    for (label, export, want_calls), want in zip(exports, wants):
         calls.clear()
         assert export(hull) == want, label
-        assert calls == {"name_order": 1}, label
+        assert calls == want_calls, label
 
 
 def test_to_json_round_trip():
