@@ -14,8 +14,11 @@ vertex.  The JSON faces keep their tuple order: one corner_walk lists
 the tops, and one (name, corner rows) pair per vertex is held for them.
 
 An export streams as it walks, so one that finds a vertex whose tau
-image is outside the pool (OrbitLeavesPool) stops part way.  Neither the
-DOT export nor oracle --compare loads this module; they build the hull.
+image is outside the pool (OrbitLeavesPool) stops part way.  name_walk
+yields each vertex's partition too, and hull.build_hull keeps its
+functions from it, so every command takes its vertex functions from
+this one rule; the DOT export and oracle --compare load this module
+through hull.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Iterator
 
 from .partitions import (
     OrbitLeavesPool,
+    Partition,
     corner_walk,
     fewest_parts,
     hull_pool,
@@ -33,14 +37,15 @@ from .partitions import (
 )
 
 
-def name_walk(kind: str, n: int) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """(format_partition(lam), vertex function) for each vertex of the
-    hull, in name order: "" first, "10,..." before "2,...".
+def name_walk(kind: str, n: int) -> Iterator[tuple[Partition, str, tuple[int, ...]]]:
+    """(lam, format_partition(lam), vertex function) for each vertex of
+    the hull, in name order: "" first, "10,..." before "2,...".
 
-    A row's choices are the tuple of its parts in text order up to the
-    part above, each with its text, its N-tuple and the next row's
-    choices below it, made once per row and top.  The path is a stack of
-    iterators over choices, each with its prefix's name and function.
+    A row's choices are the tuple of its parts q in text order up to the
+    part above, each with its text, its N-tuple, (q,), the cap N - q on
+    the rows below a first part q, and the next row's choices below it,
+    made once per row and top.  The path is a stack of iterators over
+    choices, each with its prefix's partition, name and function.
 
     Each vertex checks that tau lam = (N - m - 1, lam_1 - 1, .., lam_m - 1)
     stays in the pool, in O(1): a part q > 1 in row r puts q - 1 in row
@@ -68,7 +73,8 @@ def name_walk(kind: str, n: int) -> Iterator[tuple[str, tuple[int, ...]]]:
                 "," + str(q) if s else str(q),
                 tuple(q - 2 * min(q, j) if s < n - j else q for j in range(n)),
                 0 if q == 1 else 1 if s + 1 < n and q - 1 in rows[s + 1] else drop,
-                q,
+                (q,),
+                n - q,
                 below[q] if below else (),
             )
         kids = tuple(
@@ -78,33 +84,33 @@ def name_walk(kind: str, n: int) -> Iterator[tuple[str, tuple[int, ...]]]:
     f0 = tuple(j * (n - j) - o for j in range(n))
     if fewest == 0:
         if least[0] > 0:
-            raise _leaves("", n)
-        yield "", f0
-    # per row of the path: the choices left, and the name, function and t
-    # of the prefix above it, with its cap N - lam_1 on the rows (0 above
-    # row 1, whose choice sets it)
-    stack = [(iter(kids[n - 1]), "", f0, 0, 0)]
+            raise _leaves((), n)
+        yield (), "", f0
+    # per row of the path: the choices left, and the partition, name,
+    # function and t of the prefix above it, with its cap N - lam_1 on the
+    # rows (0 above row 1, whose choice sets it)
+    stack = [(iter(kids[n - 1]), (), "", f0, 0, 0)]
     while stack:
-        choices, prefix, f, t, cap = stack[-1]
+        choices, above, prefix, f, t, cap = stack[-1]
         m = len(stack)
-        for text, step, shift, q, below in choices:
+        for text, step, shift, part, limit, below in choices:
+            lam = above + part
             name = prefix + text
             g = tuple(map(add, f, step))
             u = t + shift
             if m >= fewest:
                 if u < least[m]:
-                    raise _leaves(name, n)
-                yield name, g
-            most = cap or n - q
+                    raise _leaves(lam, n)
+                yield lam, name, g
+            most = cap or limit
             if below and m < most:
-                stack.append((iter(below), name, g, u, most))
+                stack.append((iter(below), lam, name, g, u, most))
                 break
         else:
             stack.pop()
 
 
-def _leaves(name: str, n: int) -> OrbitLeavesPool:
-    lam = tuple(map(int, name.split(","))) if name else ()
+def _leaves(lam: Partition, n: int) -> OrbitLeavesPool:
     return OrbitLeavesPool(
         f"the tau orbit of {lam or '()'} reaches {tau(lam, n) or '()'}"
     )
@@ -122,7 +128,7 @@ def vertex_lines(kind: str, n: int) -> Iterator[str]:
     """The text export of the vertices: "name: values" per vertex in name
     order, space-separated values, the empty partition named "()"."""
     numeral = _Numerals().__getitem__
-    for name, f in name_walk(kind, n):
+    for _, name, f in name_walk(kind, n):
         yield f"{name or '()'}: {' '.join(map(numeral, f))}\n"
 
 
@@ -184,7 +190,7 @@ def json_chunks(kind: str, n: int, faces: bool = True) -> Iterator[str]:
     yield f' "n": {n},\n "space": "{kind}",\n "vertices": {{'
     numeral = _Numerals().__getitem__
     sep = "\n"
-    for name, f in name_walk(kind, n):
+    for _, name, f in name_walk(kind, n):
         vals = ",\n   ".join(map(numeral, f))
         yield f'{sep}  "{name}": [\n   {vals}\n  ]'
         sep = ",\n"

@@ -4,27 +4,24 @@ A hull is plain data: its kind ('xn' or 'cycle'), N, the vertex
 functions and the faces.  Vertices of the hull of X_N are indexed by all
 of Y_N, vertices of the hull of C_N by the band partitions Y_N°; in both
 cases the vertex at lam is the function j -> |tau^j(lam)| (shifted down
-by the constant o = k(k-1)/2 in the cycle case).  Both pools are
-tau-invariant and f(tau lam) is f(lam) rotated by one place, so vertex
-functions are read once per tau orbit: one walk gives the sizes of all N
-members, each from the last by |tau mu| = |mu| + N - 1 - 2 len(mu).  A
-v-face is the cube (top, removed): the partitions obtained from top by
-deleting any subset of v corner boxes.  Vertices and their corner rows
-come out of one partitions.corner_walk over the pool's row ranges
-(partitions.hull_pool: band_rows(n, 0, n) for Y_N, circ_rows for Y_N°),
-so both hulls take one path and its cost follows the number of
-vertices, not the 2^(N-1) of Y_N; the per-vertex rules removable_rows,
-f_vertex and g_vertex give the same answers one vertex at a time.
+by the constant o = k(k-1)/2 in the cycle case), which is j -> d(lam,
+R_j) - o, the Young-lattice distance to the rectangle R_j = (j^(N-j)).
+build_hull reads the functions in that form off export.name_walk, as
+every export does; f_vertex and g_vertex walk one vertex's tau orbit
+and stay the independent reference.  A v-face is the cube (top,
+removed): the partitions obtained from top by deleting any subset of v
+corner boxes.  The corner rows of each vertex come out of one
+partitions.corner_walk over the pool's row ranges (partitions.hull_pool:
+band_rows(n, 0, n) for Y_N, circ_rows for Y_N°), so both hulls take one
+path whose cost follows the number of vertices, not the 2^(N-1) of Y_N.
 Faces stay implicit in each vertex's corner rows: the f-vector and
 edges are read off the rows, and faces are made on demand.
-HullComplex.name_order names and orders the vertices of the DOT export,
-whose values are looked up in a table over the hull's own values
-(_numerals), so it calls str() once per distinct part and value.  The
-N maximal k-cubes of the odd cycle hull are read off the corner rows the
-hull already holds (Faces.max_cubes): their tops are the vertices with k
-corner rows, so skeleton gives each vertex its cube role and a DOT
-export walks Y_N° once.  The vertices and JSON exports build no hull:
-they stream from walks over the pool (export), and to_json returns that
+HullComplex.name_order names and orders the vertices of the DOT export.
+The N maximal k-cubes of the odd cycle hull are read off the corner rows
+the hull already holds (Faces.max_cubes): their tops are the vertices
+with k corner rows, so skeleton gives each vertex its cube role and a
+DOT export walks Y_N° once.  The vertices and JSON exports build no
+hull: they stream from the same walks (export), and to_json returns that
 export.  Only retract_face needs moebius, for the fold, and imports it
 inside, so no hull command loads it.
 """
@@ -32,11 +29,12 @@ inside, so no hull command loads it.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain, combinations
+from itertools import combinations
 from math import comb
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
+from .export import _Numerals, json_chunks, name_walk
 from .partitions import (
     Partition,
     circ_rows,
@@ -47,7 +45,6 @@ from .partitions import (
     require_YN,
     size,
     tau_orbit,
-    tau_orbits,
 )
 
 VertexFunction = tuple[int, ...]
@@ -101,6 +98,10 @@ class Face(NamedTuple):
 
 class CubeCoverFailure(ValueError):
     """The odd cycle hull's maximal cubes miss their count, base or cover."""
+
+
+class WalksDisagree(ValueError):
+    """The name walk and the corner walk of a pool list different vertices."""
 
 
 class Faces:
@@ -182,7 +183,8 @@ class HullComplex(NamedTuple):
         """(lam, format_partition(lam)) for every vertex, sorted by name
         (so "10" before "2"), the order of the DOT export.  Every part is
         below N, so each name joins the texts of range(N), made once per
-        hull, with no str() per part."""
+        hull, with no str() per part.  build_hull lists the vertices in
+        name order already, so the sort is one linear pass."""
         part = [str(i) for i in range(self.n)].__getitem__
         return sorted(
             ((lam, ",".join(map(part, lam))) for lam in self.vertices),
@@ -197,24 +199,18 @@ def build_hull(kind: str, n: int) -> HullComplex:
     (hull_pool: all of Y_N with band_rows(n, 0, n), or Y_N° with
     circ_rows).  One corner_walk over the ranges lists the pool with the
     removable rows of each member; faces with top lam are in bijection
-    with subsets of them.  Vertex functions are read once per tau orbit (tau_orbits over
-    the walk's own dict, so an orbit that leaves the pool raises
-    OrbitLeavesPool and one that does not close raises OrbitNotClosed);
-    the sizes follow |tau mu| = |mu| + N - 1 - 2 len(mu).  The even cycle
+    with subsets of them.  The vertex functions, in name order, come from
+    one export.name_walk over the same ranges, which raises
+    OrbitLeavesPool for a pool that tau does not map into itself; the two
+    walks must list the same vertices, or WalksDisagree.  The even cycle
     comes out a cube.
     """
-    ranges, o = hull_pool(kind, n)
-    rows = dict(corner_walk(n, ranges))
-    # f(tau^i lam) is f(lam) rotated by i places; an orbit of period p
-    # lists each member N/p times, with the same rotation each time
-    vertices: dict[Partition, VertexFunction] = {}
-    for orbit in tau_orbits(rows, n):
-        values = list(accumulate(
-            (n - 1 - 2 * len(mu) for mu in orbit[:-1]),
-            initial=size(orbit[0]) - o,
-        )) * 2
-        for i, mu in enumerate(orbit):
-            vertices[mu] = tuple(values[i : i + n])
+    rows = dict(corner_walk(n, hull_pool(kind, n)[0]))
+    vertices = {lam: f for lam, _, f in name_walk(kind, n)}
+    if vertices.keys() != rows.keys():
+        lam = min(vertices.keys() ^ rows.keys())
+        walk = "name" if lam in vertices else "corner"
+        raise WalksDisagree(f"{kind} {n}: only the {walk} walk lists {lam or '()'}")
     return HullComplex(kind, n, vertices, Faces(rows))
 
 
@@ -259,17 +255,10 @@ def skeleton(complex_: HullComplex) -> Graph:
     return Graph(tuple(labels), tuple(edges), labels, roles)
 
 
-def _numerals(functions: Iterable[VertexFunction]) -> Callable[[int], str]:
-    """int -> str over the values of the vertex functions: each distinct
-    value's text is made once (they are few, 0..42 on X_13), not once
-    per vertex and place."""
-    return {v: str(v) for v in set(chain.from_iterable(functions))}.__getitem__
-
-
 def to_dot(graph: Graph) -> str:
     """Deterministic DOT text; nodes in lexicographic label order."""
     ident = {name: f"n{i}" for i, name in enumerate(graph.nodes)}
-    numeral = _numerals(graph.labels.values())
+    numeral = _Numerals().__getitem__
     lines = ["graph hull {"]
     for name in graph.nodes:
         vals = " ".join(map(numeral, graph.labels[name]))
@@ -287,8 +276,6 @@ def to_json(complex_: HullComplex) -> str:
     """The JSON export of the hull's kind and N, as `skeleton --format
     json` prints it: export.json_chunks streams it from walks over the
     pool, not from complex_, which only names the hull."""
-    from .export import json_chunks  # DOT and oracle --compare never load it
-
     return "".join(json_chunks(complex_.kind, complex_.n))
 
 

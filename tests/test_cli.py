@@ -397,10 +397,10 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         (["skeleton", "--n", "9", "--space", "xn", "--format", "json"],
          ["export", "partitions"]),
         (["skeleton", "--n", "9", "--space", "cycle", "--format", "dot"],
-         ["hull", "partitions"]),
+         ["export", "hull", "partitions"]),
         (["oracle", "--metric", metric], ["oracle"]),
         (["oracle", "--metric", metric, "--compare", "cycle:5"],
-         ["hull", "oracle", "partitions"]),
+         ["export", "hull", "oracle", "partitions"]),
         (["oracle", "--metric", str(triangle)], ["oracle"]),
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -546,6 +546,7 @@ def test_acceptance_and_typed_errors_under_optimize():
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29))
 import cyclehull.census as census
+import cyclehull.hull as hull
 import cyclehull.partitions as partitions
 import cyclehull.moebius as moebius
 import reference
@@ -576,6 +577,10 @@ expect(BadBandIndex, census.count_band, 5, 0)
 reference.matrix_circcirc = lambda: (reference.matrix_S(), reference.matrix_S())
 expect(IdentityFailure, reference.circcirc_trace, 3)
 expect(OrbitLeavesPool, list, partitions.tau_orbits(((2,),), 3))
+corner_walk = hull.corner_walk
+hull.corner_walk = lambda n, rows: (v for v in corner_walk(n, rows) if v[0] != (1,))
+expect(hull.WalksDisagree, hull.build_hull, "xn", 5)
+hull.corner_walk = corner_walk
 partitions.tau = lambda lam, n: ()
 expect(OrbitNotClosed, partitions.tau_orbit, (1,), 3)
 fibre_size = moebius.fold_fibre_size
@@ -593,5 +598,6 @@ expect(FoldFailure, moebius.fold, (4,), 5)
         "IdentityFailure", "NotExtremal", "NotExtremal",
         "IdentityFailure", "IdentityFailure", "BadBandIndex",
         "IdentityFailure",
-        "OrbitLeavesPool", "OrbitNotClosed", "FoldFailure", "FoldFailure",
+        "OrbitLeavesPool", "WalksDisagree", "OrbitNotClosed",
+        "FoldFailure", "FoldFailure",
     ], proc.stderr

@@ -33,7 +33,6 @@ from cyclehull import (
 )
 from cyclehull.partitions import (
     OrbitLeavesPool,
-    OrbitNotClosed,
     alpha,
     corners,
     cycle_distance,
@@ -104,9 +103,9 @@ def test_vertices_are_distances_to_the_model_points():
             ), (n, lam)
 
 
-def test_orbit_built_vertex_functions_equal_the_per_vertex_ones():
-    # build_hull reads each tau orbit once and rotates; f_vertex and
-    # g_vertex walk every vertex's orbit on their own
+def test_row_sum_vertex_functions_equal_the_orbit_ones():
+    # build_hull sums one N-tuple per row along the name walk; f_vertex
+    # and g_vertex walk every vertex's tau orbit on their own
     short = 0
     for n in range(1, 13):
         pool = enumerate_YN(n)
@@ -123,27 +122,34 @@ def test_orbit_built_vertex_functions_equal_the_per_vertex_ones():
     assert build_hull("xn", 5).vertices[(2, 1)] == (3, 3, 3, 3, 3)
 
 
-def test_build_hull_orbit_walk_keeps_its_checks(monkeypatch):
-    # the orbit steps are not validated: a pool that an orbit leaves, or
-    # a tau^N that misses its start, must still raise
-    walk = hull_module.corner_walk
-    def walk_without_one(n, rows):
-        return ((lam, r) for lam, r in walk(n, rows) if lam != (1,))
+def test_build_hull_refuses_walks_that_disagree(monkeypatch):
+    # the vertex functions come from the name walk and the corner rows
+    # from the corner walk: a vertex that only one of them lists raises
+    corner_walk, name_walk = hull_module.corner_walk, hull_module.name_walk
 
-    monkeypatch.setattr(hull_module, "corner_walk", walk_without_one)
-    with pytest.raises(OrbitLeavesPool):
-        build_hull("xn", 5)
-    monkeypatch.setattr(hull_module, "corner_walk", walk)
-    monkeypatch.setattr("cyclehull.partitions.tau", lambda lam, n: ())
-    with pytest.raises(OrbitNotClosed):
-        build_hull("cycle", 5)
+    def corners_without_one(n, rows):
+        return ((lam, r) for lam, r in corner_walk(n, rows) if lam != (1,))
+
+    def names_without_one(kind, n):
+        return (v for v in name_walk(kind, n) if v[0] != (2, 1))
+
+    for walk, patch, message in (
+        ("corner_walk", corners_without_one, "only the name walk lists (1,)"),
+        ("name_walk", names_without_one, "only the corner walk lists (2, 1)"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(hull_module, walk, patch)
+            for kind in ("xn", "cycle"):
+                with pytest.raises(hull_module.WalksDisagree, match=re.escape(message)):
+                    build_hull(kind, 5)
+    assert build_hull("xn", 5).vertices.keys() == set(enumerate_YN(5))
 
 
 def test_streamed_walk_keeps_the_orbit_check(monkeypatch):
     # the exports check tau lam against the pool's rows at each vertex of
     # the name walk: Y_7 without width 6 loses only tau () = (6,), Y_7
-    # without (5, 5) in row 2 loses tau (6,) = (5, 5); build_hull's orbit
-    # walk refuses both pools too
+    # without (5, 5) in row 2 loses tau (6,) = (5, 5); build_hull reads
+    # the same name walk and refuses both pools too
     rows, _ = hull_pool("xn", 7)
     for pool, leaver in (
         ((range(0, 6), *rows[1:]), ()),
@@ -265,11 +271,14 @@ def test_names_list_every_vertex_once_in_name_order():
 
 
 def test_exports_name_each_vertex_once(monkeypatch):
-    # skeleton names the vertices by one name_order; the vertices and
-    # JSON exports by one name walk, the JSON faces by one corner_walk;
-    # none calls format_partition
+    # build_hull takes its vertices from one name walk and its corner
+    # rows from one corner_walk; skeleton names the vertices by one
+    # name_order; the vertices and JSON exports by one name walk, the
+    # JSON faces by one corner_walk; none calls format_partition
     hull = build_hull("cycle", 11)
     exports = (
+        ("build_hull", lambda h: build_hull(h.kind, h.n).vertices,
+         {"name_walk": 1, "corner_walk": 1}),
         ("skeleton", skeleton, {"name_order": 1}),
         ("to_json", to_json, {"name_walk": 1, "corner_walk": 1}),
         ("vertices json", lambda h: "".join(json_chunks(h.kind, h.n, faces=False)),
@@ -290,9 +299,10 @@ def test_exports_name_each_vertex_once(monkeypatch):
         HullComplex, "name_order", counting("name_order", HullComplex.name_order)
     )
     for name in ("name_walk", "corner_walk"):
-        monkeypatch.setattr(
-            export_module, name, counting(name, getattr(export_module, name))
-        )
+        for module in (export_module, hull_module):
+            monkeypatch.setattr(
+                module, name, counting(name, getattr(module, name))
+            )
     format_partition_ = counting("format_partition", format_partition)
     monkeypatch.setattr(partitions_module, "format_partition", format_partition_)
     for module in (hull_module, export_module):
