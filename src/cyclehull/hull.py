@@ -1,29 +1,23 @@
 """Explicit polyhedral models of the two injective hulls.
 
-A hull is plain data: its kind ('xn' or 'cycle'), N, the vertex
-functions and the faces.  Vertices of the hull of X_N are indexed by all
-of Y_N, vertices of the hull of C_N by the band partitions Y_N°; in both
-cases the vertex at lam is the function j -> |tau^j(lam)| (shifted down
-by the constant o = k(k-1)/2 in the cycle case), which is j -> d(lam,
-R_j) - o, the Young-lattice distance to the rectangle R_j = (j^(N-j)).
-build_hull reads the functions in that form off export.name_walk, as
-every export does; f_vertex and g_vertex walk one vertex's tau orbit
-and stay the independent reference.  A v-face is the cube (top,
-removed): the partitions obtained from top by deleting any subset of v
-corner boxes.  The corner rows of each vertex come out of one
-partitions.corner_walk over the pool's row ranges (partitions.hull_pool:
-band_rows(n, 0, n) for Y_N, circ_rows for Y_N°), so both hulls take one
-path whose cost follows the number of vertices, not the 2^(N-1) of Y_N.
-Faces stay implicit in each vertex's corner rows: the f-vector and
-edges are read off the rows, and faces are made on demand.
-HullComplex.name_order names and orders the vertices of the DOT export.
-The N maximal k-cubes of the odd cycle hull are read off the corner rows
-the hull already holds (Faces.max_cubes): their tops are the vertices
-with k corner rows, so skeleton gives each vertex its cube role and a
-DOT export walks Y_N° once.  The vertices and JSON exports build no
-hull: they stream from the same walks (export), and to_json returns that
-export.  Only retract_face needs moebius, for the fold, and imports it
-inside, so no hull command loads it.
+A hull is plain data: its kind ('xn' or 'cycle'), N, and per vertex its
+function, name and corner rows.  Vertices of the hull of X_N are indexed
+by all of Y_N, those of C_N by the band partitions Y_N°; the vertex at
+lam is the function j -> |tau^j(lam)| (less o = k(k-1)/2 for the cycle),
+which is j -> d(lam, R_j) - o, the Young-lattice distance to the
+rectangle R_j = (j^(N-j)).  A v-face is the cube (top, removed): the
+partitions obtained from top by deleting any subset of v corner boxes.
+build_hull keeps all that one partitions.name_walk over the pool's row
+ranges (partitions.hull_pool) yields, in name order, at a cost that
+follows the number of vertices, not the 2^(N-1) of Y_N; f_vertex and
+g_vertex walk one vertex's tau orbit and stay the independent reference.
+Faces stay implicit in the corner rows: the f-vector and edges are read
+off them, faces are made on demand, and the N maximal k-cubes of the odd
+cycle hull have the vertices with k corner rows on top (Faces.max_cubes),
+so a DOT export walks Y_N° once and names each vertex once.  The
+vertices and JSON exports build no hull: they stream from the same
+walks (export), which to_json imports when called, as retract_face
+imports moebius, so the DOT export loads neither.
 """
 
 from __future__ import annotations
@@ -31,16 +25,16 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 from math import comb
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from .export import _Numerals, json_chunks, name_walk
 from .partitions import (
     Partition,
+    _Numerals,
     circ_rows,
     corner_walk,
     hull_pool,
     make_partition,
+    name_walk,
     require_circ,
     require_YN,
     size,
@@ -100,10 +94,6 @@ class CubeCoverFailure(ValueError):
     """The odd cycle hull's maximal cubes miss their count, base or cover."""
 
 
-class WalksDisagree(ValueError):
-    """The name walk and the corner walk of a pool list different vertices."""
-
-
 class Faces:
     """The faces of a hull, kept as the sorted corner rows of each vertex.
 
@@ -153,11 +143,13 @@ class Faces:
 
 
 class HullComplex(NamedTuple):
-    """Vertex functions and the implicit faces of one hull."""
+    """Vertex functions, vertex names and the implicit faces of one hull;
+    vertices and names list the vertices in name order."""
 
     kind: str
     n: int
     vertices: dict[Partition, VertexFunction]
+    names: dict[Partition, str]
     faces: Faces
 
     def f_vector(self) -> tuple[int, ...]:
@@ -179,39 +171,23 @@ class HullComplex(NamedTuple):
                 q = lam[r - 1] - 1
                 yield (*lam[: r - 1], q, *lam[r:]) if q else lam[: r - 1], lam
 
-    def name_order(self) -> list[tuple[Partition, str]]:
-        """(lam, format_partition(lam)) for every vertex, sorted by name
-        (so "10" before "2"), the order of the DOT export.  Every part is
-        below N, so each name joins the texts of range(N), made once per
-        hull, with no str() per part.  build_hull lists the vertices in
-        name order already, so the sort is one linear pass."""
-        part = [str(i) for i in range(self.n)].__getitem__
-        return sorted(
-            ((lam, ",".join(map(part, lam))) for lam in self.vertices),
-            key=itemgetter(1),
-        )
-
 
 def build_hull(kind: str, n: int) -> HullComplex:
     """Assemble the hull complex of X_N ('xn') or C_N ('cycle').
 
-    Both spaces take one path: the row ranges of a pool and the offset o
-    (hull_pool: all of Y_N with band_rows(n, 0, n), or Y_N° with
-    circ_rows).  One corner_walk over the ranges lists the pool with the
-    removable rows of each member; faces with top lam are in bijection
-    with subsets of them.  The vertex functions, in name order, come from
-    one export.name_walk over the same ranges, which raises
-    OrbitLeavesPool for a pool that tau does not map into itself; the two
-    walks must list the same vertices, or WalksDisagree.  The even cycle
-    comes out a cube.
+    Both spaces take one path: one partitions.name_walk over the row
+    ranges of the pool (hull_pool: all of Y_N, or Y_N°) yields each
+    vertex in name order with its name, its function and its removable
+    rows; faces with top lam are in bijection with subsets of those
+    rows.  The walk raises OrbitLeavesPool for a pool that tau does not
+    map into itself.  The even cycle comes out a cube.
     """
-    rows = dict(corner_walk(n, hull_pool(kind, n)[0]))
-    vertices = {lam: f for lam, _, f in name_walk(kind, n)}
-    if vertices.keys() != rows.keys():
-        lam = min(vertices.keys() ^ rows.keys())
-        walk = "name" if lam in vertices else "corner"
-        raise WalksDisagree(f"{kind} {n}: only the {walk} walk lists {lam or '()'}")
-    return HullComplex(kind, n, vertices, Faces(rows))
+    vertices, names, rows = {}, {}, {}
+    for lam, name, f, corners in name_walk(kind, n):
+        vertices[lam] = f
+        names[lam] = name
+        rows[lam] = corners
+    return HullComplex(kind, n, vertices, names, Faces(rows))
 
 
 def retract_face(face: Face, n: int) -> Face:
@@ -243,7 +219,7 @@ class Graph(NamedTuple):
 def skeleton(complex_: HullComplex) -> Graph:
     """The named 1-skeleton.  Only C_N, N odd and >= 3, has roles: a node
     on none of the N maximal cubes is "extra", the others "cube-member"."""
-    names = dict(complex_.name_order())
+    names = complex_.names
     labels = {name: complex_.vertices[lam] for lam, name in names.items()}
     pairs = ((names[a], names[b]) for a, b in complex_._edge_pairs())
     edges = sorted((a, b) if a < b else (b, a) for a, b in pairs)
@@ -276,6 +252,8 @@ def to_json(complex_: HullComplex) -> str:
     """The JSON export of the hull's kind and N, as `skeleton --format
     json` prints it: export.json_chunks streams it from walks over the
     pool, not from complex_, which only names the hull."""
+    from .export import json_chunks
+
     return "".join(json_chunks(complex_.kind, complex_.n))
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import operator
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 from cyclehull.cli import main
 from cyclehull import hull as hull_module, partitions as partitions_module
 from cyclehull.hull import (
-    HullComplex, build_hull, max_cube_decomposition, skeleton, to_dot, to_json,
+    build_hull, max_cube_decomposition, skeleton, to_dot, to_json,
 )
 from cyclehull.moebius import enumerate_circ, fold
 from cyclehull.partitions import format_partition, model_matrix, parse_partition
@@ -133,19 +134,23 @@ def test_skeleton_dot_lint_and_roles(capsys):
 
 
 def test_odd_cycle_dot_walks_the_band_once(capsys, monkeypatch):
-    # the cube roles come off the exported hull's corner rows; the text
-    # is the one that build_hull and max_cube_decomposition give apart
-    walk, walks = hull_module.corner_walk, []
+    # the cube roles come off the exported hull's corner rows, which the
+    # one name walk of build_hull yields with the vertices: no
+    # corner_walk; the text is the one that build_hull and
+    # max_cube_decomposition give apart
+    walks = []
+    for name in ("name_walk", "corner_walk"):
+        def counted(*args, walk=getattr(partitions_module, name), name=name):
+            walks.append((name, *args))
+            return walk(*args)
 
-    def counting(n, rows):
-        walks.append(n)
-        return walk(n, rows)
-
-    monkeypatch.setattr(hull_module, "corner_walk", counting)
+        for module in (partitions_module, hull_module):
+            monkeypatch.setattr(module, name, counted)
     code, out, _ = run(
         capsys, "skeleton", "--n", "11", "--space", "cycle", "--format", "dot"
     )
-    assert (code, walks) == (0, [11])
+    assert (code, walks) == (0, [("name_walk", "cycle", 11)])
+    monkeypatch.undo()
     graph = skeleton(build_hull("cycle", 11))
     roles = dict.fromkeys(graph.nodes, "cube-member")
     for lam in max_cube_decomposition(11)[1]:
@@ -155,27 +160,30 @@ def test_odd_cycle_dot_walks_the_band_once(capsys, monkeypatch):
 
 
 def test_odd_cycle_dot_names_each_vertex_once(capsys, monkeypatch):
-    # the cube roles are keyed by the names of the one name_order that
-    # skeleton makes; no vertex is named through format_partition
+    # the nodes and cube roles are keyed by the name strings that the
+    # walk made for the hull: skeleton joins no name again, and no
+    # vertex is named through format_partition
     calls = Counter()
-    name_order = HullComplex.name_order
+    skeleton_ = hull_module.skeleton
 
-    def counting_order(self):
-        calls["name_order"] += 1
-        return name_order(self)
+    def checked_skeleton(complex_):
+        graph = skeleton_(complex_)
+        calls["skeleton"] += 1
+        assert all(map(operator.is_, graph.nodes, complex_.names.values()))
+        return graph
 
     def counting_format(lam):
         calls["format_partition"] += 1
         return format_partition(lam)
 
-    monkeypatch.setattr(HullComplex, "name_order", counting_order)
+    monkeypatch.setattr(hull_module, "skeleton", checked_skeleton)
     monkeypatch.setattr(partitions_module, "format_partition", counting_format)
     monkeypatch.setattr(hull_module, "format_partition", counting_format, raising=False)
     code, out, _ = run(
         capsys, "skeleton", "--n", "11", "--space", "cycle", "--format", "dot"
     )
     assert code == 0 and out.count('role="extra"') == 22
-    assert calls == {"name_order": 1}
+    assert calls == {"skeleton": 1}
 
 
 def test_skeleton_json(capsys):
@@ -322,7 +330,7 @@ def test_hull_exports_write_in_few_blocks(monkeypatch):
     hull = build_hull("cycle", 17)
     lines_17 = "".join(
         f"{name or '()'}: {' '.join(map(str, hull.vertices[lam]))}\n"
-        for lam, name in hull.name_order()
+        for lam, name in hull.names.items()
     )
     for argv, want in (
         (["skeleton", "--n", "13", "--space", "cycle", "--format", "json"], json_13),
@@ -397,10 +405,10 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         (["skeleton", "--n", "9", "--space", "xn", "--format", "json"],
          ["export", "partitions"]),
         (["skeleton", "--n", "9", "--space", "cycle", "--format", "dot"],
-         ["export", "hull", "partitions"]),
+         ["hull", "partitions"]),
         (["oracle", "--metric", metric], ["oracle"]),
         (["oracle", "--metric", metric, "--compare", "cycle:5"],
-         ["export", "hull", "oracle", "partitions"]),
+         ["hull", "oracle", "partitions"]),
         (["oracle", "--metric", str(triangle)], ["oracle"]),
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -502,7 +510,7 @@ def test_vertices_text_is_the_str_lines(capsys):
 def test_exports_list_vertices_in_name_order(capsys):
     for kind, n in (("cycle", 9), ("xn", 11)):
         hull = build_hull(kind, n)
-        want = [name for _, name in hull.name_order()]
+        want = list(hull.names.values())
         if kind == "xn":  # "10,..." comes before "2,...": not tuple order
             assert want != [format_partition(lam) for lam in sorted(hull.vertices)]
         space = ("--n", str(n), "--space", kind)
@@ -577,10 +585,10 @@ expect(BadBandIndex, census.count_band, 5, 0)
 reference.matrix_circcirc = lambda: (reference.matrix_S(), reference.matrix_S())
 expect(IdentityFailure, reference.circcirc_trace, 3)
 expect(OrbitLeavesPool, list, partitions.tau_orbits(((2,),), 3))
-corner_walk = hull.corner_walk
-hull.corner_walk = lambda n, rows: (v for v in corner_walk(n, rows) if v[0] != (1,))
-expect(hull.WalksDisagree, hull.build_hull, "xn", 5)
-hull.corner_walk = corner_walk
+hull_pool = partitions.hull_pool
+partitions.hull_pool = lambda kind, n: ((range(0, 6), *hull_pool(kind, n)[0][1:]), 0)
+expect(OrbitLeavesPool, hull.build_hull, "xn", 7)
+partitions.hull_pool = hull_pool
 partitions.tau = lambda lam, n: ()
 expect(OrbitNotClosed, partitions.tau_orbit, (1,), 3)
 fibre_size = moebius.fold_fibre_size
@@ -598,6 +606,6 @@ expect(FoldFailure, moebius.fold, (4,), 5)
         "IdentityFailure", "NotExtremal", "NotExtremal",
         "IdentityFailure", "IdentityFailure", "BadBandIndex",
         "IdentityFailure",
-        "OrbitLeavesPool", "WalksDisagree", "OrbitNotClosed",
+        "OrbitLeavesPool", "OrbitLeavesPool", "OrbitNotClosed",
         "FoldFailure", "FoldFailure",
     ], proc.stderr

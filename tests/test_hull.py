@@ -1,4 +1,5 @@
 import json
+import operator
 import re
 
 from collections import Counter
@@ -13,7 +14,6 @@ from cyclehull.hull import (
     CubeCoverFailure,
     Face,
     Faces,
-    HullComplex,
     build_hull,
     f_vertex,
     g_vertex,
@@ -122,34 +122,12 @@ def test_row_sum_vertex_functions_equal_the_orbit_ones():
     assert build_hull("xn", 5).vertices[(2, 1)] == (3, 3, 3, 3, 3)
 
 
-def test_build_hull_refuses_walks_that_disagree(monkeypatch):
-    # the vertex functions come from the name walk and the corner rows
-    # from the corner walk: a vertex that only one of them lists raises
-    corner_walk, name_walk = hull_module.corner_walk, hull_module.name_walk
-
-    def corners_without_one(n, rows):
-        return ((lam, r) for lam, r in corner_walk(n, rows) if lam != (1,))
-
-    def names_without_one(kind, n):
-        return (v for v in name_walk(kind, n) if v[0] != (2, 1))
-
-    for walk, patch, message in (
-        ("corner_walk", corners_without_one, "only the name walk lists (1,)"),
-        ("name_walk", names_without_one, "only the corner walk lists (2, 1)"),
-    ):
-        with monkeypatch.context() as m:
-            m.setattr(hull_module, walk, patch)
-            for kind in ("xn", "cycle"):
-                with pytest.raises(hull_module.WalksDisagree, match=re.escape(message)):
-                    build_hull(kind, 5)
-    assert build_hull("xn", 5).vertices.keys() == set(enumerate_YN(5))
-
-
 def test_streamed_walk_keeps_the_orbit_check(monkeypatch):
     # the exports check tau lam against the pool's rows at each vertex of
     # the name walk: Y_7 without width 6 loses only tau () = (6,), Y_7
     # without (5, 5) in row 2 loses tau (6,) = (5, 5); build_hull reads
-    # the same name walk and refuses both pools too
+    # the same name walk and refuses both pools too.  The walk reads its
+    # pool from partitions.hull_pool
     rows, _ = hull_pool("xn", 7)
     for pool, leaver in (
         ((range(0, 6), *rows[1:]), ()),
@@ -157,8 +135,9 @@ def test_streamed_walk_keeps_the_orbit_check(monkeypatch):
     ):
         members = rim_walk(7, pool)
         assert [lam for lam in members if tau(lam, 7) not in members] == [leaver]
-        for module in (export_module, hull_module):
-            monkeypatch.setattr(module, "hull_pool", lambda kind, n: (pool, 0))
+        monkeypatch.setattr(
+            partitions_module, "hull_pool", lambda kind, n: (pool, 0)
+        )
         message = re.escape(f"orbit of {leaver or '()'} reaches {tau(leaver, 7)}")
         for export in (
             lambda: list(vertex_lines("xn", 7)),
@@ -261,25 +240,28 @@ def test_names_list_every_vertex_once_in_name_order():
     for kind, top in (("cycle", 13), ("xn", 12)):
         for n in range(1, top + 1):
             hull = build_hull(kind, n)
-            order = hull.name_order()
-            assert order == sorted(
+            assert list(hull.names.items()) == sorted(
                 ((lam, format_partition(lam)) for lam in hull.vertices),
                 key=lambda pair: pair[1],
             ), (kind, n)
-            names = tuple(name for _, name in order)
-            assert skeleton(hull).nodes == names, (kind, n)
+            assert list(hull.names) == list(hull.vertices), (kind, n)
+            assert skeleton(hull).nodes == tuple(hull.names.values()), (kind, n)
 
 
 def test_exports_name_each_vertex_once(monkeypatch):
-    # build_hull takes its vertices from one name walk and its corner
-    # rows from one corner_walk; skeleton names the vertices by one
-    # name_order; the vertices and JSON exports by one name walk, the
-    # JSON faces by one corner_walk; none calls format_partition
+    # build_hull keeps the vertices, names and corner rows of one name
+    # walk and makes no corner_walk; skeleton walks nothing and names the
+    # nodes with the hull's own name strings, not new joins; the vertices
+    # and JSON exports name by one name walk, the JSON faces by one
+    # corner_walk; none calls format_partition
+    def built(h):
+        b = build_hull(h.kind, h.n)
+        return b.vertices, b.names, b.faces.corner_rows
+
     hull = build_hull("cycle", 11)
     exports = (
-        ("build_hull", lambda h: build_hull(h.kind, h.n).vertices,
-         {"name_walk": 1, "corner_walk": 1}),
-        ("skeleton", skeleton, {"name_order": 1}),
+        ("build_hull", built, {"name_walk": 1}),
+        ("skeleton", skeleton, {}),
         ("to_json", to_json, {"name_walk": 1, "corner_walk": 1}),
         ("vertices json", lambda h: "".join(json_chunks(h.kind, h.n, faces=False)),
          {"name_walk": 1}),
@@ -295,22 +277,16 @@ def test_exports_name_each_vertex_once(monkeypatch):
             return call(*args)
         return counted
 
-    monkeypatch.setattr(
-        HullComplex, "name_order", counting("name_order", HullComplex.name_order)
-    )
-    for name in ("name_walk", "corner_walk"):
-        for module in (export_module, hull_module):
-            monkeypatch.setattr(
-                module, name, counting(name, getattr(module, name))
-            )
-    format_partition_ = counting("format_partition", format_partition)
-    monkeypatch.setattr(partitions_module, "format_partition", format_partition_)
-    for module in (hull_module, export_module):
-        monkeypatch.setattr(module, "format_partition", format_partition_, raising=False)
+    for name in ("name_walk", "corner_walk", "format_partition"):
+        counted = counting(name, getattr(partitions_module, name))
+        for module in (partitions_module, export_module, hull_module):
+            monkeypatch.setattr(module, name, counted, raising=False)
     for (label, export, want_calls), want in zip(exports, wants):
         calls.clear()
         assert export(hull) == want, label
         assert calls == want_calls, label
+    nodes = skeleton(hull).nodes
+    assert all(map(operator.is_, nodes, hull.names.values()))
 
 
 def test_to_json_round_trip():

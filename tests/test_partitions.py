@@ -20,10 +20,12 @@ from cyclehull.partitions import (
     cycle_distance,
     enumerate_YN,
     format_partition,
+    hull_pool,
     in_YN,
     make_partition,
     max_hook,
     model_matrix,
+    name_walk,
     parse_partition,
     rectangular,
     removable_rows,
@@ -215,6 +217,19 @@ def test_corner_walk_is_the_rim_walk_with_removable_rows():
             ]
             assert list(corner_walk(n, rows)) == want, (n, rows)
             assert rim_walk(n, rows) == [lam for lam, _ in want], (n, rows)
+
+
+def test_name_walk_corner_rows_are_the_removable_rows():
+    # the hull walk settles each vertex's corner rows along its path, as
+    # corner_walk does; against removable_rows on Y_N for N <= 13 and on
+    # Y_N° for N <= 21, over the same members
+    for kind, top in (("xn", 13), ("cycle", 21)):
+        for n in range(1, top + 1):
+            rows, _ = hull_pool(kind, n)
+            got = {lam: c for lam, _, _, c in name_walk(kind, n)}
+            assert got == {
+                lam: removable_rows(lam, rows) for lam in rim_walk(n, rows)
+            }, (kind, n)
 
 
 def test_require_errors():
