@@ -1,8 +1,8 @@
 """Report the maximal-cube cover of an odd cycle hull.
 
-Prints the N top partitions of the maximal k-cubes in walk order (sorted
-by top), the number of vertices they cover, and the leftover vertices
-lying on no maximal cube.
+Prints the N top partitions of the maximal k-cubes, sorted by top, the
+number of vertices they cover, and the leftover vertices lying on no
+maximal cube.
 """
 
 import argparse

@@ -15,6 +15,7 @@ __all__ = [
     "partitions",
     "moebius",
     "hull",
+    "export",
     "census",
     "oracle",
     "cli",

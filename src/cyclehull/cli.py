@@ -81,7 +81,7 @@ def _cmd_fibre(args) -> int:
     from .partitions import format_partition, parse_partition
 
     lam = parse_partition(args.partition)
-    members = fold_fibre(lam, args.n)  # as many as fold_fibre_size says
+    members = fold_fibre(lam, args.n)  # refused past moebius.FIBRE_BUDGET
     for member in members:
         print(format_partition(member) or "()")
     print(f"{fibre_factorization(lam, args.n)} = {len(members)}")
@@ -102,7 +102,7 @@ def _cmd_oracle(args) -> int:
                 f"--compare {args.compare} has N = {int(tail)} points,"
                 f" the metric has {metric.n}"
             )
-    verts, norm_edges = tight_span(metric, cap=args.cap)
+    verts, norm_edges = tight_span(metric)
     if args.compare is None:
         print(f"vertices: {len(verts)}")
         for f in sorted(verts):
@@ -185,7 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="tight span of a metric")
     p.add_argument("--metric", required=True, help="matrix file")
-    p.add_argument("--cap", type=int, default=7)
     p.add_argument("--compare", default=None, help="cycle:N or xn:N")
     p.set_defaults(func=_cmd_oracle)
 

@@ -120,7 +120,7 @@ class Faces:
 
     def max_cubes(self, n: int) -> tuple[tuple[Face, ...], tuple[Partition, ...]]:
         """The N maximal k-cubes of C_N, N = 2k + 1, and the vertices on
-        none of them, read off these faces in corner_rows order.
+        none of them, both sorted by top.
 
         No vertex of Y_N° has more than k corner rows and exactly N have
         k (the top coefficient N/(N-k)·C(N-k, k) of the corner
@@ -131,7 +131,8 @@ class Faces:
         """
         k = n // 2
         rows = self.corner_rows
-        cubes = tuple(Face(top, frozenset(r)) for top, r in rows.items() if len(r) >= k)
+        tops = sorted(top for top, r in rows.items() if len(r) >= k)
+        cubes = tuple(Face(top, frozenset(rows[top])) for top in tops)
         if len(cubes) != n:
             raise CubeCoverFailure(f"C_{n} has {len(cubes)} maximal cubes, not {n}")
         if Face(tuple(range(k, 0, -1)), frozenset(range(1, k + 1))) not in cubes:
@@ -139,7 +140,7 @@ class Faces:
         incident = frozenset().union(*(c.members() for c in cubes))
         if len(incident) != 1 + n * 2 ** (k - 1):
             raise CubeCoverFailure(f"C_{n} cubes cover {len(incident)} vertices")
-        return cubes, tuple(lam for lam in rows if lam not in incident)
+        return cubes, tuple(sorted(lam for lam in rows if lam not in incident))
 
 
 class HullComplex(NamedTuple):

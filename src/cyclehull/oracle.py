@@ -36,8 +36,13 @@ class DimensionMismatch(ValueError):
     """Function length does not match the metric's point count."""
 
 
+# tight-graph tests (_bipartite_components calls) one walk may make: C_21's
+# makes 1,248,486 (12 s on a 2-vCPU VM), C_19's 324,351, C_17's 85,611
+WALK_BUDGET = 4_000_000
+
+
 class TooLarge(ValueError):
-    """Point count exceeds the requested cap."""
+    """The walk needs more tight-graph tests than WALK_BUDGET."""
 
 
 class FiniteMetric:
@@ -206,9 +211,10 @@ def _tight_graph(f2, d2, n: int) -> tuple[list[int], int]:
     return adj, loops
 
 
-def _bounded_rays(n: int, adj: list[int], loops: int) -> list[tuple[int, int]]:
+def _bounded_rays(n: int, adj: list[int], loops: int, work: int) -> tuple[list, int]:
     """Extreme rays of the tight cone at a vertex that end in a vertex, as
-    (minus, plus) bitmasks.
+    (minus, plus) bitmasks, and the walk's work so far: `work` plus one
+    test per minus set tried.  TooLarge once that passes WALK_BUDGET.
 
     The cone is {x : x_i + x_j >= 0 on tight pairs, x_i >= 0 at zeros}.
     An extreme ray is -1 on a minus set M, +1 on P = N(M) and 0 on the
@@ -225,6 +231,10 @@ def _bounded_rays(n: int, adj: list[int], loops: int) -> list[tuple[int, int]]:
     stack = [(1 << m, adj[m], two[m]) for m in range(n) if not loops >> m & 1]
     seen = {minus for minus, _, _ in stack}
     while stack:
+        work += 1
+        if work > WALK_BUDGET:
+            raise TooLarge("the walk passed its budget of"
+                           f" {WALK_BUDGET:,} tight-graph tests")
         minus, plus, grow = stack.pop()
         if not _bipartite_components(adj, minus | plus, loops):
             out.append((minus, plus))
@@ -233,7 +243,7 @@ def _bounded_rays(n: int, adj: list[int], loops: int) -> list[tuple[int, int]]:
             if bigger not in seen:
                 seen.add(bigger)
                 stack.append((bigger, plus | adj[m], grow | two[m]))
-    return out
+    return out, work
 
 
 def _extend(d, rows, p: list[int], n: int) -> tuple[int, ...] | None:
@@ -306,10 +316,12 @@ def _span(metric: FiniteMetric, gens) -> tuple[frozenset, frozenset]:
     edges: set = set()
     _close(start, seen, vertex_images)
     stack = [start]
+    work = 0  # tight-graph tests, one per _bipartite_components call
     while stack:
         f2 = stack.pop()
         adj, loops = _tight_graph(f2, d2, n)
-        for minus, plus in _bounded_rays(n, adj, loops):
+        rays, work = _bounded_rays(n, adj, loops, work + 1)
+        for minus, plus in rays:
             # twice the step to the first constraint that turns tight;
             # x_i + x_j is -2 on pairs inside M, -1 from M to the rest
             ms = _bits(minus)
@@ -351,7 +363,7 @@ def _span(metric: FiniteMetric, gens) -> tuple[frozenset, frozenset]:
     )
 
 
-def tight_span(metric: FiniteMetric, cap: int = 7) -> tuple[frozenset, frozenset]:
+def tight_span(metric: FiniteMetric) -> tuple[frozenset, frozenset]:
     """Vertices and edges of the tight span, as tuples of exact numbers:
     int where a coordinate is integral, Fraction where it is a half.
 
@@ -363,17 +375,15 @@ def tight_span(metric: FiniteMetric, cap: int = 7) -> tuple[frozenset, frozenset
     rays only at one vertex per orbit of the metric's isometry group
     (_symmetries) and adds the images of every vertex and edge it meets.
     Edges are pairs (u, v) with u < v.  The tuples compare and hash equal
-    to the same values as Fractions or ints.
+    to the same values as Fractions or ints.  TooLarge if the walk needs
+    more than WALK_BUDGET tight-graph tests.
     """
-    n = metric.n
-    if n > cap:
-        raise TooLarge(f"{n} points exceeds the cap {cap}")
-    return _span(metric, _symmetries(metric.d, n))
+    return _span(metric, _symmetries(metric.d, metric.n))
 
 
-def tight_span_vertices(metric: FiniteMetric, cap: int = 7) -> frozenset:
+def tight_span_vertices(metric: FiniteMetric) -> frozenset:
     """All 0-faces of the tight span, as tuples of exact numbers."""
-    return tight_span(metric, cap)[0]
+    return tight_span(metric)[0]
 
 
 def tight_span_edges(vertices, metric: FiniteMetric) -> frozenset:

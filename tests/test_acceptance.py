@@ -125,7 +125,7 @@ def test_05_oracle_agrees_with_construction():
         ("cycle", 9), ("xn", 8), ("cycle", 11), ("xn", 9),
     ):
         metric = FiniteMetric.from_rows(model_matrix(kind, n))
-        verts = tight_span_vertices(metric, cap=n)
+        verts = tight_span_vertices(metric)
         hull = build_hull(kind, n)
         assert verts == {fr(v) for v in hull.vertices.values()}
         edges = {

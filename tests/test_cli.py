@@ -225,9 +225,25 @@ def test_oracle_match(capsys, tmp_path):
 def test_oracle_match_beyond_seven_points(capsys, tmp_path):
     path = write_metric(tmp_path, "cycle", 9)
     code, out, _ = run(capsys, "oracle", "--metric", path,
-                       "--compare", "cycle:9", "--cap", "9")
+                       "--compare", "cycle:9")
     assert code == 0
     assert out == "MATCH: 76 vertices, 189 edges\n"
+
+
+def test_refused_walks_exit_two_with_one_error_line(capsys, tmp_path, monkeypatch):
+    # the oracle's walk past its budget of tight-graph tests, and a fibre
+    # past its budget of members, which is refused before any is built
+    monkeypatch.setattr("cyclehull.oracle.WALK_BUDGET", 1000)
+    path = write_metric(tmp_path, "cycle", 13)
+    code, out, err = run(capsys, "oracle", "--metric", path,
+                         "--compare", "cycle:13")
+    assert (code, out) == (2, "")
+    assert err == "error: the walk passed its budget of 1,000 tight-graph tests\n"
+    big = "19,18,17,16,15,14,13,12,11,10,9,8,7,7,6,6,5,4,3,2,1"
+    code, out, err = run(capsys, "fibre", "--n", "41", "--partition", big)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1,767,263,190 members" in err
 
 
 def test_oracle_mismatch_exit_one(capsys, tmp_path):
@@ -557,11 +573,12 @@ import cyclehull.census as census
 import cyclehull.hull as hull
 import cyclehull.partitions as partitions
 import cyclehull.moebius as moebius
+import cyclehull.oracle as oracle
 import reference
 from cyclehull.census import BadParity, IdentityFailure
 from cyclehull.hull import max_cube_decomposition
-from cyclehull.moebius import FoldFailure
-from cyclehull.oracle import NotExtremal, _tight_graph
+from cyclehull.moebius import FibreTooLarge, FoldFailure
+from cyclehull.oracle import NotExtremal, TooLarge, _tight_graph
 from cyclehull.partitions import BadBandIndex, OrbitLeavesPool, OrbitNotClosed
 
 def expect(error, call, *args):
@@ -596,6 +613,12 @@ moebius.fold_fibre_size = lambda lam, n: fibre_size(lam, n) + 1
 expect(FoldFailure, moebius.fold_fibre, (2, 1), 5)
 moebius._clamp_rows = lambda lam, n: lam
 expect(FoldFailure, moebius.fold, (4,), 5)
+oracle.WALK_BUDGET = 1000
+cycle13 = oracle.FiniteMetric.from_rows(partitions.model_matrix("cycle", 13))
+expect(TooLarge, oracle.tight_span, cycle13)
+moebius.fold_fibre_size = fibre_size
+big = (19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 7, 6, 6, 5, 4, 3, 2, 1)
+expect(FibreTooLarge, moebius.fold_fibre, big, 41)
 """
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -607,5 +630,5 @@ expect(FoldFailure, moebius.fold, (4,), 5)
         "IdentityFailure", "IdentityFailure", "BadBandIndex",
         "IdentityFailure",
         "OrbitLeavesPool", "OrbitLeavesPool", "OrbitNotClosed",
-        "FoldFailure", "FoldFailure",
+        "FoldFailure", "FoldFailure", "TooLarge", "FibreTooLarge",
     ], proc.stderr

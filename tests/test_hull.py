@@ -443,3 +443,13 @@ def test_max_cube_decomposition_checks_its_tops():
     del rows[next(lam for lam, r in rows.items() if len(r) == 9 // 2)]
     with pytest.raises(CubeCoverFailure):
         Faces(rows).max_cubes(9)
+
+
+def test_max_cubes_are_sorted_whichever_walk_built_the_faces():
+    # build_hull's faces come from the name walk, max_cube_decomposition's
+    # from corner_walk, and from N = 19 the two walks list vertices in
+    # different orders
+    cubes, extras = build_hull("cycle", 19).faces.max_cubes(19)
+    assert (cubes, extras) == max_cube_decomposition(19)
+    assert [c.top for c in cubes] == sorted(c.top for c in cubes)
+    assert list(extras) == sorted(extras)

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from cyclehull import oracle
 from cyclehull.hull import g_vertex
 from cyclehull.moebius import enumerate_circ
 from cyclehull.oracle import (
@@ -200,13 +201,22 @@ def test_relabeling_invariance():
     assert got == want
 
 
-def test_cap():
+def test_walk_budget(monkeypatch):
+    # no point count is refused; a walk that needs more tight-graph tests
+    # than the budget is
+    assert len(tight_span_vertices(metric_for("cycle", 8))) == 16
+    monkeypatch.setattr(oracle, "WALK_BUDGET", 1000)
+    with pytest.raises(TooLarge, match="1,000 tight-graph tests"):
+        tight_span(metric_for("cycle", 13))
     with pytest.raises(TooLarge):
-        tight_span_vertices(metric_for("cycle", 8))
-    m = metric_for("xn", 4)
+        _span(metric_for("cycle", 13), ())
+    # C_7's walk makes 131 tests: one per vertex it computes rays at and
+    # one per minus set it tries
+    monkeypatch.setattr(oracle, "WALK_BUDGET", 131)
+    assert len(tight_span_vertices(metric_for("cycle", 7))) == 29
+    monkeypatch.setattr(oracle, "WALK_BUDGET", 130)
     with pytest.raises(TooLarge):
-        tight_span_vertices(m, cap=3)
-    assert len(tight_span_vertices(m, cap=4)) == 8
+        tight_span(metric_for("cycle", 7))
 
 
 def test_kuratowski_rows_always_present():
@@ -248,7 +258,7 @@ def test_walk_is_invariant_under_relabelling():
 def test_walk_reaches_past_seven_points():
     for kind, n, nv, ne in (("cycle", 9, 76, 189), ("xn", 9, 256, 576),
                             ("cycle", 11, 199, 605)):
-        verts, edges = tight_span(metric_for(kind, n), cap=n)
+        verts, edges = tight_span(metric_for(kind, n))
         assert (len(verts), len(edges)) == (nv, ne)
 
 
@@ -308,7 +318,7 @@ def symmetric_metrics():
 def test_orbit_walk_equals_blind_walk():
     metrics = random_metrics(2013, 200) + symmetric_metrics()
     for metric in metrics:
-        assert tight_span(metric, cap=metric.n) == _span(metric, ()), metric.d
+        assert tight_span(metric) == _span(metric, ()), metric.d
 
 
 def test_symmetries_preserve_the_metric():

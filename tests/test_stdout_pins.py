@@ -42,7 +42,7 @@ def cycle7(tmp_path_factory):
 
 def test_pins_cover_every_subcommand():
     commands = {job.split()[0] for _, job in PINS}
-    assert len(PINS) == 30 and commands == {
+    assert len(PINS) == 31 and commands == {
         "census", "vertices", "skeleton", "fold", "fibre", "embed", "counts", "oracle"
     }
 
