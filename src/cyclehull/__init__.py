@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 __all__ = [
     "partitions",
     "moebius",
+    "hullwalk",
     "hull",
     "export",
     "census",

@@ -89,7 +89,7 @@ def _cmd_fibre(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .oracle import FiniteMetric, tight_span
+    from .oracle import FiniteMetric, doubled_span, span_lines
 
     metric = FiniteMetric.from_file(args.metric)
     if args.compare is not None:
@@ -102,29 +102,18 @@ def _cmd_oracle(args) -> int:
                 f"--compare {args.compare} has N = {int(tail)} points,"
                 f" the metric has {metric.n}"
             )
-    verts, norm_edges = tight_span(metric)
+    verts, edges = doubled_span(metric)  # 2f per vertex: no Fraction
     if args.compare is None:
-        print(f"vertices: {len(verts)}")
-        for f in sorted(verts):
-            print(" ".join(str(x) for x in f))
-        print(f"edges: {len(norm_edges)}")
-        for u, v in sorted(norm_edges):
-            left = " ".join(str(x) for x in u)
-            right = " ".join(str(x) for x in v)
-            print(f"{left} ; {right}")
+        _write_blocks(span_lines(verts, edges))
         return 0
-    from .hull import build_hull
+    from .hullwalk import doubled_hull
 
-    hull = build_hull(kind, metric.n)
-    # int tuples compare and hash equal to the oracle's Fraction tuples
-    want_v = frozenset(hull.vertices.values())
-    pairs = ((hull.vertices[a], hull.vertices[b]) for a, b in hull.edges())
-    want_e = {(min(pair), max(pair)) for pair in pairs}
-    if verts == want_v and norm_edges == want_e:
-        print(f"MATCH: {len(verts)} vertices, {len(norm_edges)} edges")
+    want_v, want_e = doubled_hull(kind, metric.n)
+    if verts == want_v and edges == want_e:
+        print(f"MATCH: {len(verts)} vertices, {len(edges)} edges")
         return 0
     print(
-        f"MISMATCH: oracle {len(verts)} vertices / {len(norm_edges)} edges,"
+        f"MISMATCH: oracle {len(verts)} vertices / {len(edges)} edges,"
         f" construction {len(want_v)} vertices / {len(want_e)} edges"
     )
     return 1

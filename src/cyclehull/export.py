@@ -1,6 +1,6 @@
 """The hull exports, streamed from walks over the pool's row ranges.
 
-partitions.name_walk yields each vertex of a hull with its name and
+hullwalk.name_walk yields each vertex of a hull with its name and
 its function j -> d(lam, R_j) - o, in name order, the order every
 export prints, with no sort and nothing held per vertex.  The JSON faces
 keep their tuple order: one partitions.corner_walk lists the tops, and
@@ -9,7 +9,7 @@ one (name, corner rows) pair per vertex is held for them.
 An export streams as it walks, so one that finds a vertex whose tau
 image is outside the pool (OrbitLeavesPool) stops part way.  The
 vertices and JSON commands load this module; hull.to_json imports it
-when called, so the DOT export and oracle --compare do not.
+when called, so the DOT export does not.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from .partitions import _Numerals, corner_walk, hull_pool, name_walk
+from .hullwalk import _Numerals, hull_pool, name_walk
+from .partitions import corner_walk
 
 
 def vertex_lines(kind: str, n: int) -> Iterator[str]:

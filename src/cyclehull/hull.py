@@ -7,8 +7,8 @@ lam is the function j -> |tau^j(lam)| (less o = k(k-1)/2 for the cycle),
 which is j -> d(lam, R_j) - o, the Young-lattice distance to the
 rectangle R_j = (j^(N-j)).  A v-face is the cube (top, removed): the
 partitions obtained from top by deleting any subset of v corner boxes.
-build_hull keeps all that one partitions.name_walk over the pool's row
-ranges (partitions.hull_pool) yields, in name order, at a cost that
+build_hull keeps all that one hullwalk.name_walk over the pool's row
+ranges (hullwalk.hull_pool) yields, in name order, at a cost that
 follows the number of vertices, not the 2^(N-1) of Y_N; f_vertex and
 g_vertex walk one vertex's tau orbit and stay the independent reference.
 Faces stay implicit in the corner rows: the f-vector and edges are read
@@ -27,14 +27,13 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
+from .hullwalk import _Numerals, hull_pool, name_walk
 from .partitions import (
     Partition,
-    _Numerals,
     circ_rows,
     corner_walk,
-    hull_pool,
     make_partition,
-    name_walk,
+    one_box_less,
     require_circ,
     require_YN,
     size,
@@ -165,18 +164,16 @@ class HullComplex(NamedTuple):
         return tuple(sorted(self._edge_pairs()))
 
     def _edge_pairs(self) -> Iterator[tuple[Partition, Partition]]:
-        # removing a box gives a lexicographically smaller partition; r is
-        # a corner row, so lam_r > lam_(r+1), and a part 1 there is the last
+        # (lam less one corner box, lam): the smaller partition first
         for lam, rows in self.faces.corner_rows.items():
-            for r in rows:
-                q = lam[r - 1] - 1
-                yield (*lam[: r - 1], q, *lam[r:]) if q else lam[: r - 1], lam
+            for mu in one_box_less(lam, rows):
+                yield mu, lam
 
 
 def build_hull(kind: str, n: int) -> HullComplex:
     """Assemble the hull complex of X_N ('xn') or C_N ('cycle').
 
-    Both spaces take one path: one partitions.name_walk over the row
+    Both spaces take one path: one hullwalk.name_walk over the row
     ranges of the pool (hull_pool: all of Y_N, or Y_N°) yields each
     vertex in name order with its name, its function and its removable
     rows; faces with top lam are in bijection with subsets of those

@@ -23,6 +23,12 @@ and every vertex or edge met adds its whole orbit (Bremner, Dutour
 Sikiric, Schurmann, Polyhedral representation conversion up to
 symmetries, 2009); for C_N and X_N the group is dihedral of order 2N.
 Tight graphs and the minus and plus sets of rays are int bitmasks.
+
+Vertices are half-integral, so the walk runs on doubled integers 2f,
+and doubled_span returns its sets as they are.  The oracle command
+prints them (span_lines writes x/2 for an odd x) and compares them with
+the construction's, doubled too, so it never loads fractions;
+tight_span halves them into ints and Fractions for the library.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import math
 from operator import itemgetter
 from pathlib import Path
+from typing import Iterator
 
 
 class DimensionMismatch(ValueError):
@@ -297,7 +304,7 @@ def _close(item, found: set, images) -> None:
 
 
 def _span(metric: FiniteMetric, gens) -> tuple[frozenset, frozenset]:
-    """tight_span's walk, computing rays at one vertex per orbit of the
+    """doubled_span's walk, computing rays at one vertex per orbit of the
     group generated by the permutations gens; with none, every vertex."""
     n = metric.n
     d2 = [[2 * x for x in row] for row in metric.d]
@@ -348,6 +355,35 @@ def _span(metric: FiniteMetric, gens) -> tuple[frozenset, frozenset]:
                 _close(g2, seen, vertex_images)
                 stack.append(g2)
 
+    return frozenset(seen), frozenset(edges)
+
+
+def doubled_span(metric: FiniteMetric) -> tuple[frozenset, frozenset]:
+    """tight_span's vertices and edges, doubled: 2f for each vertex f, as
+    a tuple of ints, and each edge as a pair (u, v) with u < v.
+
+    These are the sets the walk computes.  The oracle command prints and
+    compares them as they are, so it needs no Fraction.
+    """
+    return _span(metric, _symmetries(metric.d, metric.n))
+
+
+def tight_span(metric: FiniteMetric) -> tuple[frozenset, frozenset]:
+    """Vertices and edges of the tight span, as tuples of exact numbers:
+    int where a coordinate is integral, Fraction where it is a half.
+
+    Walks the vertices of P(d) = {f : f_i + f_j >= d_ij, f_i >= 0} along
+    its bounded edges, from the distance row of point 0.  The vertices
+    are half-integral, since the tight graph pinning one has an odd
+    cycle or a zero in every component; the walk therefore runs on
+    doubled integers (doubled_span) and every step is an exact integer.
+    It computes rays only at one vertex per orbit of the metric's
+    isometry group (_symmetries) and adds the images of every vertex and
+    edge it meets.  Edges are pairs (u, v) with u < v.  The tuples
+    compare and hash equal to the same values as Fractions or ints.
+    TooLarge if the walk needs more than WALK_BUDGET tight-graph tests.
+    """
+    seen, edges = doubled_span(metric)
     # each distinct doubled value is halved once: int when even, Fraction
     # when odd (imported only then: the model metrics' spans have none)
     half = {x: x // 2 for f2 in seen for x in f2}
@@ -363,22 +399,23 @@ def _span(metric: FiniteMetric, gens) -> tuple[frozenset, frozenset]:
     )
 
 
-def tight_span(metric: FiniteMetric) -> tuple[frozenset, frozenset]:
-    """Vertices and edges of the tight span, as tuples of exact numbers:
-    int where a coordinate is integral, Fraction where it is a half.
-
-    Walks the vertices of P(d) = {f : f_i + f_j >= d_ij, f_i >= 0} along
-    its bounded edges, from the distance row of point 0.  The vertices
-    are half-integral, since the tight graph pinning one has an odd
-    cycle or a zero in every component; the walk therefore runs on
-    doubled integers and every step is an exact integer.  It computes
-    rays only at one vertex per orbit of the metric's isometry group
-    (_symmetries) and adds the images of every vertex and edge it meets.
-    Edges are pairs (u, v) with u < v.  The tuples compare and hash equal
-    to the same values as Fractions or ints.  TooLarge if the walk needs
-    more than WALK_BUDGET tight-graph tests.
+def span_lines(vertices, edges) -> Iterator[str]:
+    """The oracle command's listing of doubled_span's sets, line by line:
+    the vertex count, the vertices, the edge count and the edges as
+    "u ; v", each coordinate printed as its half, as str prints the int
+    or Fraction that tight_span gives: x // 2 when x is even, "x/2" when
+    it is odd.  Sorting the doubled tuples gives the order of the halved
+    ones, and each distinct value's text, and each vertex's, is made once.
     """
-    return _span(metric, _symmetries(metric.d, metric.n))
+    values = {x for f2 in vertices for x in f2}
+    text = {x: f"{x}/2" if x % 2 else str(x // 2) for x in values}
+    line = {f2: " ".join(map(text.__getitem__, f2)) for f2 in vertices}
+    yield f"vertices: {len(vertices)}\n"
+    for f2 in sorted(vertices):
+        yield line[f2] + "\n"
+    yield f"edges: {len(edges)}\n"
+    for u, v in sorted(edges):
+        yield f"{line[u]} ; {line[v]}\n"
 
 
 def tight_span_vertices(metric: FiniteMetric) -> frozenset:

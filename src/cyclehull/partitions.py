@@ -11,7 +11,6 @@ partitions R_j and the near-staircases alpha_j.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
 from typing import Collection, Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -65,14 +64,6 @@ def make_partition(parts: Iterable[int]) -> Partition:
 def format_partition(lam: Partition) -> str:
     """Serialize as comma-joined parts; the empty partition is ''."""
     return ",".join(map(str, lam))
-
-
-class _Numerals(dict):
-    """int -> str: each distinct value's text made once, on first use."""
-
-    def __missing__(self, value: int) -> str:
-        text = self[value] = str(value)
-        return text
 
 
 def parse_partition(text: str) -> Partition:
@@ -192,6 +183,18 @@ def removable_rows(lam: Partition, rows: tuple[range, ...]) -> tuple[int, ...]:
     )
 
 
+def one_box_less(lam: Partition, corner_rows: Iterable[int]) -> Iterator[Partition]:
+    """lam less the corner box of each of its corner rows, one row at a
+    time: the hull's edges down from the vertex lam.
+
+    A corner row r has lam_r > lam_(r+1), so a part 1 there is the last
+    part, and the row is dropped.  lam is not validated.
+    """
+    for r in corner_rows:
+        q = lam[r - 1] - 1
+        yield (*lam[: r - 1], q, *lam[r:]) if q else lam[: r - 1]
+
+
 def fewest_parts(rows: tuple[range, ...]) -> int:
     """The fewest parts a partition over rows may have: it may end after
     s parts only when every later row admits 0."""
@@ -259,106 +262,6 @@ def corner_walk(
         parts[-1] += 1
         if s > 1 and parts[-1] == parts[-2]:  # row s - 1 loses its corner
             settled[-1] = settled[-2]
-
-
-def name_walk(
-    kind: str, n: int
-) -> Iterator[tuple[Partition, str, tuple[int, ...], tuple[int, ...]]]:
-    """(lam, format_partition(lam), vertex function, corner rows) for each
-    vertex of the hull, in name order: "" first, "10,..." before "2,...".
-
-    The pool is hull_pool(kind, n): its row ranges and the offset o.  The
-    vertex function is j -> d(lam, R_j) - o, R_j = (j^(N-j)): row r of
-    lam with part p adds p - 2 min(p, j) to place j when r <= N - j, and
-    p when the rectangle has no row r, to the empty partition's function
-    (j(N - j) - o)_j, so each vertex's function is its parent's plus one
-    N-tuple, with no tau orbit.  The corner rows are removable_rows(lam,
-    rows), settled along the path as corner_walk settles them: choosing
-    part q for row m settles row m - 1, a corner when its part is above
-    max(q, its range's low end), and row m is a corner when q is above
-    its own low end.
-
-    A row's choices are the tuple of its parts q in text order up to the
-    part above, each with its text, its N-tuple, (q,), the cap N - q on
-    the rows below a first part q, the next row's choices below it, and
-    q when it is above the row's low end (else 0), made once per row and
-    top.  The path is a stack of iterators over choices, each with its
-    prefix's partition, name, function and settled corner rows.  A
-    partition ends before it extends, so the names come out sorted.
-
-    Each vertex checks that tau lam = (N - m - 1, lam_1 - 1, .., lam_m - 1)
-    stays in the pool, in O(1): a part q > 1 in row r puts q - 1 in row
-    r + 1, which is checked when q is chosen; at a vertex with m rows the
-    head N - m - 1 must fit the width, and tau lam, with one part per
-    part of lam above 1 and the head, must have fewest_parts.  t counts
-    the parts above 1 along the path and drops far below zero at a part
-    whose shift leaves its row, so one comparison per vertex, t against
-    least[m], holds the whole test; tau (1^(N-1)) = () needs no head.
-    A pool that tau leaves raises OrbitLeavesPool part way through.
-    """
-    rows, o = hull_pool(kind, n)
-    fewest = fewest_parts(rows)
-    drop = -2 * n - 2  # t = drop + (at most n) stays below least[m] >= -1
-    least = [  # at m rows, from m = 0: the head is N - m - 1
-        n + 1 if head and head not in rows[0] else fewest - (head > 0)
-        for head in range(n - 1, -1, -1)
-    ]
-    order = sorted(range(n), key=str)
-    kids: tuple = ()  # row s + 1's choices under each top, s from 0
-    for s in range(n - 1, -1, -1):
-        row, below = rows[s], kids
-        choice = {}
-        for q in range(max(1, row.start), row.stop):
-            choice[q] = (
-                "," + str(q) if s else str(q),
-                tuple(q - 2 * min(q, j) if s < n - j else q for j in range(n)),
-                0 if q == 1 else 1 if s + 1 < n and q - 1 in rows[s + 1] else drop,
-                (q,),
-                n - q,
-                below[q] if below else (),
-                q if q > row.start else 0,
-            )
-        kids = tuple(
-            tuple(choice[q] for q in order if q <= top and q in choice)
-            for top in range(n)
-        )
-    f0 = tuple(j * (n - j) - o for j in range(n))
-    if fewest == 0:
-        if least[0] > 0:
-            raise _leaves((), n)
-        yield (), "", f0, ()
-    # per row m of the path: the choices left, and the partition, name,
-    # function and t of the prefix above it, with its cap N - lam_1 on
-    # the rows (0 above row 1, whose choice sets it), the corner rows
-    # among rows 1 .. m - 2, and row m - 1's part if it is a corner under
-    # a smaller part (else 0)
-    stack = [(iter(kids[n - 1]), (), "", f0, 0, 0, (), 0)]
-    while stack:
-        choices, above, prefix, f, t, cap, settled, edge = stack[-1]
-        m = len(stack)
-        settles = settled + (m - 1,)
-        for text, step, shift, part, limit, below, corner in choices:
-            lam = above + part
-            name = prefix + text
-            g = tuple(map(add, f, step))
-            u = t + shift
-            kept = settles if part[0] < edge else settled
-            if m >= fewest:
-                if u < least[m]:
-                    raise _leaves(lam, n)
-                yield lam, name, g, kept + (m,) if corner else kept
-            most = cap or limit
-            if below and m < most:
-                stack.append((iter(below), lam, name, g, u, most, kept, corner))
-                break
-        else:
-            stack.pop()
-
-
-def _leaves(lam: Partition, n: int) -> OrbitLeavesPool:
-    return OrbitLeavesPool(
-        f"the tau orbit of {lam or '()'} reaches {tau(lam, n) or '()'}"
-    )
 
 
 def enumerate_YN(n: int) -> tuple[Partition, ...]:
@@ -509,15 +412,3 @@ def model_matrix(kind: str, n: int) -> tuple[tuple[int, ...], ...]:
     require_space(kind, n)
     distance = xn_distance if kind == "xn" else cycle_distance
     return tuple(tuple(distance(i, j, n) for j in range(n)) for i in range(n))
-
-
-def hull_pool(kind: str, n: int) -> tuple[tuple[range, ...], int]:
-    """The vertices of a hull as row ranges, and the offset o that its
-    vertex functions sit below X_N's: all of Y_N (band_rows(n, 0, n)) and
-    o = 0 for 'xn', Y_N° (circ_rows) and o = k(k-1)/2, k = N // 2, for
-    'cycle'."""
-    require_space(kind, n)
-    if kind == "xn":
-        return band_rows(n, 0, n), 0
-    k = n // 2
-    return circ_rows(n), k * (k - 1) // 2

@@ -2,6 +2,7 @@ import io
 import json
 import operator
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,11 +11,16 @@ from collections import Counter
 from pathlib import Path
 
 from cyclehull.cli import main
-from cyclehull import hull as hull_module, partitions as partitions_module
+from cyclehull import (
+    hull as hull_module,
+    hullwalk as hullwalk_module,
+    partitions as partitions_module,
+)
 from cyclehull.hull import (
     build_hull, max_cube_decomposition, skeleton, to_dot, to_json,
 )
 from cyclehull.moebius import enumerate_circ, fold
+from cyclehull.oracle import FiniteMetric, tight_span
 from cyclehull.partitions import format_partition, model_matrix, parse_partition
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -139,12 +145,14 @@ def test_odd_cycle_dot_walks_the_band_once(capsys, monkeypatch):
     # corner_walk; the text is the one that build_hull and
     # max_cube_decomposition give apart
     walks = []
-    for name in ("name_walk", "corner_walk"):
-        def counted(*args, walk=getattr(partitions_module, name), name=name):
+    for home, name in (
+        (hullwalk_module, "name_walk"), (partitions_module, "corner_walk")
+    ):
+        def counted(*args, walk=getattr(home, name), name=name):
             walks.append((name, *args))
             return walk(*args)
 
-        for module in (partitions_module, hull_module):
+        for module in (home, hull_module):
             monkeypatch.setattr(module, name, counted)
     code, out, _ = run(
         capsys, "skeleton", "--n", "11", "--space", "cycle", "--format", "dot"
@@ -263,6 +271,65 @@ def test_oracle_listing(capsys, tmp_path):
     assert "edges: 4" in lines
 
 
+def str_listing(metric):
+    """The oracle listing as it was made from tight_span: sorted tuples of
+    ints and Fractions, and str per coordinate."""
+    verts, edges = tight_span(metric)
+    lines = [f"vertices: {len(verts)}"]
+    lines += [" ".join(str(x) for x in f) for f in sorted(verts)]
+    lines.append(f"edges: {len(edges)}")
+    for u, v in sorted(edges):
+        lines.append(" ".join(str(x) for x in u) + " ; " + " ".join(str(x) for x in v))
+    return "\n".join(lines) + "\n"
+
+
+def test_oracle_listing_is_the_text_of_tight_span(capsys, tmp_path):
+    # the command prints the walk's doubled integers as halves; distances
+    # in 5..9 or 10..19 always make a metric, and many of their spans are
+    # half-integral
+    rng = random.Random(28)
+    matrices = []
+    for n in range(1, 9):
+        for low in (5, 10):
+            d = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    d[i][j] = d[j][i] = rng.randint(low, 2 * low - 1)
+            matrices.append(d)
+    matrices.append([[0 if i == j else 1 for j in range(3)] for i in range(3)])
+    matrices += [model_matrix(kind, 7) for kind in ("cycle", "xn")]
+    halves = 0
+    for d in matrices:
+        path = tmp_path / "metric.txt"
+        path.write_text("\n".join([str(len(d)), *(" ".join(map(str, r)) for r in d)]))
+        code, out, _ = run(capsys, "oracle", "--metric", str(path))
+        assert (code, out) == (0, str_listing(FiniteMetric.from_rows(d))), d
+        halves += "/2" in out
+    assert halves >= 8, halves
+
+
+def test_oracle_compare_reads_the_construction(capsys, tmp_path, monkeypatch):
+    # one changed value in one vertex of the hull walk is a mismatch,
+    # though the counts still agree
+    path = write_metric(tmp_path, "cycle", 7)
+    argv = ("oracle", "--metric", path, "--compare", "cycle:7")
+    assert run(capsys, *argv)[:2] == (0, "MATCH: 29 vertices, 56 edges\n")
+    walk, calls = hullwalk_module.name_walk, []
+
+    def changed(kind, n):
+        calls.append((kind, n))
+        for i, (lam, name, f, corners) in enumerate(walk(kind, n)):
+            yield lam, name, (f[0] + 2 * (i == 5), *f[1:]), corners
+
+    monkeypatch.setattr(hullwalk_module, "name_walk", changed)
+    code, out, _ = run(capsys, *argv)
+    assert (code, calls) == (1, [("cycle", 7)])
+    assert out == (
+        "MISMATCH: oracle 29 vertices / 56 edges,"
+        " construction 29 vertices / 56 edges\n"
+    )
+
+
 def test_usage_error_exit_two(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "census")[0] == 2
@@ -278,9 +345,9 @@ def test_bad_compare_flag(capsys, tmp_path, monkeypatch):
     # a bad kind or a point count other than the metric's is refused
     # before the oracle's walk starts
     def walk(*args, **kwargs):
-        raise AssertionError("tight_span ran")
+        raise AssertionError("doubled_span ran")
 
-    monkeypatch.setattr("cyclehull.oracle.tight_span", walk)
+    monkeypatch.setattr("cyclehull.oracle.doubled_span", walk)
     path = write_metric(tmp_path, "cycle", 4)
     code, _, err = run(capsys, "oracle", "--metric", path,
                        "--compare", "weird:5")
@@ -390,8 +457,9 @@ def test_vertices_export_memory_does_not_grow_with_the_hull(monkeypatch):
 def test_each_command_imports_only_what_it_runs(tmp_path):
     # one fresh interpreter per command: the cyclehull modules it loads,
     # no dataclasses or its imports (inspect pulls in dis, ast, ...), and
-    # exact fractions only for an oracle whose span has a half-integral
-    # coordinate: the uniform triangle's centre (1/2, 1/2, 1/2), not C_5
+    # no exact fractions, not even for an oracle whose span has a
+    # half-integral coordinate: the uniform triangle's centre
+    # (1/2, 1/2, 1/2); the hull walk only for the hull commands
     code = (
         "import contextlib, io, sys\n"
         "from cyclehull import cli\n"
@@ -414,17 +482,19 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         (["embed", "--n", "9", "--partition", "3,2,1"],
          ["moebius", "partitions"]),
         (["counts", "--n", "9", "--m", "1"], ["census", "partitions"]),
-        (["vertices", "--n", "9", "--space", "cycle"], ["export", "partitions"]),
-        (["vertices", "--n", "9", "--space", "xn"], ["export", "partitions"]),
+        (["vertices", "--n", "9", "--space", "cycle"],
+         ["export", "hullwalk", "partitions"]),
+        (["vertices", "--n", "9", "--space", "xn"],
+         ["export", "hullwalk", "partitions"]),
         (["vertices", "--n", "9", "--space", "xn", "--json"],
-         ["export", "partitions"]),
+         ["export", "hullwalk", "partitions"]),
         (["skeleton", "--n", "9", "--space", "xn", "--format", "json"],
-         ["export", "partitions"]),
+         ["export", "hullwalk", "partitions"]),
         (["skeleton", "--n", "9", "--space", "cycle", "--format", "dot"],
-         ["hull", "partitions"]),
+         ["hull", "hullwalk", "partitions"]),
         (["oracle", "--metric", metric], ["oracle"]),
         (["oracle", "--metric", metric, "--compare", "cycle:5"],
-         ["hull", "oracle", "partitions"]),
+         ["hullwalk", "oracle", "partitions"]),
         (["oracle", "--metric", str(triangle)], ["oracle"]),
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -433,9 +503,8 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
             [sys.executable, "-c", code, *argv],
             capture_output=True, text=True, env=env,
         )
-        fractions = str(str(triangle) in argv)
         assert proc.stdout.split() == [
-            "0", "False", "False", fractions, fractions,
+            "0", "False", "False", "False", "False",
             *(f"cyclehull.{m}" for m in sorted(["cli", *modules])),
         ], (argv, proc.stdout, proc.stderr)
 
@@ -571,6 +640,7 @@ import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29))
 import cyclehull.census as census
 import cyclehull.hull as hull
+import cyclehull.hullwalk as hullwalk
 import cyclehull.partitions as partitions
 import cyclehull.moebius as moebius
 import cyclehull.oracle as oracle
@@ -602,10 +672,10 @@ expect(BadBandIndex, census.count_band, 5, 0)
 reference.matrix_circcirc = lambda: (reference.matrix_S(), reference.matrix_S())
 expect(IdentityFailure, reference.circcirc_trace, 3)
 expect(OrbitLeavesPool, list, partitions.tau_orbits(((2,),), 3))
-hull_pool = partitions.hull_pool
-partitions.hull_pool = lambda kind, n: ((range(0, 6), *hull_pool(kind, n)[0][1:]), 0)
+hull_pool = hullwalk.hull_pool
+hullwalk.hull_pool = lambda kind, n: ((range(0, 6), *hull_pool(kind, n)[0][1:]), 0)
 expect(OrbitLeavesPool, hull.build_hull, "xn", 7)
-partitions.hull_pool = hull_pool
+hullwalk.hull_pool = hull_pool
 partitions.tau = lambda lam, n: ()
 expect(OrbitNotClosed, partitions.tau_orbit, (1,), 3)
 fibre_size = moebius.fold_fibre_size

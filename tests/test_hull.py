@@ -29,8 +29,10 @@ from cyclehull.oracle import FiniteMetric, _bipartite_components
 from cyclehull import (
     export as export_module,
     hull as hull_module,
+    hullwalk as hullwalk_module,
     partitions as partitions_module,
 )
+from cyclehull.hullwalk import doubled_hull, hull_pool
 from cyclehull.partitions import (
     OrbitLeavesPool,
     alpha,
@@ -38,7 +40,6 @@ from cyclehull.partitions import (
     cycle_distance,
     enumerate_YN,
     format_partition,
-    hull_pool,
     make_partition,
     rectangular,
     rim_walk,
@@ -127,7 +128,7 @@ def test_streamed_walk_keeps_the_orbit_check(monkeypatch):
     # the name walk: Y_7 without width 6 loses only tau () = (6,), Y_7
     # without (5, 5) in row 2 loses tau (6,) = (5, 5); build_hull reads
     # the same name walk and refuses both pools too.  The walk reads its
-    # pool from partitions.hull_pool
+    # pool from hullwalk.hull_pool
     rows, _ = hull_pool("xn", 7)
     for pool, leaver in (
         ((range(0, 6), *rows[1:]), ()),
@@ -136,7 +137,7 @@ def test_streamed_walk_keeps_the_orbit_check(monkeypatch):
         members = rim_walk(7, pool)
         assert [lam for lam in members if tau(lam, 7) not in members] == [leaver]
         monkeypatch.setattr(
-            partitions_module, "hull_pool", lambda kind, n: (pool, 0)
+            hullwalk_module, "hull_pool", lambda kind, n: (pool, 0)
         )
         message = re.escape(f"orbit of {leaver or '()'} reaches {tau(leaver, 7)}")
         for export in (
@@ -277,9 +278,13 @@ def test_exports_name_each_vertex_once(monkeypatch):
             return call(*args)
         return counted
 
-    for name in ("name_walk", "corner_walk", "format_partition"):
-        counted = counting(name, getattr(partitions_module, name))
-        for module in (partitions_module, export_module, hull_module):
+    for home, name in (
+        (hullwalk_module, "name_walk"),
+        (partitions_module, "corner_walk"),
+        (partitions_module, "format_partition"),
+    ):
+        counted = counting(name, getattr(home, name))
+        for module in (partitions_module, hullwalk_module, export_module, hull_module):
             monkeypatch.setattr(module, name, counted, raising=False)
     for (label, export, want_calls), want in zip(exports, wants):
         calls.clear()
@@ -419,6 +424,20 @@ def test_implicit_faces_match_materialized_faces():
             tuple(sorted((f.top, f.bottom))) for f in faces if f.dim == 1
         )
         assert hull.edges() == tuple(edges)
+
+
+def test_doubled_hull_is_the_built_hull_doubled():
+    # oracle --compare reads the hull walk, not build_hull: the same
+    # vertices and the same edges, each value doubled
+    for kind, top in (("cycle", 13), ("xn", 10)):
+        for n in range(1, top + 1):
+            hull = build_hull(kind, n)
+            twice = {lam: tuple(2 * x for x in f) for lam, f in hull.vertices.items()}
+            verts, edges = doubled_hull(kind, n)
+            assert verts == set(twice.values()), (kind, n)
+            assert edges == {
+                tuple(sorted((twice[a], twice[b]))) for a, b in hull.edges()
+            }, (kind, n)
 
 
 def test_max_cube_decomposition_rejects_even_and_small_n():

@@ -16,6 +16,7 @@ from cyclehull.oracle import (
     _span,
     _symmetries,
     _tight_graph,
+    doubled_span,
     is_extremal,
     is_feasible,
     tight_span,
@@ -318,7 +319,26 @@ def symmetric_metrics():
 def test_orbit_walk_equals_blind_walk():
     metrics = random_metrics(2013, 200) + symmetric_metrics()
     for metric in metrics:
-        assert tight_span(metric) == _span(metric, ()), metric.d
+        assert doubled_span(metric) == _span(metric, ()), metric.d
+
+
+def test_tight_span_halves_the_doubled_span():
+    # the walk's own sets are int tuples 2f, edges ordered; tight_span
+    # halves each value, to an int where it is even
+    for metric in random_metrics(2013, 60) + symmetric_metrics():
+        verts2, edges2 = doubled_span(metric)
+        assert all(type(x) is int for f2 in verts2 for x in f2), metric.d
+        assert all(u < v for u, v in edges2), metric.d
+
+        def half(f2):
+            return tuple(Fraction(x, 2) for x in f2)
+
+        verts, edges = tight_span(metric)
+        assert verts == {half(f2) for f2 in verts2}, metric.d
+        assert edges == {(half(u), half(v)) for u, v in edges2}, metric.d
+        assert all(
+            (type(x) is int) == (x.denominator == 1) for f in verts for x in f
+        ), metric.d
 
 
 def test_symmetries_preserve_the_metric():

@@ -6,6 +6,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 import cyclehull
+from cyclehull.hullwalk import hull_pool, name_walk
 from cyclehull.partitions import (
     Corners,
     IndexOutOfRange,
@@ -20,12 +21,10 @@ from cyclehull.partitions import (
     cycle_distance,
     enumerate_YN,
     format_partition,
-    hull_pool,
     in_YN,
     make_partition,
     max_hook,
     model_matrix,
-    name_walk,
     parse_partition,
     rectangular,
     removable_rows,

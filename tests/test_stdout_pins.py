@@ -2,7 +2,9 @@
 
 Each line of stdout_pins.txt holds the sha256 of a job's stdout and the
 job's arguments to ``python -m cyclehull``; ``{cycle7}`` stands for a
-file holding the distance matrix of C_7.  Light jobs run through
+file holding the distance matrix of C_7, and ``{triangle}`` for one of
+the uniform triangle at distance 1, whose span has the half-integral
+centre (1/2, 1/2, 1/2).  Light jobs run through
 ``cli.main`` with stdout captured.  The hull exports at N >= 13, whose
 output is large, run in a fresh interpreter, as a user runs them.  The CI
 workflow reads the same file and runs every job in a fresh interpreter,
@@ -40,16 +42,24 @@ def cycle7(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def triangle(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pins") / "triangle.txt"
+    path.write_text("3\n0 1 1\n1 0 1\n1 1 0\n")
+    return str(path)
+
+
 def test_pins_cover_every_subcommand():
     commands = {job.split()[0] for _, job in PINS}
-    assert len(PINS) == 31 and commands == {
+    assert len(PINS) == 32 and commands == {
         "census", "vertices", "skeleton", "fold", "fibre", "embed", "counts", "oracle"
     }
 
 
 @pytest.mark.parametrize("want, job", PINS, ids=[job for _, job in PINS])
-def test_stdout_is_pinned(want, job, cycle7, capsys):
-    argv = [cycle7 if arg == "{cycle7}" else arg for arg in job.split()]
+def test_stdout_is_pinned(want, job, cycle7, triangle, capsys):
+    files = {"{cycle7}": cycle7, "{triangle}": triangle}
+    argv = [files.get(arg, arg) for arg in job.split()]
     if runs_fresh(argv):
         env = dict(
             os.environ,
