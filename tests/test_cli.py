@@ -363,15 +363,6 @@ def test_bad_compare_flag(capsys, tmp_path, monkeypatch):
         )
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cyclehull", "census", "--n", "5"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "11 + 15*t + 5*t^2\n"
-
-
 def test_closed_stdout_exits_141_quietly():
     # the reader takes one line and closes the pipe, as `| head -1` does;
     # both outputs are far larger than a pipe's buffer; their 64 KiB

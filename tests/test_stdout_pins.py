@@ -4,11 +4,12 @@ Each line of stdout_pins.txt holds the sha256 of a job's stdout and the
 job's arguments to ``python -m cyclehull``; ``{cycle7}`` stands for a
 file holding the distance matrix of C_7, and ``{triangle}`` for one of
 the uniform triangle at distance 1, whose span has the half-integral
-centre (1/2, 1/2, 1/2).  Light jobs run through
-``cli.main`` with stdout captured.  The hull exports at N >= 13, whose
-output is large, run in a fresh interpreter, as a user runs them.  The CI
-workflow reads the same file and runs every job in a fresh interpreter,
-once with a buffered and once with an unbuffered stdout.
+centre (1/2, 1/2, 1/2).  Every job runs as a user runs it, in a fresh
+interpreter with no bytecode cache, twice: once through a buffered
+stdout (``PYTHONUNBUFFERED`` empty) and once through an unbuffered one
+(``PYTHONUNBUFFERED=1``), each set for the job alone, so the result does
+not depend on the caller's environment.  A case's id is the job, led by
+``PYTHONUNBUFFERED=1`` in the unbuffered mode.
 """
 
 import hashlib
@@ -19,7 +20,6 @@ from pathlib import Path
 
 import pytest
 
-from cyclehull.cli import main
 from cyclehull.partitions import model_matrix
 
 HERE = Path(__file__).resolve().parent
@@ -28,10 +28,7 @@ PINS = [
     for line in (HERE / "stdout_pins.txt").read_text().splitlines()
     if line and not line.startswith("#")
 ]
-
-
-def runs_fresh(argv):
-    return argv[0] in ("skeleton", "vertices") and int(argv[argv.index("--n") + 1]) >= 13
+MODES = {"": "", "1": "PYTHONUNBUFFERED=1 "}
 
 
 @pytest.fixture(scope="module")
@@ -56,22 +53,23 @@ def test_pins_cover_every_subcommand():
     }
 
 
-@pytest.mark.parametrize("want, job", PINS, ids=[job for _, job in PINS])
-def test_stdout_is_pinned(want, job, cycle7, triangle, capsys):
+@pytest.mark.parametrize("want, job, unbuffered", [
+    pytest.param(want, job, unbuffered, id=prefix + job)
+    for unbuffered, prefix in MODES.items()
+    for want, job in PINS
+])
+def test_stdout_is_pinned(want, job, unbuffered, cycle7, triangle):
     files = {"{cycle7}": cycle7, "{triangle}": triangle}
     argv = [files.get(arg, arg) for arg in job.split()]
-    if runs_fresh(argv):
-        env = dict(
-            os.environ,
-            PYTHONPATH=str(HERE.parent / "src"),
-            PYTHONDONTWRITEBYTECODE="1",
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "cyclehull", *argv], capture_output=True, env=env
-        )
-        code, out = proc.returncode, proc.stdout
-    else:
-        code = main(argv)
-        out = capsys.readouterr().out.encode()
-    assert code == 0, job
-    assert hashlib.sha256(out).hexdigest() == want, job
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(HERE.parent / "src"),
+        PYTHONDONTWRITEBYTECODE="1",
+        PYTHONUNBUFFERED=unbuffered,
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclehull", *argv], capture_output=True, env=env
+    )
+    case = f"PYTHONUNBUFFERED={unbuffered!r} {job}"
+    assert proc.returncode == 0, f"{case}: exit {proc.returncode}\n{proc.stderr.decode()}"
+    assert hashlib.sha256(proc.stdout).hexdigest() == want, f"{case}: stdout changed"
