@@ -6,13 +6,21 @@ error, 141 (128 + SIGPIPE) when the reader closes stdout early, as in
 `skeleton ... | head -1`; that one prints nothing on stderr.  No
 configuration files or environment variables.  Each subcommand imports
 the modules it runs, and no more, so `--help` loads none of them.
+
+Each subcommand is stated once, in `_COMMANDS`.  A well-formed command
+line is read straight from that table, so it never loads `argparse`
+(nor its `gettext` and `locale`).  `--help` and every other command line
+go to argparse, built from the same table, so help, errors and exit
+codes are argparse's.  `main` lifts Python's 4,300-digit limit on
+converting between `int` and `str` for its process, since exact answers
+pass it (the census of `C_15001`).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 _BLOCK = 1 << 16  # characters gathered for each write of a hull export
 
@@ -138,62 +146,127 @@ def _cmd_embed(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# name -> (help, {flag: (kind, required, help)}, handler); a kind is int,
+# str, a tuple of choices, or bool for a switch that takes no value
+_COMMANDS = {
+    "census": ("face polynomial or one face count", {
+        "--n": (int, True, None),
+        "--v": (int, False, "face dimension"),
+    }, _cmd_census),
+    "vertices": ("hull vertex functions", {
+        "--n": (int, True, None),
+        "--space": (("cycle", "xn"), True, None),
+        "--json": (bool, False, None),
+    }, _cmd_vertices),
+    "skeleton": ("1-skeleton export", {
+        "--n": (int, True, None),
+        "--space": (("cycle", "xn"), True, None),
+        "--format": (("dot", "json"), True, None),
+    }, _cmd_skeleton),
+    "fold": ("fold a partition into the band", {
+        "--n": (int, True, None),
+        "--partition": (str, True, 'e.g. "5,4,2,1"'),
+    }, _cmd_fold),
+    "fibre": ("fold fibre and Catalan factorization", {
+        "--n": (int, True, None),
+        "--partition": (str, True, None),
+    }, _cmd_fibre),
+    "oracle": ("tight span of a metric", {
+        "--metric": (str, True, "matrix file"),
+        "--compare": (str, False, "cycle:N or xn:N"),
+    }, _cmd_oracle),
+    "counts": ("band count, closed form vs enumeration", {
+        "--n": (int, True, None),
+        "--m": (int, True, None),
+    }, _cmd_counts),
+    "embed": ("doubling map into Y_2N", {
+        "--n": (int, True, None),
+        "--partition": (str, True, None),
+    }, _cmd_embed),
+}
+
+
+def _read(argv):
+    """The fields argparse would give `argv`, read directly, or None.
+
+    Only the plain form is read: a command, then its own flags spelled
+    out, each at most once, each but a switch followed by a value that
+    does not start with "-".  Everything else, help included, is left
+    to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, flags, handler = _COMMANDS[argv[0]]
+    fields = {"command": argv[0], "func": handler}
+    for flag, (kind, _, _) in flags.items():
+        fields[flag[2:]] = False if kind is bool else None
+    seen = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in flags or flag in seen:
+            return None
+        seen.add(flag)
+        kind = flags[flag][0]
+        if kind is bool:
+            fields[flag[2:]] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as "-"
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        fields[flag[2:]] = value
+    if any(spec[1] and flag not in seen for flag, spec in flags.items()):
+        return None
+    return fields
+
+
+def _parser(flagged):
+    """argparse's parser: every command, with flags for those in `flagged`."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cyclehull",
         description="Injective hulls of cycles via partition combinatorics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("census", help="face polynomial or one face count")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--v", type=int, default=None, help="face dimension")
-    p.set_defaults(func=_cmd_census)
-
-    p = sub.add_parser("vertices", help="hull vertex functions")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--space", choices=("cycle", "xn"), required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_vertices)
-
-    p = sub.add_parser("skeleton", help="1-skeleton export")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--space", choices=("cycle", "xn"), required=True)
-    p.add_argument("--format", choices=("dot", "json"), required=True)
-    p.set_defaults(func=_cmd_skeleton)
-
-    p = sub.add_parser("fold", help="fold a partition into the band")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--partition", required=True, help='e.g. "5,4,2,1"')
-    p.set_defaults(func=_cmd_fold)
-
-    p = sub.add_parser("fibre", help="fold fibre and Catalan factorization")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--partition", required=True)
-    p.set_defaults(func=_cmd_fibre)
-
-    p = sub.add_parser("oracle", help="tight span of a metric")
-    p.add_argument("--metric", required=True, help="matrix file")
-    p.add_argument("--compare", default=None, help="cycle:N or xn:N")
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("counts", help="band count, closed form vs enumeration")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=_cmd_counts)
-
-    p = sub.add_parser("embed", help="doubling map into Y_2N")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--partition", required=True)
-    p.set_defaults(func=_cmd_embed)
-
+    for name, (text, flags, handler) in _COMMANDS.items():
+        # argparse reaches only the named command's parser; the others
+        # lend the top-level usage their names and help, and no -h
+        p = sub.add_parser(name, help=text, add_help=name in flagged)
+        p.set_defaults(func=handler)
+        if name not in flagged:
+            continue
+        for flag, (kind, required, text) in flags.items():
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=text)
+                continue
+            typed = {"type": kind} if kind in (int, str) else {"choices": kind}
+            p.add_argument(flag, required=required, help=text, **typed)
     return parser
 
 
+def _args(argv):
+    """The command's arguments; argparse prints help and errors, and exits."""
+    fields = _read(argv)
+    if fields is None:
+        # argparse reaches the subparser of the first command named, if any
+        chosen = [arg for arg in argv if arg in _COMMANDS][:1]
+        fields = vars(_parser(chosen).parse_args(argv))
+    return SimpleNamespace(**fields)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7 and later
+        sys.set_int_max_str_digits(0)  # exact answers pass 4,300 digits
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -58,6 +58,30 @@ def test_census_single_count(capsys):
     assert out == "35\n"
 
 
+def test_census_past_the_int_string_limit():
+    # the top coefficients of C_15001's census have about 4,500 digits,
+    # past the 4,300 that int and str convert by default; the command
+    # lifts that limit for its own process, and so must the reader
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclehull", "census", "--n", "15001"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        coeffs = [
+            int(term.partition("t")[0].rstrip("*") or 1)
+            for term in proc.stdout.split(" + ")
+        ]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert sum(coeffs) == 2 ** 15001 - 1
+
+
 def test_fold_wide_example(capsys):
     code, out, _ = run(
         capsys, "fold", "--n", "23",
@@ -450,14 +474,17 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     # no dataclasses or its imports (inspect pulls in dis, ast, ...), and
     # no exact fractions, not even for an oracle whose span has a
     # half-integral coordinate: the uniform triangle's centre
-    # (1/2, 1/2, 1/2); the hull walk only for the hull commands
+    # (1/2, 1/2, 1/2); the hull walk only for the hull commands; argparse
+    # and its gettext only for --help, since well-formed commands are
+    # read without it
     code = (
         "import contextlib, io, sys\n"
         "from cyclehull import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(sys.argv[1:])\n"
         "print(code, *(m in sys.modules for m in"
-        " ('dataclasses', 'inspect', 'fractions', 'decimal')),"
+        " ('dataclasses', 'inspect', 'fractions', 'decimal',"
+        " 'argparse', 'gettext')),"
         " *sorted(m for m in sys.modules if m.startswith('cyclehull.')))"
     )
     metric = write_metric(tmp_path, "cycle", 5)
@@ -494,8 +521,9 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
             [sys.executable, "-c", code, *argv],
             capture_output=True, text=True, env=env,
         )
+        parsed = str(argv == ["--help"])
         assert proc.stdout.split() == [
-            "0", "False", "False", "False", "False",
+            "0", "False", "False", "False", "False", parsed, parsed,
             *(f"cyclehull.{m}" for m in sorted(["cli", *modules])),
         ], (argv, proc.stdout, proc.stderr)
 
