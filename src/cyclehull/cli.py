@@ -1,8 +1,12 @@
 """Command-line surface for the hull constructions.
 
-Every subcommand is deterministic given its flags and prints to stdout.
-Exit codes: 0 success, 1 comparison mismatch, 2 usage or validation
-error, 141 (128 + SIGPIPE) when the reader closes stdout early, as in
+Every subcommand is deterministic given its flags.  Its handler yields
+its text and returns its exit status; `main` passes it to `_write_blocks`,
+the one writer of command text, which writes blocks of about 64 KiB, so
+text appears as a block fills or the command ends (`counts` prints its
+two lines together).  A refusal raises before any text.  Exit codes: 0
+success, 1 comparison mismatch, 2 usage or validation error, 141
+(128 + SIGPIPE) when the reader closes stdout early, as in
 `skeleton ... | head -1`; that one prints nothing on stderr.  No
 configuration files or environment variables.  Each subcommand imports
 the modules it runs, and no more, so `--help` loads none of them.
@@ -22,81 +26,78 @@ import os
 import sys
 from types import SimpleNamespace
 
-_BLOCK = 1 << 16  # characters gathered for each write of a hull export
+_BLOCK = 1 << 16  # characters per write; unbuffered, each is a system call
 
 
-def _write_blocks(chunks) -> None:
-    # an export is thousands of small chunks, and an unbuffered stdout
-    # (PYTHONUNBUFFERED=1) makes each write one system call
+def _write_blocks(text) -> int:
+    """Write a handler's text in blocks of about 64 KiB; return its exit status."""
     block, size = [], 0
-    for chunk in chunks:
+    while True:
+        try:
+            chunk = next(text)
+        except StopIteration as stop:
+            if block:
+                sys.stdout.write("".join(block))
+            return stop.value or 0
         block.append(chunk)
         size += len(chunk)
-        if size >= _BLOCK:
-            sys.stdout.write("".join(block))
+        if size >= _BLOCK:  # a block of one chunk, a census say, is not copied
+            sys.stdout.write(block[0] if len(block) == 1 else "".join(block))
             block, size = [], 0
-    sys.stdout.write("".join(block))
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args):
     from .census import face_count, face_polynomial
 
-    if args.v is not None:
-        print(face_count(args.n, args.v))
-    else:
-        print(face_polynomial(args.n))
-    return 0
+    n, v = args.n, args.v
+    yield str(face_polynomial(n) if v is None else face_count(n, v))
+    yield "\n"  # a chunk of its own: the census text is not copied
 
 
-def _cmd_vertices(args) -> int:
+def _cmd_vertices(args):
     from .export import json_chunks, vertex_lines
 
     if args.json:
-        _write_blocks(json_chunks(args.space, args.n, faces=False))
-        print()
-        return 0
-    _write_blocks(vertex_lines(args.space, args.n))
-    return 0
+        yield from json_chunks(args.space, args.n, faces=False)
+        yield "\n"
+    else:
+        yield from vertex_lines(args.space, args.n)
 
 
-def _cmd_skeleton(args) -> int:
+def _cmd_skeleton(args):
     if args.format == "json":
         from .export import json_chunks
 
-        _write_blocks(json_chunks(args.space, args.n))
-        print()
-        return 0
+        yield from json_chunks(args.space, args.n)
+        yield "\n"
+        return
     from .hull import build_hull, skeleton, to_dot
 
-    sys.stdout.write(to_dot(skeleton(build_hull(args.space, args.n))))
-    return 0
+    yield to_dot(skeleton(build_hull(args.space, args.n)))
 
 
-def _cmd_fold(args) -> int:
+def _cmd_fold(args):
     from .moebius import fold_trace, site_str
     from .partitions import format_partition, parse_partition
 
-    lam = parse_partition(args.partition)
-    folded, trace = fold_trace(lam, args.n)
-    print(format_partition(folded) or "()")
+    folded, trace = fold_trace(parse_partition(args.partition), args.n)
+    yield f"{format_partition(folded) or '()'}\n"
     for part, site in trace:
-        print(f"{part} {site_str(site)}")
-    return 0
+        yield f"{part} {site_str(site)}\n"
 
 
-def _cmd_fibre(args) -> int:
+def _cmd_fibre(args):
     from .moebius import fibre_factorization, fold_fibre
     from .partitions import format_partition, parse_partition
 
     lam = parse_partition(args.partition)
     members = fold_fibre(lam, args.n)  # refused past moebius.FIBRE_BUDGET
     for member in members:
-        print(format_partition(member) or "()")
-    print(f"{fibre_factorization(lam, args.n)} = {len(members)}")
-    return 0
+        yield f"{format_partition(member) or '()'}\n"
+    yield f"{fibre_factorization(lam, args.n)} = {len(members)}\n"
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     from .oracle import FiniteMetric, doubled_span, span_lines
 
     metric = FiniteMetric.from_file(args.metric)
@@ -112,38 +113,37 @@ def _cmd_oracle(args) -> int:
             )
     verts, edges = doubled_span(metric)  # 2f per vertex: no Fraction
     if args.compare is None:
-        _write_blocks(span_lines(verts, edges))
-        return 0
+        yield from span_lines(verts, edges)
+        return
     from .hullwalk import doubled_hull
 
     want_v, want_e = doubled_hull(kind, metric.n)
     if verts == want_v and edges == want_e:
-        print(f"MATCH: {len(verts)} vertices, {len(edges)} edges")
-        return 0
-    print(
+        yield f"MATCH: {len(verts)} vertices, {len(edges)} edges\n"
+        return
+    yield (
         f"MISMATCH: oracle {len(verts)} vertices / {len(edges)} edges,"
-        f" construction {len(want_v)} vertices / {len(want_e)} edges"
+        f" construction {len(want_v)} vertices / {len(want_e)} edges,"
+        f" shared {len(verts & want_v)} vertices / {len(edges & want_e)} edges\n"
     )
     return 1
 
 
-def _cmd_counts(args) -> int:
+def _cmd_counts(args):
     from .census import count_band
     from .partitions import band_limits, band_rows, corner_walk
 
-    print(f"trace: {count_band(args.n, args.m)}")
+    yield f"trace: {count_band(args.n, args.m)}\n"
     rows = band_rows(args.n, *band_limits(args.n, args.m))
-    print(f"enumeration: {sum(1 for _ in corner_walk(args.n, rows))}")
-    return 0
+    yield f"enumeration: {sum(1 for _ in corner_walk(args.n, rows))}\n"
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args):
     from .moebius import double_embed
     from .partitions import format_partition, parse_partition
 
     lam = parse_partition(args.partition)
-    print(format_partition(double_embed(lam, args.n)) or "()")
-    return 0
+    yield f"{format_partition(double_embed(lam, args.n)) or '()'}\n"
 
 
 # name -> (help, {flag: (kind, required, help)}, handler); a kind is int,
@@ -270,7 +270,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _write_blocks(args.func(args))
     except BrokenPipeError:
         # stdout's reader is gone: point it at the null device, so that the
         # final flush cannot raise, and stop as SIGPIPE would

@@ -1,5 +1,6 @@
 import math
 import operator
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -14,8 +15,9 @@ from cyclehull.census import (
     face_polynomial,
     sequences,
 )
+from cyclehull.hull import build_hull
 from cyclehull.moebius import enumerate_band_partitions, enumerate_circ
-from cyclehull.partitions import enumerate_YN
+from cyclehull.partitions import band_rows, enumerate_YN, removable_rows
 from reference import (
     ONE,
     T,
@@ -126,6 +128,22 @@ def test_face_polynomial_far_out():
     assert p(1) == 2 ** n - 1
     assert p(-1) == 1
     assert len(p.coeffs) == n // 2 + 1
+
+
+def test_xn_hull_census_in_closed_form():
+    # Y_N holds C(N, 2c) partitions with c corner rows, so the X_N hull's
+    # face polynomial is p(t) = sum_c C(N, 2c) (1 + t)^c
+    for n in range(1, 16):
+        rows = band_rows(n, 0, n)
+        corners = Counter(len(removable_rows(lam, rows)) for lam in enumerate_YN(n))
+        assert corners == {c: math.comb(n, 2 * c) for c in range(n // 2 + 1)}, n
+        p = TPoly(
+            sum(math.comb(n, 2 * c) * math.comb(c, v) for c in range(v, n // 2 + 1))
+            for v in range(n // 2 + 1)
+        )
+        assert build_hull("xn", n).f_vector() == p.coeffs, n
+        assert p(-1) == 1, n
+    assert p(1) == 275_807
 
 
 def test_face_count_matches_polynomial():

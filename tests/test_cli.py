@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import operator
@@ -17,7 +18,7 @@ from cyclehull import (
     partitions as partitions_module,
 )
 from cyclehull.hull import (
-    build_hull, max_cube_decomposition, skeleton, to_dot, to_json,
+    build_hull, max_cube_decomposition, skeleton, to_dot,
 )
 from cyclehull.moebius import enumerate_circ, fold
 from cyclehull.oracle import FiniteMetric, tight_span
@@ -279,11 +280,28 @@ def test_refused_walks_exit_two_with_one_error_line(capsys, tmp_path, monkeypatc
 
 
 def test_oracle_mismatch_exit_one(capsys, tmp_path):
+    # the line ends with how many vertices and edges the two sets share,
+    # so equal counts, as for the uniform triangle against the hull of
+    # C_3 (whose distances are doubled), do not read as a match
     path = write_metric(tmp_path, "cycle", 5)
     code, out, _ = run(capsys, "oracle", "--metric", path,
                        "--compare", "xn:5")
     assert code == 1
-    assert out.startswith("MISMATCH")
+    assert out == (
+        "MISMATCH: oracle 11 vertices / 15 edges,"
+        " construction 16 vertices / 20 edges,"
+        " shared 0 vertices / 0 edges\n"
+    )
+    triangle = tmp_path / "triangle.txt"
+    triangle.write_text("3\n0 1 1\n1 0 1\n1 1 0\n")
+    code, out, _ = run(capsys, "oracle", "--metric", str(triangle),
+                       "--compare", "cycle:3")
+    assert code == 1
+    assert out == (
+        "MISMATCH: oracle 4 vertices / 3 edges,"
+        " construction 4 vertices / 3 edges,"
+        " shared 0 vertices / 0 edges\n"
+    )
 
 
 def test_oracle_listing(capsys, tmp_path):
@@ -350,7 +368,8 @@ def test_oracle_compare_reads_the_construction(capsys, tmp_path, monkeypatch):
     assert (code, calls) == (1, [("cycle", 7)])
     assert out == (
         "MISMATCH: oracle 29 vertices / 56 edges,"
-        " construction 29 vertices / 56 edges\n"
+        " construction 29 vertices / 56 edges,"
+        " shared 28 vertices / 52 edges\n"
     )
 
 
@@ -421,25 +440,33 @@ class CountingStdout(io.StringIO):
         return super().write(text)
 
 
-def test_hull_exports_write_in_few_blocks(monkeypatch):
-    # an unbuffered stdout makes each write one system call, so exports
-    # go out in blocks of about 64 KiB, not one write per chunk
-    json_13 = to_json(build_hull("cycle", 13)) + "\n"
-    hull = build_hull("cycle", 17)
-    lines_17 = "".join(
-        f"{name or '()'}: {' '.join(map(str, hull.vertices[lam]))}\n"
-        for lam, name in hull.names.items()
-    )
-    for argv, want in (
-        (["skeleton", "--n", "13", "--space", "cycle", "--format", "json"], json_13),
-        (["vertices", "--n", "17", "--space", "cycle"], lines_17),
-    ):
+def test_every_command_writes_in_few_blocks(monkeypatch, tmp_path):
+    # an unbuffered stdout makes each write one system call, so a command's
+    # text goes out in blocks of about 64 KiB, not one write per line: each
+    # pinned job but --help, and a fibre of 58,786 members (1.0 MB), print
+    # their pinned text in process in at most len // 64 KiB + 2 writes
+    triangle = tmp_path / "triangle.txt"
+    triangle.write_text("3\n0 1 1\n1 0 1\n1 1 0\n")
+    files = {"{cycle7}": write_metric(tmp_path, "cycle", 7), "{triangle}": str(triangle)}
+    pins = (ROOT / "tests" / "stdout_pins.txt").read_text().splitlines()
+    jobs = [
+        line.split(None, 1) for line in pins
+        if line and not line.startswith("#") and "--help" not in line
+    ]
+    jobs.append((
+        "d2134017faa1aa96f3880876c5ce6d61761fe93967aaa7e8ca60fdbf8f18093e",
+        "fibre --n 23 --partition 10,9,8,7,6,5,4,3,2,1",
+    ))
+    assert len(jobs) == 33
+    for want, job in jobs:
         out = CountingStdout()
         monkeypatch.setattr(sys, "stdout", out)
-        assert main(argv) == 0
+        code = main([files.get(arg, arg) for arg in job.split()])
         monkeypatch.undo()
-        assert out.getvalue() == want, argv
-        assert out.writes <= len(want) // 65536 + 2, (argv, out.writes)
+        text = out.getvalue()
+        assert code == 0, job
+        assert hashlib.sha256(text.encode()).hexdigest() == want, job
+        assert out.writes <= len(text) // 65536 + 2, (job, out.writes)
 
 
 class Sink(io.TextIOBase):
