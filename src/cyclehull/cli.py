@@ -131,11 +131,11 @@ def _cmd_oracle(args):
 
 def _cmd_counts(args):
     from .census import count_band
-    from .partitions import band_limits, band_rows, corner_walk
+    from .partitions import band_limits, band_rows, row_count
 
     yield f"trace: {count_band(args.n, args.m)}\n"
     rows = band_rows(args.n, *band_limits(args.n, args.m))
-    yield f"enumeration: {sum(1 for _ in corner_walk(args.n, rows))}\n"
+    yield f"enumeration: {row_count(args.n, rows)}\n"
 
 
 def _cmd_embed(args):

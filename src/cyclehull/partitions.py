@@ -11,6 +11,7 @@ partitions R_j and the near-staircases alpha_j.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import Collection, Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -105,7 +106,7 @@ def young_distance(lam: Partition, mu: Partition) -> int:
     return sum(lam) + sum(mu) - 2 * common
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # callers repeat one N at a time; a sweep keeps 16
 def band_rows(n: int, lo: int, hi: int) -> tuple[range, ...]:
     """The parts each row may take when the outer rim of a partition in
     Y_N keeps lo <= delta <= hi; entry s - 1 is row s.
@@ -262,6 +263,41 @@ def corner_walk(
         parts[-1] += 1
         if s > 1 and parts[-1] == parts[-2]:  # row s - 1 loses its corner
             settled[-1] = settled[-2]
+
+
+def row_count(n: int, rows: tuple[range, ...]) -> int:
+    """The number of partitions corner_walk(n, rows) yields, counted
+    without building one.
+
+    The walk's rules, by a transfer matrix over (row, part) for each
+    width w: counts[i] is the number of prefixes of s parts whose last
+    part is top - i.  Row s + 1 may take a part q in its range, at least
+    1 and at most the part above, so its count at q is the number of
+    prefixes whose last part is q or more, a running sum of counts; a
+    prefix ends at s parts when s >= fewest_parts(rows), and at most
+    N - w rows follow.  The cost is one running sum per row and width,
+    O(N^3) at most, not the size of the answer.
+    """
+    fewest = fewest_parts(rows)
+    total = 1 if fewest == 0 else 0
+    for w in range(max(1, rows[0].start), rows[0].stop):
+        top, counts, s = w, [1], 1
+        while True:
+            if s >= fewest:
+                total += sum(counts)
+            if s >= n - w:  # hook N - 1: no row follows
+                break
+            row = rows[s]
+            low, high = max(1, row.start), min(top, row.stop - 1)
+            if low > high:
+                break
+            # sums[i]: the prefixes whose last part is top - i or more;
+            # a part below the last prefix's takes them all
+            sums = list(accumulate(counts))
+            counts = sums[top - high: top - low + 1]
+            counts += [sums[-1]] * (high - low + 1 - len(counts))
+            top, s = high, s + 1
+    return total
 
 
 def enumerate_YN(n: int) -> tuple[Partition, ...]:

@@ -1,5 +1,6 @@
 import math
 import operator
+import random
 from collections import Counter
 
 import pytest
@@ -16,8 +17,21 @@ from cyclehull.census import (
     sequences,
 )
 from cyclehull.hull import build_hull
-from cyclehull.moebius import enumerate_band_partitions, enumerate_circ
-from cyclehull.partitions import band_rows, enumerate_YN, removable_rows
+from cyclehull.moebius import (
+    _fibre_rows,
+    enumerate_band_partitions,
+    enumerate_circ,
+    fold,
+    fold_fibre_size,
+)
+from cyclehull.partitions import (
+    band_limits,
+    band_rows,
+    circ_rows,
+    enumerate_YN,
+    removable_rows,
+    row_count,
+)
 from reference import (
     ONE,
     T,
@@ -221,6 +235,29 @@ def _band_trace(n, m):
         j_m = [[int(i + j == m) for j in idx] for i in idx]
         word = _int_mul(j_m, _int_power(t_m, n // 2))
     return sum(word[i][i] for i in idx)
+
+
+def test_row_count_meets_the_closed_forms():
+    # past any walk: count_band on every band for N <= 60, 2^(N-1) on Y_N
+    # for N = 1, 11, ..., 101, L_N on Y_N° for odd N <= 101, and the
+    # Catalan word of seeded random fold fibres at N = 41
+    for n in range(2, 61):
+        for m in range(1, n // 2 + 1):
+            assert row_count(n, band_rows(n, *band_limits(n, m))) == count_band(n, m)
+    for n in range(1, 102, 10):
+        assert row_count(n, band_rows(n, 0, n)) == 2 ** (n - 1), n
+    for n in range(3, 102, 2):
+        assert row_count(n, circ_rows(n)) == sequences(n)[0], n
+    rng = random.Random(41)
+    n = 41
+    for _ in range(30):
+        width = rng.randrange(n)
+        parts = sorted(
+            (rng.randint(1, width) for _ in range(rng.randrange(n - width))),
+            reverse=True,
+        )
+        lam0 = fold((width, *parts) if width else (), n)
+        assert row_count(n, _fibre_rows(lam0, n)) == fold_fibre_size(lam0, n), lam0
 
 
 def test_count_band_equals_transfer_matrix_traces():

@@ -11,6 +11,7 @@ import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+from cyclehull.census import count_band
 from cyclehull.cli import main
 from cyclehull import (
     hull as hull_module,
@@ -239,6 +240,21 @@ def test_counts_below_two_has_no_band(capsys):
         code, out, err = run(capsys, "counts", "--n", n, "--m", "1")
         assert (code, out) == (2, "")
         assert err == f"error: N = {n} has no central band (needs N >= 2)\n"
+
+
+def test_counts_far_past_any_walk_in_a_fresh_process():
+    # the band (101, 20) has about 1.3·10^30 partitions and (41, 5) about
+    # 6.4·10^11: no walk lists them, and each count takes milliseconds
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for n, m in ((101, 20), (41, 5)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclehull", "counts", "--n", str(n), "--m", str(m)],
+            capture_output=True, text=True, env=env, timeout=2,
+        )
+        assert proc.returncode == 0, proc.stderr
+        trace, enumeration = proc.stdout.splitlines()
+        assert trace == f"trace: {count_band(n, m)}"
+        assert enumeration == trace.replace("trace", "enumeration")
 
 
 def test_embed(capsys):

@@ -1,5 +1,10 @@
 import importlib
+import os
+import random
+import subprocess
+import sys
 from operator import contains
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -29,6 +34,7 @@ from cyclehull.partitions import (
     rectangular,
     removable_rows,
     rim_walk,
+    row_count,
     tau,
     tau_orbit,
     tau_orbits,
@@ -218,6 +224,28 @@ def test_corner_walk_is_the_rim_walk_with_removable_rows():
             assert rim_walk(n, rows) == [lam for lam, _ in want], (n, rows)
 
 
+def test_row_count_is_the_walks_count():
+    # every band, Y_N and Y_N° for N <= 18, seeded random fold fibres for
+    # N <= 14, and seeded random row ranges, some of which end the walk
+    # early or leave no width at all
+    rng = random.Random(20131)
+    for n in range(1, 19):
+        cases = [circ_rows(n), band_rows(n, 0, n)]
+        cases += [band_rows(n, *band_limits(n, m)) for m in range(1, n // 2 + 1)]
+        if n <= 14:
+            circ = enumerate_circ(n)
+            cases += [_fibre_rows(lam, n) for lam in rng.sample(circ, min(40, len(circ)))]
+        for rows in cases:
+            assert row_count(n, rows) == sum(1 for _ in corner_walk(n, rows)), (n, rows)
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        rows = tuple(
+            range(a, a + rng.randint(0, 5))
+            for a in (rng.randint(0, 6) for _ in range(n))
+        )
+        assert row_count(n, rows) == sum(1 for _ in corner_walk(n, rows)), (n, rows)
+
+
 def test_name_walk_corner_rows_are_the_removable_rows():
     # the hull walk settles each vertex's corner rows along its path, as
     # corner_walk does; against removable_rows on Y_N for N <= 13 and on
@@ -271,3 +299,22 @@ def test_only_band_rows_keeps_a_cache():
                 for f in (obj, *inner) if hasattr(f, "cache_info")
             )
     assert cached == {"cyclehull.partitions.band_rows"}
+
+
+def test_band_rows_cache_stays_small_over_a_sweep():
+    # circ_rows for every N up to 2001 once held all 2,000 tables, about
+    # 148 MB; a fresh process's peak RSS may now grow by under 16 MB
+    code = (
+        "import resource\n"
+        "from cyclehull.partitions import circ_rows\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "for n in range(2, 2002):\n"
+        "    circ_rows(n)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = Path(cyclehull.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+    )
+    assert int(proc.stdout) < 16 << 10, proc.stdout  # KiB
