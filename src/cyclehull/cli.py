@@ -65,15 +65,13 @@ def _cmd_vertices(args):
 
 
 def _cmd_skeleton(args):
-    if args.format == "json":
-        from .export import json_chunks
+    from .export import dot_chunks, json_chunks
 
+    if args.format == "dot":
+        yield from dot_chunks(args.space, args.n)
+    else:
         yield from json_chunks(args.space, args.n)
         yield "\n"
-        return
-    from .hull import build_hull, skeleton, to_dot
-
-    yield to_dot(skeleton(build_hull(args.space, args.n)))
 
 
 def _cmd_fold(args):

@@ -1,15 +1,15 @@
-"""The hull exports, streamed from walks over the pool's row ranges.
+"""The hull exports, printed from walks over the pool's row ranges.
 
-hullwalk.name_walk yields each vertex of a hull with its name and
-its function j -> d(lam, R_j) - o, in name order, the order every
-export prints, with no sort and nothing held per vertex.  The JSON faces
-keep their tuple order: one partitions.corner_walk lists the tops, and
-one (name, corner rows) pair per vertex is held for them.
+hullwalk.name_walk yields each vertex of a hull with its name, its
+function j -> d(lam, R_j) - o and its corner rows, in name order, the
+order every export prints.  The vertices stream with nothing held per
+vertex.  The JSON faces keep their tuple order: one corner_walk lists
+the tops, and one (name, corner rows) pair per vertex is held for them.
+DOT holds what its edges and roles need of its one name walk.
 
-An export streams as it walks, so one that finds a vertex whose tau
-image is outside the pool (OrbitLeavesPool) stops part way.  The
-vertices and JSON commands load this module; hull.to_json imports it
-when called, so the DOT export does not.
+A vertex whose tau image is outside the pool (OrbitLeavesPool) stops a
+streamed export part way, and DOT before it prints.  Every export
+command loads this module; hull.to_json and hull.to_dot import it.
 """
 
 from __future__ import annotations
@@ -17,8 +17,16 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from .hullwalk import _Numerals, hull_pool, name_walk
-from .partitions import corner_walk
+from .hullwalk import hull_pool, name_walk
+from .partitions import corner_walk, one_box_less
+
+
+class _Numerals(dict):
+    """int -> str: each distinct value's text made once, on first use."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = str(value)
+        return text
 
 
 def vertex_lines(kind: str, n: int) -> Iterator[str]:
@@ -92,3 +100,37 @@ def json_chunks(kind: str, n: int, faces: bool = True) -> Iterator[str]:
         yield f'{sep}  "{name}": [\n   {vals}\n  ]'
         sep = ",\n"
     yield "\n }\n}"
+
+
+def dot_chunks(kind: str, n: int) -> Iterator[str]:
+    """The DOT export of the 1-skeleton, one piece per line: node n<i>, the
+    vertex at index i in name order, then the edges (a, b), a < b, to
+    one_box_less of each vertex, sorted.  An odd C_N, N >= 3, has roles:
+    "extra" off its N maximal cubes, else "cube-member", read by
+    hull.Faces.max_cubes, checks and all, off the corner rows of the one
+    name walk, held per vertex with its node text and index."""
+    numeral = _Numerals().__getitem__
+    nodes, index, rows = [], {}, {}
+    for i, (lam, name, f, corners) in enumerate(name_walk(kind, n)):
+        nodes.append(f'  n{i} [label="{name}", values="{" ".join(map(numeral, f))}"')
+        index[lam] = i
+        rows[lam] = corners
+    extra, tail = frozenset(), "];\n"
+    if kind == "cycle" and n % 2 and n >= 3:
+        from .hull import Faces  # only the odd cycle's roles need it
+
+        extra = frozenset(Faces(rows).max_cubes(n)[1])
+        tail = ', role="cube-member"];\n'
+    yield "graph hull {\n"
+    for text, lam in zip(nodes, rows):
+        yield text + (', role="extra"];\n' if lam in extra else tail)
+    del nodes
+    edges = []
+    for lam, corners in rows.items():
+        b = index[lam]
+        for a in map(index.__getitem__, one_box_less(lam, corners)):
+            edges.append((a, b) if a < b else (b, a))
+    edges.sort()
+    for a, b in edges:
+        yield f"  n{a} -- n{b};\n"
+    yield "}\n"

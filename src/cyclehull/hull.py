@@ -13,11 +13,9 @@ follows the number of vertices, not the 2^(N-1) of Y_N; f_vertex and
 g_vertex walk one vertex's tau orbit and stay the independent reference.
 Faces stay implicit in the corner rows: the f-vector and edges are read
 off them, faces are made on demand, and the N maximal k-cubes of the odd
-cycle hull have the vertices with k corner rows on top (Faces.max_cubes),
-so a DOT export walks Y_N° once and names each vertex once.  The
-vertices and JSON exports build no hull: they stream from the same
-walks (export), which to_json imports when called, as retract_face
-imports moebius, so the DOT export loads neither.
+cycle hull have the vertices with k corner rows on top (Faces.max_cubes,
+the odd cycle DOT export's one use of this module).  to_json and to_dot
+import export, which prints from walks, as retract_face imports moebius.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
-from .hullwalk import _Numerals, hull_pool, name_walk
+from .hullwalk import hull_pool, name_walk
 from .partitions import (
     Partition,
     circ_rows,
@@ -161,13 +159,11 @@ class HullComplex(NamedTuple):
         )
 
     def edges(self) -> tuple[tuple[Partition, Partition], ...]:
-        return tuple(sorted(self._edge_pairs()))
-
-    def _edge_pairs(self) -> Iterator[tuple[Partition, Partition]]:
         # (lam less one corner box, lam): the smaller partition first
-        for lam, rows in self.faces.corner_rows.items():
-            for mu in one_box_less(lam, rows):
-                yield mu, lam
+        return tuple(sorted(
+            (mu, lam) for lam, rows in self.faces.corner_rows.items()
+            for mu in one_box_less(lam, rows)
+        ))
 
 
 def build_hull(kind: str, n: int) -> HullComplex:
@@ -205,51 +201,22 @@ def retract_face(face: Face, n: int) -> Face:
     return Face(top0, keep)
 
 
-class Graph(NamedTuple):
-    """1-skeleton with nodes named by partition strings, and their roles."""
-
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    labels: dict[str, VertexFunction]
-    roles: dict[str, str]
+def skeleton(complex_: HullComplex) -> HullComplex:
+    """The hull itself: its 1-skeleton is its vertices and edges()."""
+    return complex_
 
 
-def skeleton(complex_: HullComplex) -> Graph:
-    """The named 1-skeleton.  Only C_N, N odd and >= 3, has roles: a node
-    on none of the N maximal cubes is "extra", the others "cube-member"."""
-    names = complex_.names
-    labels = {name: complex_.vertices[lam] for lam, name in names.items()}
-    pairs = ((names[a], names[b]) for a, b in complex_._edge_pairs())
-    edges = sorted((a, b) if a < b else (b, a) for a, b in pairs)
-    roles: dict[str, str] = {}
-    if complex_.kind == "cycle" and complex_.n % 2 and complex_.n >= 3:
-        roles = dict.fromkeys(labels, "cube-member")
-        for lam in complex_.faces.max_cubes(complex_.n)[1]:
-            roles[names[lam]] = "extra"
-    return Graph(tuple(labels), tuple(edges), labels, roles)
+def to_dot(complex_: HullComplex) -> str:
+    """`skeleton --format dot` of the hull's kind and N: export.dot_chunks
+    prints it from one walk, not from complex_, which only names the hull."""
+    from .export import dot_chunks
 
-
-def to_dot(graph: Graph) -> str:
-    """Deterministic DOT text; nodes in lexicographic label order."""
-    ident = {name: f"n{i}" for i, name in enumerate(graph.nodes)}
-    numeral = _Numerals().__getitem__
-    lines = ["graph hull {"]
-    for name in graph.nodes:
-        vals = " ".join(map(numeral, graph.labels[name]))
-        attrs = [f'label="{name}"', f'values="{vals}"']
-        if name in graph.roles:
-            attrs.append(f'role="{graph.roles[name]}"')
-        lines.append(f'  {ident[name]} [{", ".join(attrs)}];')
-    for a, b in graph.edges:
-        lines.append(f"  {ident[a]} -- {ident[b]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(dot_chunks(complex_.kind, complex_.n))
 
 
 def to_json(complex_: HullComplex) -> str:
-    """The JSON export of the hull's kind and N, as `skeleton --format
-    json` prints it: export.json_chunks streams it from walks over the
-    pool, not from complex_, which only names the hull."""
+    """`skeleton --format json` of the hull's kind and N: export.json_chunks
+    streams it from walks, not from complex_, which only names the hull."""
     from .export import json_chunks
 
     return "".join(json_chunks(complex_.kind, complex_.n))

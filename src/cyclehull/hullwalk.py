@@ -7,7 +7,7 @@ X_N's.  name_walk walks the pool depth first, as partitions.corner_walk
 does, but steps each row in the order of its parts' decimal text, so
 the names come out sorted, and adds one N-tuple per step to the parent's
 vertex function.  build_hull keeps all that it yields, the exports
-stream it, and doubled_hull reads the hull as the oracle's doubled sets
+print from it, and doubled_hull reads the hull as the oracle's doubled sets
 for `oracle --compare`.  Only the hull commands load this module: the
 fold, fibre, embed and counts commands need partitions alone.
 """
@@ -27,14 +27,6 @@ from .partitions import (
     require_space,
     tau,
 )
-
-
-class _Numerals(dict):
-    """int -> str: each distinct value's text made once, on first use."""
-
-    def __missing__(self, value: int) -> str:
-        text = self[value] = str(value)
-        return text
 
 
 def hull_pool(kind: str, n: int) -> tuple[tuple[range, ...], int]:

@@ -52,8 +52,8 @@ class FoldFailure(ValueError):
     """A fold round left Y_N or the band, or a fibre missed its Catalan size."""
 
 
-# fold_fibre holds every member: fibre --n 25 of C_12*C_0^13 (208,012
-# members) takes 2.6 s and 42 MB, of C_13*C_0^14 at N = 27 9.6 s and 118 MB
+# fold_fibre holds every member: fresh on a 2-vCPU VM, fibre --n 25 of C_12*C_0^13
+# (208,012 members) takes 0.48 s and 41 MB, and N = 27's C_13*C_0^14 1.7 s, 117 MB
 FIBRE_BUDGET = 250_000
 
 

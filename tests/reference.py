@@ -25,6 +25,10 @@ fold's tau-equivariance defect.
 The maximal cubes of the odd cycle hull as shifts of one staircase cube,
 which hull.Faces.max_cubes reads off the corner rows a built hull holds
 instead (hull.max_cube_decomposition walks Y_N° once for those rows).
+
+The DOT export of a built hull, made from its names, vertices and
+edges() and the cubes of max_cube_decomposition, which export.dot_chunks
+prints from one walk instead.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from cyclehull.census import IdentityFailure, TPoly
-from cyclehull.hull import CubeCoverFailure, Face
+from cyclehull.hull import CubeCoverFailure, Face, HullComplex, max_cube_decomposition
 from cyclehull.moebius import (
     InvalidRim,
     RimPath,
@@ -412,3 +416,23 @@ def shifted_cubes(n: int) -> tuple[tuple[Face, ...], tuple[Partition, ...]]:
         raise CubeCoverFailure(f"C_{n} cubes cover {len(incident)} vertices")
     extras = tuple(sorted(set(enumerate_circ(n)) - incident))
     return tuple(cubes), extras
+
+
+def dot_text(hull: HullComplex) -> str:
+    """The DOT export of a built hull: node n<i> for the i-th vertex of
+    hull.names with its name and values, an odd C_N's (N >= 3) role from
+    max_cube_decomposition, then the edges() as sorted pairs of ids."""
+    ident = {lam: i for i, lam in enumerate(hull.names)}
+    extras = None
+    if hull.kind == "cycle" and hull.n % 2 and hull.n >= 3:
+        extras = frozenset(max_cube_decomposition(hull.n)[1])
+    lines = ["graph hull {"]
+    for lam, name in hull.names.items():
+        values = " ".join(map(str, hull.vertices[lam]))
+        attrs = [f'label="{name}"', f'values="{values}"']
+        if extras is not None:
+            attrs.append(f'role="{"extra" if lam in extras else "cube-member"}"')
+        lines.append(f'  n{ident[lam]} [{", ".join(attrs)}];')
+    pairs = sorted(sorted((ident[a], ident[b])) for a, b in hull.edges())
+    lines += [f"  n{a} -- n{b};" for a, b in pairs]
+    return "\n".join(lines + ["}"]) + "\n"

@@ -1,7 +1,6 @@
 import hashlib
 import io
 import json
-import operator
 import os
 import random
 import re
@@ -14,16 +13,16 @@ from pathlib import Path
 from cyclehull.census import count_band
 from cyclehull.cli import main
 from cyclehull import (
+    export as export_module,
     hull as hull_module,
     hullwalk as hullwalk_module,
     partitions as partitions_module,
 )
-from cyclehull.hull import (
-    build_hull, max_cube_decomposition, skeleton, to_dot,
-)
+from cyclehull.hull import build_hull
 from cyclehull.moebius import enumerate_circ, fold
 from cyclehull.oracle import FiniteMetric, tight_span
 from cyclehull.partitions import format_partition, model_matrix, parse_partition
+from reference import dot_text
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -166,10 +165,9 @@ def test_skeleton_dot_lint_and_roles(capsys):
 
 
 def test_odd_cycle_dot_walks_the_band_once(capsys, monkeypatch):
-    # the cube roles come off the exported hull's corner rows, which the
-    # one name walk of build_hull yields with the vertices: no
-    # corner_walk; the text is the one that build_hull and
-    # max_cube_decomposition give apart
+    # the cube roles come off the corner rows that the export's one name
+    # walk yields with the vertices: no corner_walk and no built hull; the
+    # text is the one that build_hull and max_cube_decomposition give apart
     walks = []
     for home, name in (
         (hullwalk_module, "name_walk"), (partitions_module, "corner_walk")
@@ -178,46 +176,47 @@ def test_odd_cycle_dot_walks_the_band_once(capsys, monkeypatch):
             walks.append((name, *args))
             return walk(*args)
 
-        for module in (home, hull_module):
+        for module in (home, hull_module, export_module):
             monkeypatch.setattr(module, name, counted)
+
+    def built(*args):
+        raise AssertionError("build_hull ran")
+
+    monkeypatch.setattr(hull_module, "build_hull", built)
     code, out, _ = run(
         capsys, "skeleton", "--n", "11", "--space", "cycle", "--format", "dot"
     )
     assert (code, walks) == (0, [("name_walk", "cycle", 11)])
     monkeypatch.undo()
-    graph = skeleton(build_hull("cycle", 11))
-    roles = dict.fromkeys(graph.nodes, "cube-member")
-    for lam in max_cube_decomposition(11)[1]:
-        roles[format_partition(lam)] = "extra"
-    assert graph.roles == roles
-    assert out == to_dot(graph)
+    assert out == dot_text(build_hull("cycle", 11))
 
 
 def test_odd_cycle_dot_names_each_vertex_once(capsys, monkeypatch):
-    # the nodes and cube roles are keyed by the name strings that the
-    # walk made for the hull: skeleton joins no name again, and no
-    # vertex is named through format_partition
-    calls = Counter()
-    skeleton_ = hull_module.skeleton
+    # each node is labelled with the name string that the walk made for
+    # it, in walk order, and no vertex is named through format_partition
+    names, calls = [], Counter()
+    walk = hullwalk_module.name_walk
 
-    def checked_skeleton(complex_):
-        graph = skeleton_(complex_)
-        calls["skeleton"] += 1
-        assert all(map(operator.is_, graph.nodes, complex_.names.values()))
-        return graph
+    def recorded(*args):
+        for vertex in walk(*args):
+            names.append(vertex[1])
+            yield vertex
 
     def counting_format(lam):
         calls["format_partition"] += 1
         return format_partition(lam)
 
-    monkeypatch.setattr(hull_module, "skeleton", checked_skeleton)
+    for module in (hullwalk_module, hull_module, export_module):
+        monkeypatch.setattr(module, "name_walk", recorded)
+        monkeypatch.setattr(module, "format_partition", counting_format, raising=False)
     monkeypatch.setattr(partitions_module, "format_partition", counting_format)
-    monkeypatch.setattr(hull_module, "format_partition", counting_format, raising=False)
     code, out, _ = run(
         capsys, "skeleton", "--n", "11", "--space", "cycle", "--format", "dot"
     )
     assert code == 0 and out.count('role="extra"') == 22
-    assert calls == {"skeleton": 1}
+    labels = re.findall(r'label="([^"]*)"', out)
+    assert len(names) == 199 and labels == names
+    assert calls == {}
 
 
 def test_skeleton_json(capsys):
@@ -424,7 +423,7 @@ def test_bad_compare_flag(capsys, tmp_path, monkeypatch):
 
 def test_closed_stdout_exits_141_quietly():
     # the reader takes one line and closes the pipe, as `| head -1` does;
-    # both outputs are far larger than a pipe's buffer; their 64 KiB
+    # every output is far larger than a pipe's buffer; their 64 KiB
     # blocks go through a buffered stdout, or with PYTHONUNBUFFERED=1
     # straight to the file descriptor
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -432,6 +431,7 @@ def test_closed_stdout_exits_141_quietly():
     jobs = (
         ["skeleton", "--n", "13", "--space", "cycle", "--format", "json"],
         ["vertices", "--n", "17", "--space", "cycle"],
+        ["skeleton", "--n", "17", "--space", "cycle", "--format", "dot"],
     )
     modes = ({}, {"PYTHONUNBUFFERED": "1"})
     for unbuffered, argv in ((mode, job) for mode in modes for job in jobs):
@@ -552,7 +552,11 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         (["skeleton", "--n", "9", "--space", "xn", "--format", "json"],
          ["export", "hullwalk", "partitions"]),
         (["skeleton", "--n", "9", "--space", "cycle", "--format", "dot"],
-         ["hull", "hullwalk", "partitions"]),
+         ["export", "hull", "hullwalk", "partitions"]),
+        (["skeleton", "--n", "10", "--space", "cycle", "--format", "dot"],
+         ["export", "hullwalk", "partitions"]),
+        (["skeleton", "--n", "9", "--space", "xn", "--format", "dot"],
+         ["export", "hullwalk", "partitions"]),
         (["oracle", "--metric", metric], ["oracle"]),
         (["oracle", "--metric", metric, "--compare", "cycle:5"],
          ["hullwalk", "oracle", "partitions"]),

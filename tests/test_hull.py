@@ -1,5 +1,4 @@
 import json
-import operator
 import re
 
 from collections import Counter
@@ -23,7 +22,7 @@ from cyclehull.hull import (
     to_dot,
     to_json,
 )
-from cyclehull.export import json_chunks, vertex_lines
+from cyclehull.export import dot_chunks, json_chunks, vertex_lines
 from cyclehull.moebius import enumerate_circ, fold, outer_rim
 from cyclehull.oracle import FiniteMetric, _bipartite_components
 from cyclehull import (
@@ -48,7 +47,7 @@ from cyclehull.partitions import (
     xn_distance,
     young_distance,
 )
-from reference import delta, shifted_cubes
+from reference import delta, dot_text, shifted_cubes
 
 Y7 = enumerate_YN(7)
 
@@ -206,35 +205,40 @@ def test_retract_face_box_example():
 
 
 def test_skeleton_and_dot():
+    # the 1-skeleton is the hull's own vertices and edges(); to_dot prints
+    # the DOT export of its kind and N, the one that the command prints
     hull = build_hull("cycle", 5)
-    graph = skeleton(hull)
-    assert len(graph.nodes) == 11
-    assert len(graph.edges) == 15
-    dot = to_dot(graph)
-    declared = {
-        line.split()[0]
-        for line in dot.splitlines()
-        if line.strip().startswith("n") and "[" in line
-    }
-    for line in dot.splitlines():
-        if " -- " in line:
-            a, _, b = line.strip().rstrip(";").partition(" -- ")
-            assert a in declared and b in declared
-    assert dot == to_dot(graph)
+    assert skeleton(hull) is hull
+    assert (len(hull.vertices), len(hull.edges())) == (11, 15)
+    dot = to_dot(hull)
+    assert dot == "".join(dot_chunks("cycle", 5)) == dot_text(hull)
+    lines = dot.splitlines()
+    declared = [line.split()[0] for line in lines if "[" in line]
+    assert declared == [f"n{i}" for i in range(11)]
+    edges = [line.strip().rstrip(";").split(" -- ") for line in lines if " -- " in line]
+    assert len(edges) == 15
+    for a, b in edges:
+        assert a in declared and b in declared
+    assert dot == to_dot(hull)
 
 
 def test_dot_roles():
-    hull = build_hull("cycle", 5)
-    graph = skeleton(hull)
-    assert graph.roles == {name: "cube-member" for name in graph.nodes}
-    dot = to_dot(graph)
-    assert dot.count('role="cube-member"') == 11
+    dot = "".join(dot_chunks("cycle", 5))
+    assert (dot.count('role="cube-member"'), dot.count("role=")) == (11, 11)
     # C_9: L_9 = 76 vertices, 1 + 9 * 2^3 = 73 of them on the cubes
-    dot = to_dot(skeleton(build_hull("cycle", 9)))
+    dot = "".join(dot_chunks("cycle", 9))
     assert (dot.count('role="cube-member"'), dot.count('role="extra"')) == (73, 3)
     for kind, n in (("cycle", 1), ("cycle", 2), ("cycle", 6), ("xn", 5)):
-        graph = skeleton(build_hull(kind, n))
-        assert graph.roles == {} and "role=" not in to_dot(graph), (kind, n)
+        assert "role=" not in "".join(dot_chunks(kind, n)), (kind, n)
+
+
+def test_dot_export_is_the_built_hulls():
+    # node ids in hull.names order, values, cube roles from
+    # max_cube_decomposition and edges() as sorted id pairs, built apart;
+    # xn 11 to 13 and cycle 13 to 17 print two-digit parts and values
+    for kind, top in (("cycle", 17), ("xn", 13)):
+        for n in range(1, top + 1):
+            assert "".join(dot_chunks(kind, n)) == dot_text(build_hull(kind, n)), (kind, n)
 
 
 def test_names_list_every_vertex_once_in_name_order():
@@ -246,15 +250,15 @@ def test_names_list_every_vertex_once_in_name_order():
                 key=lambda pair: pair[1],
             ), (kind, n)
             assert list(hull.names) == list(hull.vertices), (kind, n)
-            assert skeleton(hull).nodes == tuple(hull.names.values()), (kind, n)
+            labels = re.findall(r'label="([^"]*)"', to_dot(hull))
+            assert labels == list(hull.names.values()), (kind, n)
 
 
 def test_exports_name_each_vertex_once(monkeypatch):
     # build_hull keeps the vertices, names and corner rows of one name
-    # walk and makes no corner_walk; skeleton walks nothing and names the
-    # nodes with the hull's own name strings, not new joins; the vertices
-    # and JSON exports name by one name walk, the JSON faces by one
-    # corner_walk; none calls format_partition
+    # walk and makes no corner_walk; the DOT export, cube roles and all,
+    # and the vertices and JSON exports name by one name walk, the JSON
+    # faces by one corner_walk; none calls format_partition
     def built(h):
         b = build_hull(h.kind, h.n)
         return b.vertices, b.names, b.faces.corner_rows
@@ -262,7 +266,7 @@ def test_exports_name_each_vertex_once(monkeypatch):
     hull = build_hull("cycle", 11)
     exports = (
         ("build_hull", built, {"name_walk": 1}),
-        ("skeleton", skeleton, {}),
+        ("to_dot", to_dot, {"name_walk": 1}),
         ("to_json", to_json, {"name_walk": 1, "corner_walk": 1}),
         ("vertices json", lambda h: "".join(json_chunks(h.kind, h.n, faces=False)),
          {"name_walk": 1}),
@@ -290,8 +294,6 @@ def test_exports_name_each_vertex_once(monkeypatch):
         calls.clear()
         assert export(hull) == want, label
         assert calls == want_calls, label
-    nodes = skeleton(hull).nodes
-    assert all(map(operator.is_, nodes, hull.names.values()))
 
 
 def test_to_json_round_trip():
