@@ -7,9 +7,17 @@ text appears as a block fills or the command ends (`counts` prints its
 two lines together).  A refusal raises before any text.  Exit codes: 0
 success, 1 comparison mismatch, 2 usage or validation error, 141
 (128 + SIGPIPE) when the reader closes stdout early, as in
-`skeleton ... | head -1`; that one prints nothing on stderr.  No
-configuration files or environment variables.  Each subcommand imports
-the modules it runs, and no more, so `--help` loads none of them.
+`skeleton ... | head -1`; that one prints nothing on stderr.  `main`
+flushes stdout before it returns, so a reader that closed early is
+caught there even when the text is still in the buffer, however short.
+Run as the program (no `argv`: `python -m cyclehull` and the `cyclehull`
+script), `main` then freezes the heap with `gc.freeze()`, so the
+collections of interpreter shutdown skip every object the process made
+(6 to 10 ms of a 70 ms command); shutdown still runs `atexit` handlers
+and flushes, where `os._exit` would not.  Called with an `argv`, as in
+tests, `main` leaves the collector alone.  No configuration files or
+environment variables.  Each subcommand imports the modules it runs,
+and no more, so `--help` loads none of them.
 
 Each subcommand is stated once, in `_COMMANDS`.  A well-formed command
 line is read straight from that table, so it never loads `argparse`
@@ -22,6 +30,7 @@ pass it (the census of `C_15001`).
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -259,26 +268,40 @@ def _args(argv):
     return SimpleNamespace(**fields)
 
 
-def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7 and later
-        sys.set_int_max_str_digits(0)  # exact answers pass 4,300 digits
-    argv = sys.argv[1:] if argv is None else list(argv)
+def _run(argv) -> int:
+    """Run the command `argv` names; return its exit status."""
     try:
         args = _args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse printed help or a usage error
         return int(exc.code or 0)
     try:
         return _write_blocks(args.func(args))
+    except BrokenPipeError:
+        raise  # main's, as is one at its final flush
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.10.7 and later
+        sys.set_int_max_str_digits(0)  # exact answers pass 4,300 digits
+    program = argv is None
+    try:
+        code = _run(sys.argv[1:] if program else list(argv))
+        if sys.stdout is not None:  # None when started with fd 1 closed
+            sys.stdout.flush()  # so a closed reader raises here, not at exit
     except BrokenPipeError:
         # stdout's reader is gone: point it at the null device, so that the
         # final flush cannot raise, and stop as SIGPIPE would
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, sys.stdout.fileno())
         os.close(null)
-        return 141
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 141
+    if program:
+        # the process ends next: shutdown's collections skip a frozen heap
+        gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

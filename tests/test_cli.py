@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -446,6 +447,107 @@ def test_closed_stdout_exits_141_quietly():
         proc.stderr.close()
         assert proc.wait(timeout=60) == 141, (unbuffered, err)
         assert first and err == b"", (unbuffered, err)
+    # the reader is gone before the first write, and the text is short:
+    # buffered, it is all still in stdout's buffer when the handler
+    # returns, so main's own flush meets the closed pipe, not shutdown's;
+    # unbuffered, argparse swallows the error of its own --help write
+    short = (
+        (["census", "--n", "7"], {141}),
+        (["counts", "--n", "9", "--m", "1"], {141}),
+        (["vertices", "--n", "9", "--space", "cycle"], {141}),
+        (["--help"], {0, 141}),
+    )
+    for unbuffered, (argv, codes) in (
+        (mode, job) for mode in modes for job in short
+    ):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cyclehull", *argv],
+            stdout=write_end, stderr=subprocess.PIPE,
+            env={**env, **unbuffered},
+        )
+        os.close(write_end)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) in codes, (unbuffered, argv, err)
+        assert err == b"", (unbuffered, argv, err)
+
+
+def test_started_without_stdout_keeps_its_exit_status():
+    # fd 1 closed at start leaves sys.stdout None: the final flush is
+    # skipped, and argparse's help and usage exits are kept
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv, code in ((["--help"], 0), (["census"], 2)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclehull", *argv],
+            stderr=subprocess.PIPE, env=env, timeout=60,
+            preexec_fn=lambda: os.close(1),
+        )
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert b"Traceback" not in proc.stderr, (argv, proc.stderr)
+
+
+def test_main_in_process_leaves_the_collector_alone(capsys):
+    # a caller's own argv: no freeze, whatever the exit path
+    frozen = gc.get_freeze_count()
+    for argv, code in (
+        (["census", "--n", "7"], 0),
+        (["census"], 2),
+        (["--help"], 0),
+        (["fold", "--n", "5", "--partition", "9"], 2),
+    ):
+        assert run(capsys, *argv)[0] == code
+        assert gc.get_freeze_count() == frozen, argv
+
+
+def test_program_exit_freezes_the_heap():
+    # main() with no argv, as `python -m cyclehull` and the `cyclehull`
+    # script call it, freezes the heap before it returns, on every path
+    probe = (
+        "import gc, sys\n"
+        "from cyclehull import cli\n"
+        "sys.argv[0] = 'cyclehull'\n"
+        "code = cli.main()\n"
+        "print(code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv, code in (
+        (["census", "--n", "7"], 0),
+        (["census"], 2),
+        (["--help"], 0),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == f"{code} True".encode(), argv
+
+
+def test_program_exit_keeps_atexit_and_status():
+    # a frozen heap still ends in a normal shutdown: handlers registered
+    # before the package runs as __main__ run, stdout is flushed, and the
+    # exit status is main's (os._exit would skip the first two)
+    probe = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: sys.stderr.write('atexit ran\\n'))\n"
+        "sys.argv[0] = 'cyclehull'\n"
+        "runpy.run_module('cyclehull', run_name='__main__')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    for argv, code, out in (
+        (["census", "--n", "7"], 0, b"29 + 56*t + 35*t^2 + 7*t^3\n"),
+        (["census"], 2, b""),
+        (["fold", "--n", "5", "--partition", "9"], 2, b""),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+        assert proc.stderr.endswith(b"atexit ran\n"), proc.stderr
 
 
 class CountingStdout(io.StringIO):
