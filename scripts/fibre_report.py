@@ -14,7 +14,8 @@ from cyclehull.moebius import (
     fibre_factorization,
     fold_fibre,
 )
-from cyclehull.partitions import format_partition, tau_orbits
+from cyclehull.partitions import format_partition
+from cyclehull.spaces import tau_orbits
 
 
 def main() -> int:

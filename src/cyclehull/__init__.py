@@ -13,6 +13,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "partitions",
+    "walks",
+    "spaces",
     "moebius",
     "hullwalk",
     "hull",

@@ -138,7 +138,8 @@ def _cmd_oracle(args):
 
 def _cmd_counts(args):
     from .census import count_band
-    from .partitions import band_limits, band_rows, row_count
+    from .partitions import band_limits, band_rows
+    from .walks import row_count
 
     yield f"trace: {count_band(args.n, args.m)}\n"
     rows = band_rows(args.n, *band_limits(args.n, args.m))

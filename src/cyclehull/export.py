@@ -18,7 +18,8 @@ from itertools import combinations
 from typing import Iterator
 
 from .hullwalk import hull_pool, name_walk
-from .partitions import corner_walk, one_box_less
+from .partitions import one_box_less
+from .walks import corner_walk
 
 
 class _Numerals(dict):

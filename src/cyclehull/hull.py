@@ -29,14 +29,14 @@ from .hullwalk import hull_pool, name_walk
 from .partitions import (
     Partition,
     circ_rows,
-    corner_walk,
     make_partition,
     one_box_less,
     require_circ,
     require_YN,
     size,
-    tau_orbit,
 )
+from .spaces import tau_orbit
+from .walks import corner_walk
 
 VertexFunction = tuple[int, ...]
 

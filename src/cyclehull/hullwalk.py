@@ -3,13 +3,13 @@ and corner rows, in name order.
 
 A hull's pool is a tuple of row ranges (hull_pool: all of Y_N for X_N,
 Y_N° for C_N) and the offset o that its vertex functions sit below
-X_N's.  name_walk walks the pool depth first, as partitions.corner_walk
+X_N's.  name_walk walks the pool depth first, as walks.corner_walk
 does, but steps each row in the order of its parts' decimal text, so
 the names come out sorted, and adds one N-tuple per step to the parent's
 vertex function.  build_hull keeps all that it yields, the exports
 print from it, and doubled_hull reads the hull as the oracle's doubled sets
-for `oracle --compare`.  Only the hull commands load this module: the
-fold, fibre, embed and counts commands need partitions alone.
+for `oracle --compare`.  Only the hull commands load this module: fold
+and embed need partitions alone, and fibre and counts add walks.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ from .partitions import (
     Partition,
     band_rows,
     circ_rows,
-    fewest_parts,
     one_box_less,
     require_space,
-    tau,
 )
+from .walks import fewest_parts
 
 
 def hull_pool(kind: str, n: int) -> tuple[tuple[range, ...], int]:
@@ -136,6 +135,8 @@ def name_walk(
 
 
 def _leaves(lam: Partition, n: int) -> OrbitLeavesPool:
+    from .spaces import tau
+
     return OrbitLeavesPool(
         f"the tau orbit of {lam or '()'} reaches {tau(lam, n) or '()'}"
     )

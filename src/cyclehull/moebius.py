@@ -13,7 +13,7 @@ off the rows of a partition, by rules that live beside
 `circ_rows` the parts each row of a partition in Y_N° may take, and
 `in_circ` and `require_circ` test membership.  The fold map pushes an arbitrary rim into
 that band by clamping each row into its range, and its fibre over a
-partition is again a set of row ranges, walked by `partitions.rim_walk`,
+partition is again a set of row ranges, walked by `walks.rim_walk`,
 with a Catalan word read off the rows too.  It is the vertex-level
 shadow of a retraction of one injective hull onto the other.  The site
 form itself (canonical sites, the band's boundary loop, rims back to
@@ -38,7 +38,6 @@ from .partitions import (
     removable_rows,
     require_circ,
     require_YN,
-    rim_walk,
 )
 
 Site = tuple[int, int]
@@ -59,6 +58,16 @@ FIBRE_BUDGET = 250_000
 
 class FibreTooLarge(ValueError):
     """A fold fibre has more members than FIBRE_BUDGET."""
+
+
+# fold_trace holds and sorts every flip: fresh on a 2-vCPU VM, fold of (1)
+# at N = 1001 (124,749 flips) takes 0.47 s and 53 MB, at N = 2001 (499,499)
+# 1.5 s and 178 MB
+FOLD_BUDGET = 250_000
+
+
+class TraceTooLarge(ValueError):
+    """A fold trace has more flips than FOLD_BUDGET."""
 
 
 def site_str(s: Site) -> str:
@@ -102,10 +111,14 @@ def outer_rim(lam: Partition, n: int) -> RimPath:
 
 def enumerate_band_partitions(n: int, m: int) -> tuple[Partition, ...]:
     """All lam in Y_N whose rim stays in the band of half-width m."""
+    from .walks import rim_walk
+
     return tuple(rim_walk(n, band_rows(n, *band_limits(n, m))))
 
 
 def enumerate_circ(n: int) -> tuple[Partition, ...]:
+    from .walks import rim_walk
+
     return tuple(rim_walk(n, circ_rows(n)))
 
 
@@ -149,10 +162,16 @@ def fold_trace(lam: Partition, n: int) -> tuple[Partition, tuple[FoldStep, ...]]
     peak on delta = N - r - c + 2, flipped at lower (c - 1, N - r + 1),
     glued to (0, c - 1) for r = 1.  Flips come in rounds u = 0 .. k-2:
     round u removes the valleys on delta = u, then adds the peaks on
-    delta = N - u, each bottom row first.
+    delta = N - u, each bottom row first.  TraceTooLarge before any flip
+    is listed if their number, one per box, passes FOLD_BUDGET.
     """
     rows = fold(lam, n)
     pairs = list(enumerate(zip_longest(lam, rows, fillvalue=0), 1))
+    flips = sum(abs(was - now) for _, (was, now) in pairs)
+    if flips > FOLD_BUDGET:
+        raise TraceTooLarge(
+            f"the fold of {lam or '()'} at N = {n} flips {flips:,} sites,"
+            f" more than {FOLD_BUDGET:,}")
     moved = [
         (n - r - c, 0, -r, ("upper", (c, n - r)))
         for r, (was, now) in pairs for c in range(now + 1, was + 1)
@@ -183,11 +202,13 @@ def fold_fibre(lam0: Partition, n: int) -> tuple[Partition, ...]:
     """All mu in Y_N with fold(mu) = lam0, sorted.
 
     The fold clamps each row, so the preimages are the partitions whose
-    rows clamp to lam0's; partitions.rim_walk lists them from those
+    rows clamp to lam0's; walks.rim_walk lists them from those
     ranges (_fibre_rows), at a cost that follows the fibre's size.
     FibreTooLarge before the walk if fold_fibre_size passes FIBRE_BUDGET;
     FoldFailure if the member count is not fold_fibre_size.
     """
+    from .walks import rim_walk
+
     want = fold_fibre_size(lam0, n)
     if want > FIBRE_BUDGET:
         raise FibreTooLarge(

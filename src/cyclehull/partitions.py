@@ -1,18 +1,16 @@
-"""Integer partitions, the Young lattice metric, and the cyclic shift.
+"""Integer partitions, their row ranges and corners.
 
 A partition is a weakly decreasing tuple of positive ints.  Everything here
 lives inside the finite sublattice Y_N of partitions whose principal hook
-length (first part + number of parts - 1) is strictly less than N.  Y_N
-carries an order-N shift `tau` that acts by isometries of the lattice
-distance, and two distinguished families of points: the rectangular
-partitions R_j and the near-staircases alpha_j.
+length (first part + number of parts - 1) is strictly less than N.  The
+row walks over row ranges are in walks, the shift tau and the model
+spaces in spaces; fold and embed load neither.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
-from typing import Collection, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
 
@@ -96,16 +94,6 @@ def require_YN(lam: Partition, n: int) -> None:
         raise NotInYN(f"{lam or '()'} has hook {max_hook(lam)} >= {n}")
 
 
-def young_distance(lam: Partition, mu: Partition) -> int:
-    """Graph distance in the Young lattice: boxes added plus boxes removed.
-
-    Equals |lam| + |mu| - 2 * |lam intersect mu| where the intersection is
-    the rowwise minimum diagram.
-    """
-    common = sum(min(a, b) for a, b in zip(lam, mu))
-    return sum(lam) + sum(mu) - 2 * common
-
-
 @lru_cache(maxsize=16)  # callers repeat one N at a time; a sweep keeps 16
 def band_rows(n: int, lo: int, hi: int) -> tuple[range, ...]:
     """The parts each row may take when the outer rim of a partition in
@@ -161,12 +149,6 @@ def require_circ(lam: Partition, n: int) -> None:
         raise NotInYNCirc(f"{lam or '()'} has a rim outside the band m=1")
 
 
-def rim_walk(n: int, rows: tuple[range, ...]) -> list[Partition]:
-    """The lam in Y_N whose parts lie in rows, sorted: corner_walk's
-    partitions without their corner rows."""
-    return [lam for lam, _ in corner_walk(n, rows)]
-
-
 def removable_rows(lam: Partition, rows: tuple[range, ...]) -> tuple[int, ...]:
     """The rows r, ascending, whose corner box lam may lose and keep its
     parts in rows: p_r > max(p_(r+1), low end of row r's range), p the
@@ -196,215 +178,13 @@ def one_box_less(lam: Partition, corner_rows: Iterable[int]) -> Iterator[Partiti
         yield (*lam[: r - 1], q, *lam[r:]) if q else lam[: r - 1]
 
 
-def fewest_parts(rows: tuple[range, ...]) -> int:
-    """The fewest parts a partition over rows may have: it may end after
-    s parts only when every later row admits 0."""
-    return 1 + max((s for s, row in enumerate(rows) if 0 not in row), default=-1)
-
-
-def corner_walk(
-    n: int, rows: tuple[range, ...]
-) -> Iterator[tuple[Partition, tuple[int, ...]]]:
-    """(lam, removable_rows(lam, rows)) for each lam in Y_N whose parts
-    lie in rows, in sorted order.
-
-    rows[s - 1] holds the parts row s may take, rows[0] the width (as
-    band_rows gives them, or the ranges of a fold fibre); lam has at most
-    N - lam_1 rows, and it may end where every later row admits 0.  The
-    walk goes depth first over the rows, smallest part first, so the
-    output is sorted; on a band no branch lacks a completion, so the cost
-    follows the size of the answer.  The path is kept in lists, not on
-    the call stack, so a partition with a thousand rows walks like any
-    other.  Y_N itself is band_rows(n, 0, n).
-
-    A parallel stack carries the corners: settled[s - 1] holds the
-    removable rows among 1 .. s - 1 of the path prefix of length s.  Row
-    r is settled once row r + 1 is chosen, so a new row s + 1 settles row
-    s, and a step up of row s changes only row s - 1.  The bottom row of
-    lam is removable when it is above its range's low end, since the part
-    after it is 0.
-    """
-    fewest = fewest_parts(rows)
-    if fewest == 0:
-        yield (), ()
-    starts = [row.start for row in rows]
-    highs = [row.stop - 1 for row in rows]
-    low = [max(1, start) for start in starts]
-    # row s + 1 keeps its corner over a new row s + 2, which starts at
-    # low[s + 1], when its part is above floor[s] (so above starts[s])
-    floor = list(map(max, low[1:], starts))
-    # tops[s]: the largest part row s + 1 may take under the row above it
-    parts, tops, settled = [low[0]], [highs[0]], [()]
-    if low[0] > highs[0]:
-        return
-    s = 1
-    while True:
-        q = parts[-1]
-        prefix = settled[-1]
-        corners = prefix + (s,) if q > starts[s - 1] else prefix
-        if s >= fewest:
-            yield tuple(parts), corners
-        if s < n - parts[0]:  # hook below N - 1: a row may follow
-            top = q if q < highs[s] else highs[s]
-            if low[s] <= top:
-                parts.append(low[s])
-                tops.append(top)
-                settled.append(corners if q > floor[s - 1] else prefix)
-                s += 1
-                continue
-        # no row follows: step the deepest row that is below its top
-        while parts[-1] == tops[-1]:
-            parts.pop()
-            tops.pop()
-            settled.pop()
-            s -= 1
-            if not s:
-                return
-        parts[-1] += 1
-        if s > 1 and parts[-1] == parts[-2]:  # row s - 1 loses its corner
-            settled[-1] = settled[-2]
-
-
-def row_count(n: int, rows: tuple[range, ...]) -> int:
-    """The number of partitions corner_walk(n, rows) yields, counted
-    without building one.
-
-    The walk's rules, by a transfer matrix over (row, part) for each
-    width w: counts[i] is the number of prefixes of s parts whose last
-    part is top - i.  Row s + 1 may take a part q in its range, at least
-    1 and at most the part above, so its count at q is the number of
-    prefixes whose last part is q or more, a running sum of counts; a
-    prefix ends at s parts when s >= fewest_parts(rows), and at most
-    N - w rows follow.  The cost is one running sum per row and width,
-    O(N^3) at most, not the size of the answer.
-    """
-    fewest = fewest_parts(rows)
-    total = 1 if fewest == 0 else 0
-    for w in range(max(1, rows[0].start), rows[0].stop):
-        top, counts, s = w, [1], 1
-        while True:
-            if s >= fewest:
-                total += sum(counts)
-            if s >= n - w:  # hook N - 1: no row follows
-                break
-            row = rows[s]
-            low, high = max(1, row.start), min(top, row.stop - 1)
-            if low > high:
-                break
-            # sums[i]: the prefixes whose last part is top - i or more;
-            # a part below the last prefix's takes them all
-            sums = list(accumulate(counts))
-            counts = sums[top - high: top - low + 1]
-            counts += [sums[-1]] * (high - low + 1 - len(counts))
-            top, s = high, s + 1
-    return total
-
-
 def enumerate_YN(n: int) -> tuple[Partition, ...]:
     """All of Y_N in lexicographic order; the count is 2**(n-1)."""
+    from .walks import rim_walk
+
     if n < 1:
         raise IndexOutOfRange(f"n must be >= 1, got {n}")
     return tuple(rim_walk(n, band_rows(n, 0, n)))
-
-
-def tau(lam: Partition, n: int) -> Partition:
-    """Order-N shift of Y_N.
-
-    The first column of the diagram is traded for a new long first row:
-    tau(lam) = (n - len(lam) - 1, lam_1 - 1, ..., lam_m - 1), zeros dropped.
-    This is an isometry of young_distance and permutes R_j and alpha_j
-    cyclically.
-    """
-    require_YN(lam, n)
-    return _shift(lam, n)
-
-
-def _shift(lam: Partition, n: int) -> Partition:
-    # tau without the Y_N check; tau maps Y_N into Y_N
-    head = n - len(lam) - 1
-    tail = [p - 1 for p in lam if p > 1]
-    return (head, *tail) if head else tuple(tail)
-
-
-def tau_orbit(lam: Partition, n: int) -> tuple[Partition, ...]:
-    """The sequence (lam, tau lam, ..., tau^(n-1) lam); may repeat values.
-
-    lam is checked to be in Y_N once; tau maps Y_N into Y_N, so the
-    steps are not checked again.  tau^N must give lam back.
-    """
-    require_YN(lam, n)
-    out = [lam]
-    for _ in range(n - 1):
-        out.append(_shift(out[-1], n))
-    if tau(out[-1], n) != lam:
-        raise OrbitNotClosed(f"tau^{n} moves {lam}")
-    return tuple(out)
-
-
-def tau_orbits(
-    pool: Collection[Partition], n: int
-) -> Iterator[tuple[Partition, ...]]:
-    """tau_orbit(lam, n) once per tau orbit of pool, lam its first member.
-
-    pool is a tau-invariant collection with a fast `in` (a dict or set),
-    walked in its own order; an orbit member outside it raises
-    OrbitLeavesPool.
-    """
-    seen = set()
-    for lam in pool:
-        if lam in seen:
-            continue
-        orbit = tau_orbit(lam, n)
-        for mu in orbit:
-            if mu not in pool:
-                raise OrbitLeavesPool(
-                    f"the tau orbit of {lam or '()'} reaches {mu or '()'}"
-                )
-        seen.update(orbit)
-        yield orbit
-
-
-def rectangular(j: int, n: int) -> Partition:
-    """The rectangle R_j with N-j rows of width j; R_0 = R_N = ()."""
-    if not 0 <= j <= n:
-        raise IndexOutOfRange(f"rectangle index {j} not in [0, {n}]")
-    if j == 0 or j == n:
-        return ()
-    return (j,) * (n - j)
-
-
-def xn_distance(i: int, j: int, n: int) -> int:
-    """young_distance(R_i, R_j) = |i - j| * (n - |i - j|)."""
-    for x in (i, j):
-        if not 0 <= x <= n:
-            raise IndexOutOfRange(f"rectangle index {x} not in [0, {n}]")
-    d = abs(i - j)
-    return d * (n - d)
-
-
-def alpha(j: int, n: int) -> Partition:
-    """The j-th shifted near-staircase: alpha_j = tau^j(alpha_0).
-
-    alpha_0 is the staircase (k-1, k-2, ..., 1) with k = n // 2.
-    """
-    if not 0 <= j < n:
-        raise IndexOutOfRange(f"cycle index {j} not in [0, {n - 1}]")
-    k = n // 2
-    a0: Partition = tuple(range(k - 1, 0, -1))
-    return tau_orbit(a0, n)[j]
-
-
-def cycle_distance(i: int, j: int, n: int) -> int:
-    """young_distance(alpha_i, alpha_j): a cycle metric with N points.
-
-    The step weight is 2 for odd N and 1 for even N.
-    """
-    for x in (i, j):
-        if not 0 <= x < n:
-            raise IndexOutOfRange(f"cycle index {x} not in [0, {n - 1}]")
-    step = 2 if n % 2 else 1
-    d = abs(i - j)
-    return step * min(d, n - d)
 
 
 class Corners(NamedTuple):
@@ -440,11 +220,3 @@ def require_space(kind: str, n: int) -> None:
         raise ValueError(f"unknown space kind {kind!r}")
     if n < 1:
         raise IndexOutOfRange(f"n must be >= 1, got {n}")
-
-
-def model_matrix(kind: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """Distances of the N model points of a hull: R_0..R_{N-1} at
-    |i-j|(N-|i-j|) for 'xn', the N-cycle alpha_0..alpha_{N-1} for 'cycle'."""
-    require_space(kind, n)
-    distance = xn_distance if kind == "xn" else cycle_distance
-    return tuple(tuple(distance(i, j, n) for j in range(n)) for i in range(n))

@@ -53,9 +53,8 @@ from cyclehull.partitions import (
     band_limits,
     make_partition,
     size,
-    tau,
-    young_distance,
 )
+from cyclehull.spaces import tau, young_distance
 
 
 def canon_site(i: int, j: int, n: int) -> Site:

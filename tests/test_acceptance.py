@@ -33,9 +33,9 @@ from cyclehull.oracle import (
     tight_span_edges,
     tight_span_vertices,
 )
-from cyclehull.partitions import (
+from cyclehull.partitions import enumerate_YN
+from cyclehull.spaces import (
     cycle_distance,
-    enumerate_YN,
     model_matrix,
     tau,
     tau_orbit,

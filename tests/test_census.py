@@ -30,8 +30,8 @@ from cyclehull.partitions import (
     circ_rows,
     enumerate_YN,
     removable_rows,
-    row_count,
 )
+from cyclehull.walks import row_count
 from reference import (
     ONE,
     T,

@@ -18,11 +18,13 @@ from cyclehull import (
     hull as hull_module,
     hullwalk as hullwalk_module,
     partitions as partitions_module,
+    walks as walks_module,
 )
 from cyclehull.hull import build_hull
 from cyclehull.moebius import enumerate_circ, fold
 from cyclehull.oracle import FiniteMetric, tight_span
-from cyclehull.partitions import format_partition, model_matrix, parse_partition
+from cyclehull.partitions import format_partition, parse_partition
+from cyclehull.spaces import model_matrix
 from reference import dot_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -171,7 +173,7 @@ def test_odd_cycle_dot_walks_the_band_once(capsys, monkeypatch):
     # text is the one that build_hull and max_cube_decomposition give apart
     walks = []
     for home, name in (
-        (hullwalk_module, "name_walk"), (partitions_module, "corner_walk")
+        (hullwalk_module, "name_walk"), (walks_module, "corner_walk")
     ):
         def counted(*args, walk=getattr(home, name), name=name):
             walks.append((name, *args))
@@ -293,6 +295,42 @@ def test_refused_walks_exit_two_with_one_error_line(capsys, tmp_path, monkeypatc
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "1,767,263,190 members" in err
+
+
+def test_unbounded_inputs_are_refused_fast(capsys, monkeypatch):
+    # census and fold check the size of their answer against a budget
+    # before any work: a fresh process refuses at once, asserts stripped
+    # or not, with one error line and no text, and a budget lowered in
+    # process refuses a small input in the same words
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    census_words = "error: the census of C_{} has up to {} digits, more than {}\n"
+    fold_words = "error: the fold of (1,) at N = {} flips {} sites, more than {}\n"
+    fresh = (
+        (["census", "--n", "99999999999999999999"], census_words.format(
+            99999999999999999999,
+            "1,505,150,000,000,000,000,000,000,000,000,000,000,000",
+            "40,000,000")),
+        (["fold", "--n", "3001", "--partition", "1"],
+         fold_words.format(3001, "1,124,249", "250,000")),
+    )
+    for argv, err in fresh:
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "cyclehull", *argv],
+                capture_output=True, text=True, env=env, timeout=2,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err), flags
+    monkeypatch.setattr("cyclehull.census.CENSUS_BUDGET", 76)
+    monkeypatch.setattr("cyclehull.moebius.FOLD_BUDGET", 188)
+    for argv, err in (
+        (["census", "--n", "21"], census_words.format(21, 77, 76)),
+        (["census", "--n", "21", "--v", "3"], census_words.format(21, 77, 76)),
+        (["fold", "--n", "41", "--partition", "1"], fold_words.format(41, 189, 188)),
+    ):
+        assert run(capsys, *argv) == (2, "", err), argv
+    # at the budget, each still answers
+    assert run(capsys, "census", "--n", "19")[0] == 0
+    assert run(capsys, "fold", "--n", "39", "--partition", "1")[0] == 0
 
 
 def test_oracle_mismatch_exit_one(capsys, tmp_path):
@@ -619,7 +657,9 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     # no dataclasses or its imports (inspect pulls in dis, ast, ...), and
     # no exact fractions, not even for an oracle whose span has a
     # half-integral coordinate: the uniform triangle's centre
-    # (1/2, 1/2, 1/2); the hull walk only for the hull commands; argparse
+    # (1/2, 1/2, 1/2); the hull walk only for the hull commands; the row
+    # walks only for the commands that list or count a family, and the
+    # shift and model spaces only for the odd cycle's DOT export; argparse
     # and its gettext only for --help, since well-formed commands are
     # read without it
     code = (
@@ -641,27 +681,27 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         (["fold", "--n", "9", "--partition", "5,4,2,1"],
          ["moebius", "partitions"]),
         (["fibre", "--n", "9", "--partition", "3,2,1"],
-         ["moebius", "partitions"]),
+         ["moebius", "partitions", "walks"]),
         (["embed", "--n", "9", "--partition", "3,2,1"],
          ["moebius", "partitions"]),
-        (["counts", "--n", "9", "--m", "1"], ["census", "partitions"]),
+        (["counts", "--n", "9", "--m", "1"], ["census", "partitions", "walks"]),
         (["vertices", "--n", "9", "--space", "cycle"],
-         ["export", "hullwalk", "partitions"]),
+         ["export", "hullwalk", "partitions", "walks"]),
         (["vertices", "--n", "9", "--space", "xn"],
-         ["export", "hullwalk", "partitions"]),
+         ["export", "hullwalk", "partitions", "walks"]),
         (["vertices", "--n", "9", "--space", "xn", "--json"],
-         ["export", "hullwalk", "partitions"]),
+         ["export", "hullwalk", "partitions", "walks"]),
         (["skeleton", "--n", "9", "--space", "xn", "--format", "json"],
-         ["export", "hullwalk", "partitions"]),
+         ["export", "hullwalk", "partitions", "walks"]),
         (["skeleton", "--n", "9", "--space", "cycle", "--format", "dot"],
-         ["export", "hull", "hullwalk", "partitions"]),
+         ["export", "hull", "hullwalk", "partitions", "spaces", "walks"]),
         (["skeleton", "--n", "10", "--space", "cycle", "--format", "dot"],
-         ["export", "hullwalk", "partitions"]),
+         ["export", "hullwalk", "partitions", "walks"]),
         (["skeleton", "--n", "9", "--space", "xn", "--format", "dot"],
-         ["export", "hullwalk", "partitions"]),
+         ["export", "hullwalk", "partitions", "walks"]),
         (["oracle", "--metric", metric], ["oracle"]),
         (["oracle", "--metric", metric, "--compare", "cycle:5"],
-         ["hullwalk", "oracle", "partitions"]),
+         ["hullwalk", "oracle", "partitions", "walks"]),
         (["oracle", "--metric", str(triangle)], ["oracle"]),
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -809,13 +849,13 @@ resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29))
 import cyclehull.census as census
 import cyclehull.hull as hull
 import cyclehull.hullwalk as hullwalk
-import cyclehull.partitions as partitions
 import cyclehull.moebius as moebius
 import cyclehull.oracle as oracle
+import cyclehull.spaces as spaces
 import reference
-from cyclehull.census import BadParity, IdentityFailure
+from cyclehull.census import BadParity, CensusTooLarge, IdentityFailure
 from cyclehull.hull import max_cube_decomposition
-from cyclehull.moebius import FibreTooLarge, FoldFailure
+from cyclehull.moebius import FibreTooLarge, FoldFailure, TraceTooLarge
 from cyclehull.oracle import NotExtremal, TooLarge, _tight_graph
 from cyclehull.partitions import BadBandIndex, OrbitLeavesPool, OrbitNotClosed
 
@@ -839,24 +879,27 @@ census._exact_div = exact_div
 expect(BadBandIndex, census.count_band, 5, 0)
 reference.matrix_circcirc = lambda: (reference.matrix_S(), reference.matrix_S())
 expect(IdentityFailure, reference.circcirc_trace, 3)
-expect(OrbitLeavesPool, list, partitions.tau_orbits(((2,),), 3))
+expect(OrbitLeavesPool, list, spaces.tau_orbits(((2,),), 3))
 hull_pool = hullwalk.hull_pool
 hullwalk.hull_pool = lambda kind, n: ((range(0, 6), *hull_pool(kind, n)[0][1:]), 0)
 expect(OrbitLeavesPool, hull.build_hull, "xn", 7)
 hullwalk.hull_pool = hull_pool
-partitions.tau = lambda lam, n: ()
-expect(OrbitNotClosed, partitions.tau_orbit, (1,), 3)
+spaces.tau = lambda lam, n: ()
+expect(OrbitNotClosed, spaces.tau_orbit, (1,), 3)
 fibre_size = moebius.fold_fibre_size
 moebius.fold_fibre_size = lambda lam, n: fibre_size(lam, n) + 1
 expect(FoldFailure, moebius.fold_fibre, (2, 1), 5)
+expect(TraceTooLarge, moebius.fold_trace, (1,), 3001)
 moebius._clamp_rows = lambda lam, n: lam
 expect(FoldFailure, moebius.fold, (4,), 5)
 oracle.WALK_BUDGET = 1000
-cycle13 = oracle.FiniteMetric.from_rows(partitions.model_matrix("cycle", 13))
+cycle13 = oracle.FiniteMetric.from_rows(spaces.model_matrix("cycle", 13))
 expect(TooLarge, oracle.tight_span, cycle13)
 moebius.fold_fibre_size = fibre_size
 big = (19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 7, 6, 6, 5, 4, 3, 2, 1)
 expect(FibreTooLarge, moebius.fold_fibre, big, 41)
+expect(CensusTooLarge, census.face_polynomial, 10 ** 20)
+expect(CensusTooLarge, census.face_count, 10 ** 20 + 1, 3)
 """
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -868,5 +911,6 @@ expect(FibreTooLarge, moebius.fold_fibre, big, 41)
         "IdentityFailure", "IdentityFailure", "BadBandIndex",
         "IdentityFailure",
         "OrbitLeavesPool", "OrbitLeavesPool", "OrbitNotClosed",
-        "FoldFailure", "FoldFailure", "TooLarge", "FibreTooLarge",
+        "FoldFailure", "TraceTooLarge", "FoldFailure", "TooLarge",
+        "FibreTooLarge", "CensusTooLarge", "CensusTooLarge",
     ], proc.stderr

@@ -30,23 +30,26 @@ from cyclehull import (
     hull as hull_module,
     hullwalk as hullwalk_module,
     partitions as partitions_module,
+    walks as walks_module,
 )
 from cyclehull.hullwalk import doubled_hull, hull_pool
 from cyclehull.partitions import (
     OrbitLeavesPool,
-    alpha,
     corners,
-    cycle_distance,
     enumerate_YN,
     format_partition,
     make_partition,
+)
+from cyclehull.spaces import (
+    alpha,
+    cycle_distance,
     rectangular,
-    rim_walk,
     tau,
     tau_orbit,
     xn_distance,
     young_distance,
 )
+from cyclehull.walks import rim_walk
 from reference import delta, dot_text, shifted_cubes
 
 Y7 = enumerate_YN(7)
@@ -77,7 +80,7 @@ def test_f_vertex_is_short_and_injective(a, b):
 
 
 def test_f_vertex_rows_realize_the_model_metric():
-    from cyclehull.partitions import rectangular
+    from cyclehull.spaces import rectangular
 
     n = 7
     for i in range(n):
@@ -284,11 +287,13 @@ def test_exports_name_each_vertex_once(monkeypatch):
 
     for home, name in (
         (hullwalk_module, "name_walk"),
-        (partitions_module, "corner_walk"),
+        (walks_module, "corner_walk"),
         (partitions_module, "format_partition"),
     ):
         counted = counting(name, getattr(home, name))
-        for module in (partitions_module, hullwalk_module, export_module, hull_module):
+        for module in (
+            partitions_module, walks_module, hullwalk_module, export_module, hull_module
+        ):
             monkeypatch.setattr(module, name, counted, raising=False)
     for (label, export, want_calls), want in zip(exports, wants):
         calls.clear()

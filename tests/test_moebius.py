@@ -35,9 +35,8 @@ from cyclehull.partitions import (
     in_circ,
     make_partition,
     removable_rows,
-    tau,
-    young_distance,
 )
+from cyclehull.spaces import tau, young_distance
 from reference import (
     boundary_loop,
     canon_site,

@@ -23,7 +23,7 @@ from cyclehull.oracle import (
     tight_span_edges,
     tight_span_vertices,
 )
-from cyclehull.partitions import model_matrix
+from cyclehull.spaces import model_matrix
 
 
 def fr(values):

@@ -17,31 +17,31 @@ from cyclehull.partitions import (
     IndexOutOfRange,
     NotInYN,
     NotWeaklyDecreasing,
-    alpha,
     band_limits,
     band_rows,
     circ_rows,
-    corner_walk,
     corners,
-    cycle_distance,
     enumerate_YN,
     format_partition,
     in_YN,
     make_partition,
     max_hook,
-    model_matrix,
     parse_partition,
-    rectangular,
     removable_rows,
-    rim_walk,
-    row_count,
+    OrbitLeavesPool,
+)
+from cyclehull.spaces import (
+    alpha,
+    cycle_distance,
+    model_matrix,
+    rectangular,
     tau,
     tau_orbit,
     tau_orbits,
-    OrbitLeavesPool,
     xn_distance,
     young_distance,
 )
+from cyclehull.walks import corner_walk, rim_walk, row_count
 from cyclehull.moebius import (
     _fibre_rows,
     enumerate_circ,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclehull.partitions import model_matrix
+from cyclehull.spaces import model_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclehull.partitions import model_matrix
+from cyclehull.spaces import model_matrix
 
 HERE = Path(__file__).resolve().parent
 PINS = [
