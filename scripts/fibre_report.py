@@ -1,9 +1,9 @@
 """List fold-fibre sizes over Y_N° grouped into shift orbits.
 
 One line per orbit: a representative, the Catalan word of its fibre, the
-size of the fibre as fold_fibre lists it, and the orbit length.  The
-weighted total must come out to 2^(N-1), one preimage for every partition
-of Y_N; the script exits 1 when it does not.
+size of the fibre counted from fibre_walk's stream, with no member held,
+and the orbit length.  The weighted total must come out to 2^(N-1), one
+preimage for every partition of Y_N; the script exits 1 when it does not.
 """
 
 import argparse
@@ -12,7 +12,7 @@ import sys
 from cyclehull.moebius import (
     enumerate_circ,
     fibre_factorization,
-    fold_fibre,
+    fibre_walk,
 )
 from cyclehull.partitions import format_partition
 from cyclehull.spaces import tau_orbits
@@ -30,7 +30,7 @@ def main() -> int:
     for orbit in tau_orbits(pool, n):
         lam, period = orbit[0], len(set(orbit))
         orbits += 1
-        size = len(fold_fibre(lam, n))
+        size = sum(1 for _ in fibre_walk(lam, n))
         word = fibre_factorization(lam, n)
         total += size * period
         name = format_partition(lam) or "()"

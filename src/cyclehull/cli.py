@@ -4,7 +4,10 @@ Every subcommand is deterministic given its flags.  Its handler yields
 its text and returns its exit status; `main` passes it to `_write_blocks`,
 the one writer of command text, which writes blocks of about 64 KiB, so
 text appears as a block fills or the command ends (`counts` prints its
-two lines together).  A refusal raises before any text.  Exit codes: 0
+two lines together).  A refusal raises before any text; a failed
+invariant that a command can only check as it goes (a fibre's member
+count, an export's tau orbit) raises after the text made before it,
+which is written first.  Exit codes: 0
 success, 1 comparison mismatch, 2 usage or validation error, 141
 (128 + SIGPIPE) when the reader closes stdout early, as in
 `skeleton ... | head -1`; that one prints nothing on stderr.  `main`
@@ -48,6 +51,10 @@ def _write_blocks(text) -> int:
             if block:
                 sys.stdout.write("".join(block))
             return stop.value or 0
+        except ValueError:
+            if block:  # the text made before a failure goes out before it
+                sys.stdout.write("".join(block))
+            raise
         block.append(chunk)
         size += len(chunk)
         if size >= _BLOCK:  # a block of one chunk, a census say, is not copied
@@ -94,14 +101,18 @@ def _cmd_fold(args):
 
 
 def _cmd_fibre(args):
-    from .moebius import fibre_factorization, fold_fibre
+    from .moebius import fibre_factorization, fibre_walk, fold_fibre_size
     from .partitions import format_partition, parse_partition
 
+    # each member printed as walked, the size read off the Catalan word:
+    # fresh on a 2-vCPU VM, N = 25's C_12*C_0^13 (208,012 members) and
+    # N = 27's C_13*C_0^14 (742,900) peak at 14.2 MB, about what `fold`
+    # takes, where the held fibre took 41.1 MB at N = 25; refused past
+    # moebius.FIBRE_BUDGET before the first member
     lam = parse_partition(args.partition)
-    members = fold_fibre(lam, args.n)  # refused past moebius.FIBRE_BUDGET
-    for member in members:
+    for member in fibre_walk(lam, args.n):
         yield f"{format_partition(member) or '()'}\n"
-    yield f"{fibre_factorization(lam, args.n)} = {len(members)}\n"
+    yield f"{fibre_factorization(lam, args.n)} = {fold_fibre_size(lam, args.n)}\n"
 
 
 def _cmd_oracle(args):

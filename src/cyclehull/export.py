@@ -4,8 +4,9 @@ hullwalk.name_walk yields each vertex of a hull with its name, its
 function j -> d(lam, R_j) - o and its corner rows, in name order, the
 order every export prints.  The vertices stream with nothing held per
 vertex.  The JSON faces keep their tuple order: one corner_walk lists
-the tops, and one (name, corner rows) pair per vertex is held for them.
-DOT holds what its edges and roles need of its one name walk.
+the tops, and each top's name and its corner rows, one tuple shared by
+the tops with equal ones, are held for the faces and dropped before the
+vertices.  DOT holds what its edges and roles need of its one name walk.
 
 A vertex whose tau image is outside the pool (OrbitLeavesPool) stops a
 streamed export part way, and DOT before it prints.  Every export
@@ -49,6 +50,33 @@ def _face_text(removed: tuple[int, ...]) -> str:
     return _SHUT + ',\n  {\n   "removed": [' + rows + bracket + ',\n   "top": "'
 
 
+def _face_chunks(n: int, rows: tuple[range, ...]) -> Iterator[str]:
+    # the "faces" list of json_chunks, from its first face's "{" to the
+    # last top's name; what it holds goes when it ends
+    part = [str(i) for i in range(n)].__getitem__  # every part is below N
+    names, tops, shared = [], [], {}
+    for lam, corners in corner_walk(n, rows):
+        names.append(",".join(map(part, lam)))
+        tops.append(shared.setdefault(corners, corners))
+    skip = len(_SHUT) + 1  # no face before the first to close, no ","
+    for v in range(max(map(len, shared), default=-1) + 1):
+        texts: dict[tuple[int, ...], str] = {}
+        templates: dict[tuple[int, ...], list[str]] = {}
+        for name, corners in zip(names, tops):
+            if len(corners) < v:
+                continue
+            template = templates.get(corners)
+            if template is None:
+                template = templates[corners] = []
+                for sub in combinations(corners, v):
+                    if sub not in texts:
+                        texts[sub] = _face_text(sub)
+                    template.append(texts[sub])
+                template.append("")
+            yield name.join(template)[skip:]
+            skip = 0
+
+
 def json_chunks(kind: str, n: int, faces: bool = True) -> Iterator[str]:
     """The JSON export in pieces, made as they are written: one piece per
     top and face dimension, then one per vertex.
@@ -58,40 +86,24 @@ def json_chunks(kind: str, n: int, faces: bool = True) -> Iterator[str]:
     "space": kind, "vertices": {name: values}}, the faces ordered by
     dimension, top (as a tuple) and removed rows, the vertices by name;
     faces=False leaves the "faces" key out.  The v-faces above a top
-    remove the subsets combinations(rows, v) of its corner rows.  A
-    face's text depends on its top only through the name, so the text of
-    each removed-row subset, cut where the name goes, is made once; it is
-    led by the previous face's close, so each piece ends on a name.  The
-    v-faces above a top are one template per (v, corner rows), a list of
-    those texts, and each piece is one str.join of the name into it.
-    Subsets of v rows only occur in dimension v, so texts and templates
-    are dropped when v moves on.  Partition names are digits and commas,
-    so nothing needs escaping.
+    remove the subsets combinations(rows, v) of its corner rows.  The
+    faces hold two lists, one entry per top: its name, and its corner
+    rows, where equal corner rows are one shared tuple (511 distinct
+    ones for the 3,571 tops of C_17).  A face's text depends on its top
+    only through the name, so the text of each removed-row subset, cut
+    where the name goes, is made once; it is led by the previous face's
+    close, so each piece ends on a name.  The v-faces above a top are one
+    template per (v, corner rows), a list of those texts, and each piece
+    is one str.join of the name into it.  Subsets of v rows only occur
+    in dimension v, so texts and templates are dropped when v moves on,
+    and all of it before the vertices' name walk starts.  Partition
+    names are digits and commas, so nothing needs escaping.
     """
     rows, _ = hull_pool(kind, n)
     yield "{\n"
     if faces:
-        # every part is below N: a name joins the texts of range(N)
-        part = [str(i) for i in range(n)].__getitem__
-        tops = [(",".join(map(part, lam)), c) for lam, c in corner_walk(n, rows)]
         yield ' "faces": ['
-        skip = len(_SHUT) + 1  # no face before the first to close, no ","
-        for v in range(max((len(c) for _, c in tops), default=-1) + 1):
-            texts: dict[tuple[int, ...], str] = {}
-            templates: dict[tuple[int, ...], list[str]] = {}
-            for name, corners in tops:
-                if len(corners) < v:
-                    continue
-                template = templates.get(corners)
-                if template is None:
-                    template = templates[corners] = []
-                    for sub in combinations(corners, v):
-                        if sub not in texts:
-                            texts[sub] = _face_text(sub)
-                        template.append(texts[sub])
-                    template.append("")
-                yield name.join(template)[skip:]
-                skip = 0
+        yield from _face_chunks(n, rows)
         yield _SHUT + "\n ],\n"
     yield f' "n": {n},\n "space": "{kind}",\n "vertices": {{'
     numeral = _Numerals().__getitem__

@@ -13,7 +13,7 @@ off the rows of a partition, by rules that live beside
 `circ_rows` the parts each row of a partition in Y_N° may take, and
 `in_circ` and `require_circ` test membership.  The fold map pushes an arbitrary rim into
 that band by clamping each row into its range, and its fibre over a
-partition is again a set of row ranges, walked by `walks.rim_walk`,
+partition is again a set of row ranges, walked by `walks.corner_walk`,
 with a Catalan word read off the rows too.  It is the vertex-level
 shadow of a retraction of one injective hull onto the other.  The site
 form itself (canonical sites, the band's boundary loop, rims back to
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from itertools import groupby, zip_longest
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .partitions import (
     Partition,
@@ -51,13 +51,16 @@ class FoldFailure(ValueError):
     """A fold round left Y_N or the band, or a fibre missed its Catalan size."""
 
 
-# fold_fibre holds every member: fresh on a 2-vCPU VM, fibre --n 25 of C_12*C_0^13
-# (208,012 members) takes 0.48 s and 41 MB, and N = 27's C_13*C_0^14 1.7 s, 117 MB
-FIBRE_BUDGET = 250_000
+# fibre_walk's members are printed as walked, so the budget is on text:
+# fold_fibre_size members of up to _longest_line(N) characters.  Fresh on a
+# 2-vCPU VM, in 14.2 MB each, fibre --n 27 of C_13*C_0^14 (742,900 members,
+# up to 38,630,800 characters, 16.4 MB printed) takes 2.3-3.0 s, and
+# N = 29's C_14*C_0^15 (2,674,440, up to 152,443,080, 65.9 MB) 8.6-10.2 s
+FIBRE_BUDGET = 160_000_000
 
 
 class FibreTooLarge(ValueError):
-    """A fold fibre has more members than FIBRE_BUDGET."""
+    """A fold fibre may print more characters than FIBRE_BUDGET."""
 
 
 # fold_trace holds and sorts every flip: fresh on a 2-vCPU VM, fold of (1)
@@ -198,28 +201,43 @@ def _fibre_rows(lam0: Partition, n: int) -> tuple[range, ...]:
     )
 
 
-def fold_fibre(lam0: Partition, n: int) -> tuple[Partition, ...]:
-    """All mu in Y_N with fold(mu) = lam0, sorted.
+def _longest_line(n: int) -> int:
+    # the longest "name\n" of a partition in Y_N: "()\n", or under a
+    # width p at most N - p parts of at most p's digits and a separator
+    return max([3, *((n - p) * (len(str(p)) + 1) for p in range(1, n))])
+
+
+def fibre_walk(lam0: Partition, n: int) -> Iterator[Partition]:
+    """All mu in Y_N with fold(mu) = lam0, sorted, one at a time.
 
     The fold clamps each row, so the preimages are the partitions whose
-    rows clamp to lam0's; walks.rim_walk lists them from those
-    ranges (_fibre_rows), at a cost that follows the fibre's size.
-    FibreTooLarge before the walk if fold_fibre_size passes FIBRE_BUDGET;
-    FoldFailure if the member count is not fold_fibre_size.
+    rows clamp to lam0's; walks.corner_walk lists them from those ranges
+    (_fibre_rows), at a cost that follows the fibre's size and in memory
+    that does not.  FibreTooLarge before the walk if fold_fibre_size
+    members, each as long as the longest line a partition of Y_N prints,
+    pass FIBRE_BUDGET characters; FoldFailure after the last member if
+    their count is not fold_fibre_size.
     """
-    from .walks import rim_walk
+    from .walks import corner_walk
 
     want = fold_fibre_size(lam0, n)
-    if want > FIBRE_BUDGET:
+    chars = want * _longest_line(n)
+    if chars > FIBRE_BUDGET:
         raise FibreTooLarge(
-            f"the fibre of {lam0 or '()'} has {want:,} members,"
-            f" more than {FIBRE_BUDGET:,}")
-    members = rim_walk(n, _fibre_rows(lam0, n))
-    if len(members) != want:
+            f"the fibre of {lam0 or '()'} has {want:,} members, up to"
+            f" {chars:,} characters of text, more than {FIBRE_BUDGET:,}")
+    count = 0
+    for count, (member, _) in enumerate(corner_walk(n, _fibre_rows(lam0, n)), 1):
+        yield member
+    if count != want:
         raise FoldFailure(
-            f"{lam0 or '()'} unfolds to {len(members)} partitions, "
+            f"{lam0 or '()'} unfolds to {count} partitions, "
             f"not the {want} its Catalan word gives")
-    return tuple(members)
+
+
+def fold_fibre(lam0: Partition, n: int) -> tuple[Partition, ...]:
+    """All mu in Y_N with fold(mu) = lam0, sorted: fibre_walk, held."""
+    return tuple(fibre_walk(lam0, n))
 
 
 def _boundary_runs(lam0: Partition, n: int) -> list[tuple[bool, int]]:

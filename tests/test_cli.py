@@ -17,6 +17,7 @@ from cyclehull import (
     export as export_module,
     hull as hull_module,
     hullwalk as hullwalk_module,
+    moebius as moebius_module,
     partitions as partitions_module,
     walks as walks_module,
 )
@@ -471,6 +472,7 @@ def test_closed_stdout_exits_141_quietly():
         ["skeleton", "--n", "13", "--space", "cycle", "--format", "json"],
         ["vertices", "--n", "17", "--space", "cycle"],
         ["skeleton", "--n", "17", "--space", "cycle", "--format", "dot"],
+        ["fibre", "--n", "21", "--partition", "9,8,7,6,5,4,3,2,1"],
     )
     modes = ({}, {"PYTHONUNBUFFERED": "1"})
     for unbuffered, argv in ((mode, job) for mode in modes for job in jobs):
@@ -650,6 +652,81 @@ def test_vertices_export_memory_does_not_grow_with_the_hull(monkeypatch):
     monkeypatch.undo()
     assert (code, out.lines) == (0, 9349)
     assert peak < 3 << 20, peak
+
+
+def test_json_export_memory_follows_its_output():
+    # each job in a fresh interpreter, its modules loaded before the trace:
+    # the faces keep one name and one shared corner-row tuple per top
+    # (511 distinct ones for the 3,571 tops of C_17, 377 for the 4,096 of
+    # X_13) and drop them before the vertices' walk, about 590 KiB each;
+    # with a pair of tuples per top, held to the end, about 1,265 KiB
+    code = (
+        "import io, sys, tracemalloc\n"
+        "from cyclehull import cli, export, hullwalk, walks\n"
+        "class Null(io.TextIOBase):\n"
+        "    def write(self, text):\n"
+        "        return len(text)\n"
+        "sys.stdout = Null()\n"
+        "tracemalloc.start()\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "peak = tracemalloc.get_traced_memory()[1]\n"
+        "print(code, peak, file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for space, n, bound in (("cycle", 17, 1000 << 10), ("xn", 13, 800 << 10)):
+        argv = ["skeleton", "--n", str(n), "--space", space, "--format", "json"]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        status, peak = map(int, proc.stderr.split())
+        assert status == 0 and peak < bound, (space, n, peak)
+
+
+def test_fibre_memory_does_not_grow_with_the_fibre(monkeypatch):
+    # N = 23's C_11*C_0^12 has 58,786 members (1.0 MB of text): printed as
+    # walked, the command holds its path and a 64 KiB block, about 0.4 MB,
+    # where the held fibre took 6.9 MB
+    out = Sink()
+    monkeypatch.setattr(sys, "stdout", out)
+    tracemalloc.start()
+    try:
+        code = main(["fibre", "--n", "23", "--partition", "10,9,8,7,6,5,4,3,2,1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert (code, out.lines) == (0, 58787)
+    assert peak < 1 << 20, peak
+
+
+def test_fibre_count_mismatch_fails_after_its_text(capsys, monkeypatch):
+    # the member count is known only at the walk's end: a fibre that
+    # misses its Catalan size prints its members, then one error line,
+    # and not the size line; the budget is checked before any member
+    job = ("fibre", "--n", "9", "--partition", "3,2,1")
+    _, full, _ = run(capsys, *job)
+    size = moebius_module.fold_fibre_size
+    monkeypatch.setattr(moebius_module, "fold_fibre_size",
+                        lambda lam, n: size(lam, n) + 1)
+    code, out, err = run(capsys, *job)
+    assert code == 2
+    assert out == full.removesuffix("C_4*C_0^5 = 14\n") != full
+    assert err == (
+        "error: (3, 2, 1) unfolds to 14 partitions,"
+        " not the 15 its Catalan word gives\n"
+    )
+    # 14 members of at most 16 characters ("1,1,1,1,1,1,1,1\n") each
+    monkeypatch.setattr(moebius_module, "fold_fibre_size", size)
+    monkeypatch.setattr(moebius_module, "FIBRE_BUDGET", 14 * 16 - 1)
+    code, out, err = run(capsys, *job)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the fibre of (3, 2, 1) has 14 members, up to 224 characters"
+        " of text, more than 223\n"
+    )
+    monkeypatch.setattr(moebius_module, "FIBRE_BUDGET", 14 * 16)
+    assert run(capsys, *job) == (0, full, "")
 
 
 def test_each_command_imports_only_what_it_runs(tmp_path):

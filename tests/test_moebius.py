@@ -7,17 +7,21 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from cyclehull import partitions
+from cyclehull import moebius, partitions
 from cyclehull.moebius import (
+    FibreTooLarge,
     FoldFailure,
     InvalidRim,
     RimPath,
     _boundary_runs,
+    _fibre_rows,
+    _longest_line,
     circ_inner_corners,
     double_embed,
     enumerate_band_partitions,
     enumerate_circ,
     fibre_factorization,
+    fibre_walk,
     fold,
     fold_fibre,
     fold_fibre_size,
@@ -32,11 +36,13 @@ from cyclehull.partitions import (
     corners,
     enumerate_YN,
     band_rows,
+    format_partition,
     in_circ,
     make_partition,
     removable_rows,
 )
 from cyclehull.spaces import tau, young_distance
+from cyclehull.walks import rim_walk
 from reference import (
     boundary_loop,
     canon_site,
@@ -385,3 +391,24 @@ def test_fibre_equals_reference_scan_of_YN():
         for lam in enumerate_circ(n):
             assert fold_fibre(lam, n) == tuple(sorted(fibres.get(lam, ()))), \
                 (lam, n)
+
+
+def test_fibre_stream_refuses_first_and_fails_last(monkeypatch):
+    # nothing runs until the first member is asked for: the budget refuses
+    # there, before any member, and a count that misses the Catalan size
+    # fails only after the last.  The budget counts each member as the
+    # longest line of Y_N, which _longest_line gives exactly
+    for n in range(1, 14):
+        lines = (len(format_partition(lam) or "()") + 1 for lam in enumerate_YN(n))
+        assert max(lines) == _longest_line(n), n
+    big = (19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 7, 6, 6, 5, 4, 3, 2, 1)
+    stream = fibre_walk(big, 41)
+    with pytest.raises(FibreTooLarge, match="1,767,263,190 members"):
+        next(stream)
+    size = moebius.fold_fibre_size
+    monkeypatch.setattr(moebius, "fold_fibre_size", lambda lam, n: size(lam, n) - 1)
+    stream = fibre_walk((5, 5, 4, 3, 2, 1), 11)
+    members = [next(stream) for _ in range(42)]
+    assert members == rim_walk(11, _fibre_rows((5, 5, 4, 3, 2, 1), 11))
+    with pytest.raises(FoldFailure, match="unfolds to 42 partitions, not the 41"):
+        next(stream)

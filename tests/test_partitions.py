@@ -45,6 +45,7 @@ from cyclehull.walks import corner_walk, rim_walk, row_count
 from cyclehull.moebius import (
     _fibre_rows,
     enumerate_circ,
+    fibre_walk,
     fold_fibre,
     fold_fibre_size,
 )
@@ -188,10 +189,12 @@ def test_corners_add_and_remove():
 
 
 def test_fibre_walk_length_is_the_catalan_product():
-    # the rows of each fold fibre: the walk meets the Catalan word
+    # the rows of each fold fibre: the walk meets the Catalan word, and
+    # the stream yields what the walk lists
     for n in range(1, 15):
         for lam in enumerate_circ(n):
             walk = rim_walk(n, _fibre_rows(lam, n))
+            assert walk == list(fibre_walk(lam, n)), (lam, n)
             assert walk == list(fold_fibre(lam, n)), (lam, n)
             assert len(walk) == fold_fibre_size(lam, n), (lam, n)
 
