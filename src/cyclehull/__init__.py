@@ -7,9 +7,22 @@ discrete Moebius strip, a folding retraction between the two hulls, and
 closed forms for the face and band counts.  An independent
 oracle recomputes small tight spans straight from the definition so the
 structural results can be cross-checked.
+
+Work that a count shows too large is refused with TooLarge, the one
+error of every budget; each budget is a constant beside the count it
+bounds.
 """
 
 __version__ = "0.1.0"
+
+
+class TooLarge(ValueError):
+    """A count of the work asked for passes its budget."""
+
+    def __init__(self, what: str, count: int, limit: int, unit: str):
+        super().__init__(
+            f"{what} needs {count:,} {unit}, more than its budget of {limit:,}")
+
 
 __all__ = [
     "partitions",

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 
+from . import TooLarge
+
 
 class BadParity(ValueError):
     """Operation defined only for the other parity of N."""
@@ -35,10 +37,6 @@ class IdentityFailure(ValueError):
 # most about 0.15 N^2 digits; fresh on a 2-vCPU VM, census --n 15001
 # (26.8 MB of text) takes 2.2 s and 76 MB, and --n 20001 4.7 s, 124 MB
 CENSUS_BUDGET = 40_000_000
-
-
-class CensusTooLarge(ValueError):
-    """A face polynomial may have more digits than CENSUS_BUDGET."""
 
 
 class TPoly:
@@ -140,7 +138,7 @@ def face_polynomial(n: int) -> TPoly:
     by exact divisions from f_0 = L_N and f_1 = N F_(N-1), checked at the
     end by p(1) = 2^N - 1 and p(-1) = 1.  Even N = 2k: the face polynomial
     of the k-cube, (2 + t)^k, whose coefficient of t^v is C(k, v) 2^(k-v).
-    N = 1: a single point, [L_1, F_0] = [1, 0].  CensusTooLarge before
+    N = 1: a single point, [L_1, F_0] = [1, 0].  TooLarge before
     any work past CENSUS_BUDGET.
     """
     if n < 1:
@@ -148,9 +146,7 @@ def face_polynomial(n: int) -> TPoly:
     # log10(2) < 0.30103, so each coefficient has at most this many digits
     digits = (n // 2 + 1) * (n * 30103 // 100000 + 1)
     if digits > CENSUS_BUDGET:
-        raise CensusTooLarge(
-            f"the census of C_{n} has up to {digits:,} digits,"
-            f" more than {CENSUS_BUDGET:,}")
+        raise TooLarge(f"the census of C_{n}", digits, CENSUS_BUDGET, "digits")
     if n % 2 == 0:
         k = n // 2
         return TPoly(math.comb(k, v) << (k - v) for v in range(k + 1))
@@ -170,7 +166,7 @@ def face_count(n: int, v: int) -> int:
 
     The coefficient of t^v in face_polynomial(n), that is by recurrence
     2^(2v+1-N) Σ_s C(N,2s) C(s,v) 5^(s-v), must agree with the cycle
-    matchings sum Σ_s N/(N-s) C(N-s,s) C(s,v).  CensusTooLarge before
+    matchings sum Σ_s N/(N-s) C(N-s,s) C(s,v).  TooLarge before
     any work past CENSUS_BUDGET, from face_polynomial.
     """
     if n % 2 == 0:

@@ -152,9 +152,12 @@ def _cmd_counts(args):
     from .partitions import band_limits, band_rows
     from .walks import row_count
 
-    yield f"trace: {count_band(args.n, args.m)}\n"
+    # the row count runs first, so that its refusal, or the row table's,
+    # comes before any text and count_band runs only within ROW_BUDGET
     rows = band_rows(args.n, *band_limits(args.n, args.m))
-    yield f"enumeration: {row_count(args.n, rows)}\n"
+    enumeration = row_count(args.n, rows)
+    yield f"trace: {count_band(args.n, args.m)}\n"
+    yield f"enumeration: {enumeration}\n"
 
 
 def _cmd_embed(args):

@@ -99,7 +99,7 @@ def json_chunks(kind: str, n: int, faces: bool = True) -> Iterator[str]:
     and all of it before the vertices' name walk starts.  Partition
     names are digits and commas, so nothing needs escaping.
     """
-    rows, _ = hull_pool(kind, n)
+    rows, _ = hull_pool(kind, n, "faces") if faces else hull_pool(kind, n)
     yield "{\n"
     if faces:
         yield ' "faces": ['
@@ -122,6 +122,7 @@ def dot_chunks(kind: str, n: int) -> Iterator[str]:
     "extra" off its N maximal cubes, else "cube-member", read by
     hull.Faces.max_cubes, checks and all, off the corner rows of the one
     name walk, held per vertex with its node text and index."""
+    hull_pool(kind, n, "edges")
     numeral = _Numerals().__getitem__
     nodes, index, rows = [], {}, {}
     for i, (lam, name, f, corners) in enumerate(name_walk(kind, n)):

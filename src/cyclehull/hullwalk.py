@@ -8,8 +8,10 @@ does, but steps each row in the order of its parts' decimal text, so
 the names come out sorted, and adds one N-tuple per step to the parent's
 vertex function.  build_hull keeps all that it yields, the exports
 print from it, and doubled_hull reads the hull as the oracle's doubled sets
-for `oracle --compare`.  Only the hull commands load this module: fold
-and embed need partitions alone, and fibre and counts add walks.
+for `oracle --compare`.  hull_pool refuses a hull whose vertices, edges
+or faces, counted in closed form by hull_counts, pass their budgets,
+before any walk.  Only the hull commands load this module: fold and
+embed need partitions alone, and fibre and counts add walks.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from operator import add
 from typing import Iterator
 
+from . import TooLarge
 from .partitions import (
     OrbitLeavesPool,
     Partition,
@@ -28,16 +31,61 @@ from .partitions import (
 from .walks import fewest_parts
 
 
-def hull_pool(kind: str, n: int) -> tuple[tuple[range, ...], int]:
+# one line of N values per vertex: fresh on a 2-vCPU VM, the vertices of
+# C_29 (1,149,851) take 4.0-5.1 s and X_21's (1,048,576) 3.2-3.4 s, in 14 MB
+VERTEX_BUDGET = 1_200_000
+# DOT holds every edge until its walk ends: C_23's 407,353 take 1.1-1.7 s
+# and 69 MB, X_17's 278,528 0.7-1.0 s and 54 MB
+EDGE_BUDGET = 500_000
+# JSON prints its faces as made: C_23's 8,388,607 (802 MB of text) take
+# 1.4 s and 22 MB, X_19's 9,369,319 2.1 s and 40 MB
+FACE_BUDGET = 10_000_000
+
+
+def hull_counts(kind: str, n: int) -> dict[str, int]:
+    """The vertices, edges and faces of a hull, in closed form.
+
+    Each vertex has an edge down per corner row and tops a face per
+    subset of them, so with c(t) the sum over vertices of t^(corner rows)
+    the counts are c(1), c'(1) and c(2).  For X_N, c(t) = Σ_j C(N, 2j) t^j
+    gives 2^(N-1), N 2^(N-3) and H_N = 2 H_(N-1) + H_(N-2), H_0 = H_1 = 1;
+    for odd C_N the cycle matchings give L_N, N F_(N-1) and 2^N - 1; for
+    even C_N, the k-cube (k = N // 2), 2^k, k 2^(k-1) and 3^k.  O(N) steps.
+    """
+    if kind == "xn":
+        h, h1 = 1, 1
+        for _ in range(n):
+            h, h1 = h1, 2 * h1 + h
+        return {"vertices": 1 << n - 1, "edges": n << n >> 3, "faces": h}
+    if n % 2 == 0:
+        k = n // 2
+        return {"vertices": 1 << k, "edges": k << k >> 1, "faces": 3**k}
+    f0, f = 1, 0  # F_(i-1), F_i from i = 0
+    for _ in range(n):
+        f0, f = f, f0 + f
+    return {"vertices": 2 * f0 + f, "edges": n * f0, "faces": (1 << n) - 1}
+
+
+def hull_pool(kind: str, n: int, *units: str) -> tuple[tuple[range, ...], int]:
     """The vertices of a hull as row ranges, and the offset o that its
     vertex functions sit below X_N's: all of Y_N (band_rows(n, 0, n)) and
     o = 0 for 'xn', Y_N° (circ_rows) and o = k(k-1)/2, k = N // 2, for
-    'cycle'."""
+    'cycle'.  TooLarge past the row table's budget, or, before any walk,
+    if hull_counts has more vertices, or more of the units named
+    ('edges', 'faces'), than VERTEX_BUDGET, EDGE_BUDGET or FACE_BUDGET."""
     require_space(kind, n)
-    if kind == "xn":
-        return band_rows(n, 0, n), 0
     k = n // 2
-    return circ_rows(n), k * (k - 1) // 2
+    if kind == "xn":
+        rows, o = band_rows(n, 0, n), 0
+    else:
+        rows, o = circ_rows(n), k * (k - 1) // 2
+    counts = hull_counts(kind, n)
+    limits = {"vertices": VERTEX_BUDGET, "edges": EDGE_BUDGET, "faces": FACE_BUDGET}
+    for unit in ("vertices", *units):
+        if counts[unit] > limits[unit]:
+            name = f"the hull of {'X' if kind == 'xn' else 'C'}_{n}"
+            raise TooLarge(name, counts[unit], limits[unit], unit)
+    return rows, o
 
 
 def name_walk(

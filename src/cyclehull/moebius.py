@@ -27,6 +27,7 @@ import math
 from itertools import groupby, zip_longest
 from typing import Iterator, NamedTuple
 
+from . import TooLarge
 from .partitions import (
     Partition,
     band_limits,
@@ -58,19 +59,10 @@ class FoldFailure(ValueError):
 # N = 29's C_14*C_0^15 (2,674,440, up to 152,443,080, 65.9 MB) 8.6-10.2 s
 FIBRE_BUDGET = 160_000_000
 
-
-class FibreTooLarge(ValueError):
-    """A fold fibre may print more characters than FIBRE_BUDGET."""
-
-
 # fold_trace holds and sorts every flip: fresh on a 2-vCPU VM, fold of (1)
 # at N = 1001 (124,749 flips) takes 0.47 s and 53 MB, at N = 2001 (499,499)
 # 1.5 s and 178 MB
 FOLD_BUDGET = 250_000
-
-
-class TraceTooLarge(ValueError):
-    """A fold trace has more flips than FOLD_BUDGET."""
 
 
 def site_str(s: Site) -> str:
@@ -165,16 +157,15 @@ def fold_trace(lam: Partition, n: int) -> tuple[Partition, tuple[FoldStep, ...]]
     peak on delta = N - r - c + 2, flipped at lower (c - 1, N - r + 1),
     glued to (0, c - 1) for r = 1.  Flips come in rounds u = 0 .. k-2:
     round u removes the valleys on delta = u, then adds the peaks on
-    delta = N - u, each bottom row first.  TraceTooLarge before any flip
+    delta = N - u, each bottom row first.  TooLarge before any flip
     is listed if their number, one per box, passes FOLD_BUDGET.
     """
     rows = fold(lam, n)
     pairs = list(enumerate(zip_longest(lam, rows, fillvalue=0), 1))
     flips = sum(abs(was - now) for _, (was, now) in pairs)
     if flips > FOLD_BUDGET:
-        raise TraceTooLarge(
-            f"the fold of {lam or '()'} at N = {n} flips {flips:,} sites,"
-            f" more than {FOLD_BUDGET:,}")
+        what = f"the fold of {lam or '()'} at N = {n}"
+        raise TooLarge(what, flips, FOLD_BUDGET, "flips")
     moved = [
         (n - r - c, 0, -r, ("upper", (c, n - r)))
         for r, (was, now) in pairs for c in range(now + 1, was + 1)
@@ -213,7 +204,7 @@ def fibre_walk(lam0: Partition, n: int) -> Iterator[Partition]:
     The fold clamps each row, so the preimages are the partitions whose
     rows clamp to lam0's; walks.corner_walk lists them from those ranges
     (_fibre_rows), at a cost that follows the fibre's size and in memory
-    that does not.  FibreTooLarge before the walk if fold_fibre_size
+    that does not.  TooLarge before the walk if fold_fibre_size
     members, each as long as the longest line a partition of Y_N prints,
     pass FIBRE_BUDGET characters; FoldFailure after the last member if
     their count is not fold_fibre_size.
@@ -223,9 +214,8 @@ def fibre_walk(lam0: Partition, n: int) -> Iterator[Partition]:
     want = fold_fibre_size(lam0, n)
     chars = want * _longest_line(n)
     if chars > FIBRE_BUDGET:
-        raise FibreTooLarge(
-            f"the fibre of {lam0 or '()'} has {want:,} members, up to"
-            f" {chars:,} characters of text, more than {FIBRE_BUDGET:,}")
+        what = f"the fibre of {lam0 or '()'} at N = {n} ({want:,} members)"
+        raise TooLarge(what, chars, FIBRE_BUDGET, "characters")
     count = 0
     for count, (member, _) in enumerate(corner_walk(n, _fibre_rows(lam0, n)), 1):
         yield member

@@ -1,8 +1,9 @@
 """Tight spans of small finite integer metric spaces, by an edge walk.
 
-Independent of the rest of the package: the hull constructions are
-validated against this module, which computes tight spans straight from
-the definition.  A function f on the points is feasible when
+Independent of the rest of the package, of which it imports only the
+error class TooLarge: the hull constructions are validated against this
+module, which computes tight spans straight from the definition.  A
+function f on the points is feasible when
 f(i) + f(j) >= d(i, j) for all pairs (the diagonal case i = j reads
 f(i) >= 0) and extremal when additionally every coordinate is tight
 against some other one, i.e. f(i) = max_j (d(i,j) - f(j)).
@@ -38,6 +39,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
+from . import TooLarge
+
 
 class DimensionMismatch(ValueError):
     """Function length does not match the metric's point count."""
@@ -46,10 +49,6 @@ class DimensionMismatch(ValueError):
 # tight-graph tests (_bipartite_components calls) one walk may make: C_21's
 # makes 1,248,486 (12 s on a 2-vCPU VM), C_19's 324,351, C_17's 85,611
 WALK_BUDGET = 4_000_000
-
-
-class TooLarge(ValueError):
-    """The walk needs more tight-graph tests than WALK_BUDGET."""
 
 
 class FiniteMetric:
@@ -240,8 +239,8 @@ def _bounded_rays(n: int, adj: list[int], loops: int, work: int) -> tuple[list, 
     while stack:
         work += 1
         if work > WALK_BUDGET:
-            raise TooLarge("the walk passed its budget of"
-                           f" {WALK_BUDGET:,} tight-graph tests")
+            raise TooLarge(f"the tight-span walk of {n} points", work,
+                           WALK_BUDGET, "tight-graph tests")
         minus, plus, grow = stack.pop()
         if not _bipartite_components(adj, minus | plus, loops):
             out.append((minus, plus))

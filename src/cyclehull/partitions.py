@@ -12,6 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
+from . import TooLarge
+
 Partition = tuple[int, ...]
 
 
@@ -94,6 +96,13 @@ def require_YN(lam: Partition, n: int) -> None:
         raise NotInYN(f"{lam or '()'} has hook {max_hook(lam)} >= {n}")
 
 
+# N row ranges: fresh on a 2-vCPU VM, fold --n 10001 builds them in 5 ms
+# and --n 100001 in 0.18 s and 31 MB; below it every count a refusal
+# names, up to the 3,828 digits of X_10001's faces, prints within
+# Python's default 4,300-digit limit on int-to-str
+ROW_BUDGET = 10_001
+
+
 @lru_cache(maxsize=16)  # callers repeat one N at a time; a sweep keeps 16
 def band_rows(n: int, lo: int, hi: int) -> tuple[range, ...]:
     """The parts each row may take when the outer rim of a partition in
@@ -107,8 +116,10 @@ def band_rows(n: int, lo: int, hi: int) -> tuple[range, ...]:
     and the high end of row s - 1's; a row that can hold no box gets the
     range {0}.  Row 1, the width, bounds its run's low end and the bottom
     row's high end, lam_1.  Width 0 is the empty partition: its rim is the
-    first column.
+    first column.  TooLarge before any row past ROW_BUDGET rows.
     """
+    if n > ROW_BUDGET:
+        raise TooLarge(f"the row table at N = {n}", n, ROW_BUDGET, "rows")
     width = range(
         0 if lo <= 0 and n - 1 <= hi else max(1, lo), min(hi, n - 1 - lo) + 1
     )

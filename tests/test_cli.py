@@ -283,55 +283,104 @@ def test_oracle_match_beyond_seven_points(capsys, tmp_path):
 
 
 def test_refused_walks_exit_two_with_one_error_line(capsys, tmp_path, monkeypatch):
-    # the oracle's walk past its budget of tight-graph tests, and a fibre
-    # past its budget of members, which is refused before any is built
-    monkeypatch.setattr("cyclehull.oracle.WALK_BUDGET", 1000)
-    path = write_metric(tmp_path, "cycle", 13)
-    code, out, err = run(capsys, "oracle", "--metric", path,
-                         "--compare", "cycle:13")
-    assert (code, out) == (2, "")
-    assert err == "error: the walk passed its budget of 1,000 tight-graph tests\n"
-    big = "19,18,17,16,15,14,13,12,11,10,9,8,7,7,6,6,5,4,3,2,1"
-    code, out, err = run(capsys, "fibre", "--n", "41", "--partition", big)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "1,767,263,190 members" in err
-
-
-def test_unbounded_inputs_are_refused_fast(capsys, monkeypatch):
-    # census and fold check the size of their answer against a budget
-    # before any work: a fresh process refuses at once, asserts stripped
-    # or not, with one error line and no text, and a budget lowered in
-    # process refuses a small input in the same words
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    census_words = "error: the census of C_{} has up to {} digits, more than {}\n"
-    fold_words = "error: the fold of (1,) at N = {} flips {} sites, more than {}\n"
-    fresh = (
-        (["census", "--n", "99999999999999999999"], census_words.format(
-            99999999999999999999,
-            "1,505,150,000,000,000,000,000,000,000,000,000,000,000",
-            "40,000,000")),
-        (["fold", "--n", "3001", "--partition", "1"],
-         fold_words.format(3001, "1,124,249", "250,000")),
-    )
-    for argv, err in fresh:
-        for flags in ([], ["-O"]):
-            proc = subprocess.run(
-                [sys.executable, *flags, "-m", "cyclehull", *argv],
-                capture_output=True, text=True, env=env, timeout=2,
-            )
-            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err), flags
+    # each budget lowered in process to one below a job's count: the job
+    # exits 2 with one error line and no text; at its count it answers
+    metric = write_metric(tmp_path, "cycle", 7)
+    partitions_module.band_rows.cache_clear()  # checked only as it is built
+    c9 = ["--n", "9", "--space", "cycle"]
+    for budget, count, unit, what, argv in (
+        ("partitions.ROW_BUDGET", 41, "rows", "the row table at N = 41",
+         ["fold", "--n", "41", "--partition", "1"]),
+        ("census.CENSUS_BUDGET", 77, "digits", "the census of C_21",
+         ["census", "--n", "21"]),
+        ("census.CENSUS_BUDGET", 77, "digits", "the census of C_21",
+         ["census", "--n", "21", "--v", "3"]),
+        ("moebius.FOLD_BUDGET", 189, "flips", "the fold of (1,) at N = 41",
+         ["fold", "--n", "41", "--partition", "1"]),
+        ("walks.COUNT_BUDGET", 425, "steps", "the row count at N = 17",
+         ["counts", "--n", "17", "--m", "2"]),
+        ("hullwalk.VERTEX_BUDGET", 76, "vertices", "the hull of C_9", ["vertices", *c9]),
+        ("hullwalk.EDGE_BUDGET", 189, "edges", "the hull of C_9",
+         ["skeleton", *c9, "--format", "dot"]),
+        ("hullwalk.FACE_BUDGET", 511, "faces", "the hull of C_9",
+         ["skeleton", *c9, "--format", "json"]),
+        ("oracle.WALK_BUDGET", 131, "tight-graph tests", "the tight-span walk of 7 points",
+         ["oracle", "--metric", metric]),
+    ):
+        monkeypatch.setattr("cyclehull." + budget, count - 1)
+        err = f"error: {what} needs {count} {unit}, more than its budget of {count - 1}\n"
+        assert run(capsys, *argv) == (2, "", err), argv
+        monkeypatch.setattr("cyclehull." + budget, count)
+        assert run(capsys, *argv)[0] == 0, argv
+    # budgets above a job's count answer it
     monkeypatch.setattr("cyclehull.census.CENSUS_BUDGET", 76)
     monkeypatch.setattr("cyclehull.moebius.FOLD_BUDGET", 188)
-    for argv, err in (
-        (["census", "--n", "21"], census_words.format(21, 77, 76)),
-        (["census", "--n", "21", "--v", "3"], census_words.format(21, 77, 76)),
-        (["fold", "--n", "41", "--partition", "1"], fold_words.format(41, 189, 188)),
-    ):
-        assert run(capsys, *argv) == (2, "", err), argv
-    # at the budget, each still answers
     assert run(capsys, "census", "--n", "19")[0] == 0
     assert run(capsys, "fold", "--n", "39", "--partition", "1")[0] == 0
+
+
+# a fresh interpreter under a 512 MB address space runs the command line
+# as `python -m cyclehull` does, after an optional change to a budget
+FRESH = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+{}
+from cyclehull.cli import main
+sys.exit(main())
+"""
+
+
+def test_unbounded_inputs_are_refused_fast(tmp_path):
+    # every refusal, fresh, asserts stripped or not: exit 2 within 2 s,
+    # nothing on stdout, and one error line that names the count and its
+    # budget.  The oracle's walk is refused only once it passes its
+    # budget, so its fresh run lowers the budget first
+    metric = write_metric(tmp_path, "cycle", 13)
+    big = "19,18,17,16,15,14,13,12,11,10,9,8,7,7,6,6,5,4,3,2,1"
+    rows = "the row table at N = {0} needs {0:,} rows, more than its budget of 10,001"
+    c25 = "the hull of C_25 needs {}, more than its budget of {}"
+    cases = (
+        (["census", "--n", "99999999999999999999"], "",
+         "the census of C_99999999999999999999 needs 1,505,150,000,000,000,000,"
+         "000,000,000,000,000,000,000 digits, more than its budget of 40,000,000"),
+        (["fold", "--n", "3001", "--partition", "1"], "",
+         "the fold of (1,) at N = 3001 needs 1,124,249 flips,"
+         " more than its budget of 250,000"),
+        (["fibre", "--n", "41", "--partition", big], "",
+         f"the fibre of {tuple(map(int, big.split(',')))} at N = 41"
+         " (1,767,263,190 members) needs 164,355,476,670 characters,"
+         " more than its budget of 160,000,000"),
+        (["oracle", "--metric", metric, "--compare", "cycle:13"],
+         "import cyclehull.oracle; cyclehull.oracle.WALK_BUDGET = 1000",
+         "the tight-span walk of 13 points needs 1,001 tight-graph tests,"
+         " more than its budget of 1,000"),
+        (["counts", "--n", "601", "--m", "300"], "",
+         "the row count at N = 601 needs 217,081,801 steps,"
+         " more than its budget of 30,000,000"),
+        (["counts", "--n", "15001", "--m", "7000"], "", rows.format(15001)),
+        (["counts", "--n", "99999999999999999999", "--m", "2"], "",
+         rows.format(99999999999999999999)),
+        (["vertices", "--n", "60", "--space", "xn"], "",
+         "the hull of X_60 needs 576,460,752,303,423,488 vertices,"
+         " more than its budget of 1,200,000"),
+        (["vertices", "--n", "10000000", "--space", "xn"], "", rows.format(10000000)),
+        (["skeleton", "--n", "25", "--space", "cycle", "--format", "dot"], "",
+         c25.format("1,159,200 edges", "500,000")),
+        (["skeleton", "--n", "25", "--space", "cycle", "--format", "json"], "",
+         c25.format("33,554,431 faces", "10,000,000")),
+        (["fold", "--n", "10000000", "--partition", "1"], "", rows.format(10000000)),
+        (["embed", "--n", "10000001", "--partition", "1"], "", rows.format(10000001)),
+        (["fibre", "--n", "10000000", "--partition", "1"], "", rows.format(10000000)),
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv, patch, err in cases:
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-c", FRESH.format(patch), *argv],
+                capture_output=True, text=True, env=env, timeout=2,
+            )
+            got = (proc.returncode, proc.stdout, proc.stderr)
+            assert got == (2, "", f"error: {err}\n"), (argv, flags)
 
 
 def test_oracle_mismatch_exit_one(capsys, tmp_path):
@@ -722,8 +771,8 @@ def test_fibre_count_mismatch_fails_after_its_text(capsys, monkeypatch):
     code, out, err = run(capsys, *job)
     assert (code, out) == (2, "")
     assert err == (
-        "error: the fibre of (3, 2, 1) has 14 members, up to 224 characters"
-        " of text, more than 223\n"
+        "error: the fibre of (3, 2, 1) at N = 9 (14 members) needs 224"
+        " characters, more than its budget of 223\n"
     )
     monkeypatch.setattr(moebius_module, "FIBRE_BUDGET", 14 * 16)
     assert run(capsys, *job) == (0, full, "")
@@ -930,9 +979,9 @@ import cyclehull.moebius as moebius
 import cyclehull.oracle as oracle
 import cyclehull.spaces as spaces
 import reference
-from cyclehull.census import BadParity, CensusTooLarge, IdentityFailure
+from cyclehull.census import BadParity, IdentityFailure
 from cyclehull.hull import max_cube_decomposition
-from cyclehull.moebius import FibreTooLarge, FoldFailure, TraceTooLarge
+from cyclehull.moebius import FoldFailure
 from cyclehull.oracle import NotExtremal, TooLarge, _tight_graph
 from cyclehull.partitions import BadBandIndex, OrbitLeavesPool, OrbitNotClosed
 
@@ -966,7 +1015,7 @@ expect(OrbitNotClosed, spaces.tau_orbit, (1,), 3)
 fibre_size = moebius.fold_fibre_size
 moebius.fold_fibre_size = lambda lam, n: fibre_size(lam, n) + 1
 expect(FoldFailure, moebius.fold_fibre, (2, 1), 5)
-expect(TraceTooLarge, moebius.fold_trace, (1,), 3001)
+expect(TooLarge, moebius.fold_trace, (1,), 3001)
 moebius._clamp_rows = lambda lam, n: lam
 expect(FoldFailure, moebius.fold, (4,), 5)
 oracle.WALK_BUDGET = 1000
@@ -974,9 +1023,9 @@ cycle13 = oracle.FiniteMetric.from_rows(spaces.model_matrix("cycle", 13))
 expect(TooLarge, oracle.tight_span, cycle13)
 moebius.fold_fibre_size = fibre_size
 big = (19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 7, 6, 6, 5, 4, 3, 2, 1)
-expect(FibreTooLarge, moebius.fold_fibre, big, 41)
-expect(CensusTooLarge, census.face_polynomial, 10 ** 20)
-expect(CensusTooLarge, census.face_count, 10 ** 20 + 1, 3)
+expect(TooLarge, moebius.fold_fibre, big, 41)
+expect(TooLarge, census.face_polynomial, 10 ** 20)
+expect(TooLarge, census.face_count, 10 ** 20 + 1, 3)
 """
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -988,6 +1037,6 @@ expect(CensusTooLarge, census.face_count, 10 ** 20 + 1, 3)
         "IdentityFailure", "IdentityFailure", "BadBandIndex",
         "IdentityFailure",
         "OrbitLeavesPool", "OrbitLeavesPool", "OrbitNotClosed",
-        "FoldFailure", "TraceTooLarge", "FoldFailure", "TooLarge",
-        "FibreTooLarge", "CensusTooLarge", "CensusTooLarge",
+        "FoldFailure", "TooLarge", "FoldFailure", "TooLarge",
+        "TooLarge", "TooLarge", "TooLarge",
     ], proc.stderr

@@ -32,7 +32,7 @@ from cyclehull import (
     partitions as partitions_module,
     walks as walks_module,
 )
-from cyclehull.hullwalk import doubled_hull, hull_pool
+from cyclehull.hullwalk import doubled_hull, hull_counts, hull_pool
 from cyclehull.partitions import (
     OrbitLeavesPool,
     corners,
@@ -151,6 +151,16 @@ def test_streamed_walk_keeps_the_orbit_check(monkeypatch):
                 export()
         with pytest.raises(OrbitLeavesPool):
             build_hull("xn", 7)
+
+
+def test_hull_counts_in_closed_form():
+    # the counts the hull budgets check are the built hulls' vertices,
+    # edges and faces
+    for kind in ("xn", "cycle"):
+        for n in range(1, 13):
+            f = build_hull(kind, n).f_vector()
+            want = {"vertices": f[0], "edges": sum(f[1:2]), "faces": sum(f)}
+            assert hull_counts(kind, n) == want, (kind, n)
 
 
 def test_face_members():

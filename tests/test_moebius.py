@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from cyclehull import moebius, partitions
+from cyclehull import TooLarge, moebius, partitions
 from cyclehull.moebius import (
-    FibreTooLarge,
     FoldFailure,
     InvalidRim,
     RimPath,
@@ -403,7 +402,7 @@ def test_fibre_stream_refuses_first_and_fails_last(monkeypatch):
         assert max(lines) == _longest_line(n), n
     big = (19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 7, 6, 6, 5, 4, 3, 2, 1)
     stream = fibre_walk(big, 41)
-    with pytest.raises(FibreTooLarge, match="1,767,263,190 members"):
+    with pytest.raises(TooLarge, match="1,767,263,190 members"):
         next(stream)
     size = moebius.fold_fibre_size
     monkeypatch.setattr(moebius, "fold_fibre_size", lambda lam, n: size(lam, n) - 1)
