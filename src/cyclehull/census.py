@@ -206,6 +206,16 @@ def sequences(n: int) -> tuple[int, int, int]:
     return (*_lucas_fibonacci(n), _exact_div(math.comb(2 * n, n), n + 1))
 
 
+# count_band's sum has N // P + 1 terms, each of which multiplies and
+# divides an N-bit binomial by products of P factors below N, so it
+# takes about terms * P * N * (bit length of N) bit steps, for a narrow
+# band and a wide one alike.  In process on a 2-vCPU VM, (N, m) =
+# (100,001, 1) needs 1.7e11 of them and takes 1.2 s, (200,001, 1,000)
+# 7.2e11 and 1.0 s; every band that `counts` admits (N <= 10,001) needs
+# under 3e9
+BAND_BUDGET = 150_000_000_000
+
+
 def count_band(n: int, m: int) -> int:
     """Number of partitions whose rim stays in the band of half-width m.
 
@@ -224,12 +234,17 @@ def count_band(n: int, m: int) -> int:
     except (N + P)/2 once, so the total is 2^N - P Σ_(j = (N+P)/2 mod P)
     C(N, j).  This is the trace of the band's transfer matrix: for odd N
     tr(S_m^N), S_m the adjacency matrix of a path with one loop, whose
-    unfolding is the path on the P - 1 levels.
+    unfolding is the path on the P - 1 levels.  TooLarge before the sum
+    past BAND_BUDGET.
     """
     from .partitions import band_limits  # census --n loads no other module
 
     lo, hi = band_limits(n, m)
     p = hi - lo + 2
+    steps = (n // p + 1) * p * n * n.bit_length()
+    if steps > BAND_BUDGET:
+        raise TooLarge(f"the band count at N = {n}, m = {m}", steps,
+                       BAND_BUDGET, "bit steps")
     j = (n + p) // 2 % p
     c, hits = math.comb(n, j), 0
     while j <= n:

@@ -57,8 +57,8 @@ def _write_blocks(text) -> int:
             raise
         block.append(chunk)
         size += len(chunk)
-        if size >= _BLOCK:  # a block of one chunk, a census say, is not copied
-            sys.stdout.write(block[0] if len(block) == 1 else "".join(block))
+        if size >= _BLOCK:
+            sys.stdout.write("".join(block))
             block, size = [], 0
 
 

@@ -85,7 +85,9 @@ def json_chunks(kind: str, n: int, faces: bool = True) -> Iterator[str]:
     {"faces": [{"removed": [...], "top": name}, ...], "n": N,
     "space": kind, "vertices": {name: values}}, the faces ordered by
     dimension, top (as a tuple) and removed rows, the vertices by name;
-    faces=False leaves the "faces" key out.  The v-faces above a top
+    faces=False leaves the "faces" key out.  Before the first piece,
+    hull_pool sizes the vertices and faces (faces=False: name_walk alone,
+    its vertices).  The v-faces above a top
     remove the subsets combinations(rows, v) of its corner rows.  The
     faces hold two lists, one entry per top: its name, and its corner
     rows, where equal corner rows are one shared tuple (511 distinct
@@ -99,7 +101,9 @@ def json_chunks(kind: str, n: int, faces: bool = True) -> Iterator[str]:
     and all of it before the vertices' name walk starts.  Partition
     names are digits and commas, so nothing needs escaping.
     """
-    rows, _ = hull_pool(kind, n, "faces") if faces else hull_pool(kind, n)
+    if faces:
+        rows, _ = hull_pool(kind, n, "vertices", "faces")
+    walk = name_walk(kind, n)  # sized here, before any text
     yield "{\n"
     if faces:
         yield ' "faces": ['
@@ -108,7 +112,7 @@ def json_chunks(kind: str, n: int, faces: bool = True) -> Iterator[str]:
     yield f' "n": {n},\n "space": "{kind}",\n "vertices": {{'
     numeral = _Numerals().__getitem__
     sep = "\n"
-    for _, name, f, _ in name_walk(kind, n):
+    for _, name, f, _ in walk:
         vals = ",\n   ".join(map(numeral, f))
         yield f'{sep}  "{name}": [\n   {vals}\n  ]'
         sep = ",\n"
@@ -122,7 +126,7 @@ def dot_chunks(kind: str, n: int) -> Iterator[str]:
     "extra" off its N maximal cubes, else "cube-member", read by
     hull.Faces.max_cubes, checks and all, off the corner rows of the one
     name walk, held per vertex with its node text and index."""
-    hull_pool(kind, n, "edges")
+    hull_pool(kind, n, "vertices", "edges")
     numeral = _Numerals().__getitem__
     nodes, index, rows = [], {}, {}
     for i, (lam, name, f, corners) in enumerate(name_walk(kind, n)):

@@ -28,7 +28,6 @@ from typing import Iterable, Iterator, NamedTuple
 from .hullwalk import hull_pool, name_walk
 from .partitions import (
     Partition,
-    circ_rows,
     make_partition,
     one_box_less,
     require_circ,
@@ -50,7 +49,7 @@ def f_vertex(lam: Partition, n: int) -> VertexFunction:
 def g_vertex(lam: Partition, n: int) -> VertexFunction:
     """Vertex of the hull of C_N at lam: the f-values minus o = k(k-1)/2."""
     require_circ(lam, n)
-    o = hull_pool("cycle", n)[1]
+    o = hull_pool("cycle", n)[1]  # no units: one vertex walks no pool
     return tuple(v - o for v in f_vertex(lam, n))
 
 
@@ -224,9 +223,11 @@ def to_json(complex_: HullComplex) -> str:
 
 def max_cube_decomposition(n: int) -> tuple[tuple[Face, ...], tuple[Partition, ...]]:
     """The N maximal k-cubes of the odd cycle hull, plus leftover vertices:
-    Faces.max_cubes on the corner rows of one corner_walk over circ_rows."""
+    Faces.max_cubes on the corner rows of one corner_walk over the pool
+    of hull_pool("cycle", n, "vertices"), so TooLarge before the walk."""
     if n % 2 == 0 or n < 3:
         from .census import BadParity  # only this error needs the census
 
         raise BadParity(f"maximal cubes need odd N >= 3, got {n}")
-    return Faces(dict(corner_walk(n, circ_rows(n)))).max_cubes(n)
+    rows, _ = hull_pool("cycle", n, "vertices")
+    return Faces(dict(corner_walk(n, rows))).max_cubes(n)

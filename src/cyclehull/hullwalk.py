@@ -8,10 +8,14 @@ does, but steps each row in the order of its parts' decimal text, so
 the names come out sorted, and adds one N-tuple per step to the parent's
 vertex function.  build_hull keeps all that it yields, the exports
 print from it, and doubled_hull reads the hull as the oracle's doubled sets
-for `oracle --compare`.  hull_pool refuses a hull whose vertices, edges
-or faces, counted in closed form by hull_counts, pass their budgets,
-before any walk.  Only the hull commands load this module: fold and
-embed need partitions alone, and fibre and counts add walks.
+for `oracle --compare`.  Every walk of a hull's vertices takes its rows
+from hull_pool and names "vertices": name_walk here, and
+hull.max_cube_decomposition, moebius.enumerate_circ and
+partitions.enumerate_YN.  hull_pool refuses, before any walk, a hull
+whose vertices, edges or faces, counted in closed form by hull_counts,
+pass their budgets, checking only the units its caller names.  Only the
+hull commands load this module: fold and embed need partitions alone,
+and fibre and counts add walks.
 """
 
 from __future__ import annotations
@@ -71,8 +75,10 @@ def hull_pool(kind: str, n: int, *units: str) -> tuple[tuple[range, ...], int]:
     vertex functions sit below X_N's: all of Y_N (band_rows(n, 0, n)) and
     o = 0 for 'xn', Y_N° (circ_rows) and o = k(k-1)/2, k = N // 2, for
     'cycle'.  TooLarge past the row table's budget, or, before any walk,
-    if hull_counts has more vertices, or more of the units named
-    ('edges', 'faces'), than VERTEX_BUDGET, EDGE_BUDGET or FACE_BUDGET."""
+    if hull_counts has more of a unit named ('vertices', 'edges',
+    'faces') than VERTEX_BUDGET, EDGE_BUDGET or FACE_BUDGET: a walk of
+    the vertices names 'vertices', and a caller that walks nothing, as
+    g_vertex reading o, names none."""
     require_space(kind, n)
     k = n // 2
     if kind == "xn":
@@ -81,7 +87,7 @@ def hull_pool(kind: str, n: int, *units: str) -> tuple[tuple[range, ...], int]:
         rows, o = circ_rows(n), k * (k - 1) // 2
     counts = hull_counts(kind, n)
     limits = {"vertices": VERTEX_BUDGET, "edges": EDGE_BUDGET, "faces": FACE_BUDGET}
-    for unit in ("vertices", *units):
+    for unit in units:
         if counts[unit] > limits[unit]:
             name = f"the hull of {'X' if kind == 'xn' else 'C'}_{n}"
             raise TooLarge(name, counts[unit], limits[unit], unit)
@@ -122,8 +128,18 @@ def name_walk(
     whose shift leaves its row, so one comparison per vertex, t against
     least[m], holds the whole test; tau (1^(N-1)) = () needs no head.
     A pool that tau leaves raises OrbitLeavesPool part way through.
+
+    The pool is sized when name_walk is called, not when the walk
+    starts, so an export that prints before its walk refuses first.
     """
-    rows, o = hull_pool(kind, n)
+    rows, o = hull_pool(kind, n, "vertices")
+    return _walk(n, rows, o)
+
+
+def _walk(
+    n: int, rows: tuple[range, ...], o: int
+) -> Iterator[tuple[Partition, str, tuple[int, ...], tuple[int, ...]]]:
+    # name_walk's walk over the pool rows, offset o
     fewest = fewest_parts(rows)
     drop = -2 * n - 2  # t = drop + (at most n) stays below least[m] >= -1
     least = [  # at m rows, from m = 0: the head is N - m - 1

@@ -112,9 +112,12 @@ def enumerate_band_partitions(n: int, m: int) -> tuple[Partition, ...]:
 
 
 def enumerate_circ(n: int) -> tuple[Partition, ...]:
+    """All of Y_N°, the vertices of the hull of C_N, in lexicographic
+    order; TooLarge past hullwalk.VERTEX_BUDGET before the walk."""
+    from .hullwalk import hull_pool
     from .walks import rim_walk
 
-    return tuple(rim_walk(n, circ_rows(n)))
+    return tuple(rim_walk(n, hull_pool("cycle", n, "vertices")[0]))
 
 
 def circ_inner_corners(lam: Partition, n: int) -> frozenset[int]:

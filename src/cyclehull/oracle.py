@@ -50,16 +50,24 @@ class DimensionMismatch(ValueError):
 # makes 1,248,486 (12 s on a 2-vCPU VM), C_19's 324,351, C_17's 85,611
 WALK_BUDGET = 4_000_000
 
+# triangle tests (n^3) the check of a metric makes: in process on a
+# 2-vCPU VM, 200 points take 0.38-0.62 s and 250 points 0.70 s
+METRIC_BUDGET = 15_625_000
+
 
 class FiniteMetric:
     """Symmetric integer metric with positive off-diagonal distances:
-    n points, distance matrix d."""
+    n points, distance matrix d.  TooLarge before its n^3 triangle
+    tests past METRIC_BUDGET."""
 
     __slots__ = ("n", "d")
 
     def __init__(self, n: int, d: tuple[tuple[int, ...], ...]):
         if len(d) != n or any(len(r) != n for r in d):
             raise DimensionMismatch(f"matrix is not {n}x{n}")
+        if n**3 > METRIC_BUDGET:
+            raise TooLarge(f"the metric of {n} points", n**3, METRIC_BUDGET,
+                           "triangle tests")
         for i in range(n):
             if d[i][i] != 0:
                 raise ValueError(f"nonzero diagonal at {i}")

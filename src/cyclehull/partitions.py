@@ -190,12 +190,13 @@ def one_box_less(lam: Partition, corner_rows: Iterable[int]) -> Iterator[Partiti
 
 
 def enumerate_YN(n: int) -> tuple[Partition, ...]:
-    """All of Y_N in lexicographic order; the count is 2**(n-1)."""
+    """All of Y_N, the vertices of the hull of X_N, in lexicographic
+    order; the count is 2**(n-1).  IndexOutOfRange below N = 1, and
+    TooLarge past hullwalk.VERTEX_BUDGET before the walk."""
+    from .hullwalk import hull_pool
     from .walks import rim_walk
 
-    if n < 1:
-        raise IndexOutOfRange(f"n must be >= 1, got {n}")
-    return tuple(rim_walk(n, band_rows(n, 0, n)))
+    return tuple(rim_walk(n, hull_pool("xn", n, "vertices")[0]))
 
 
 class Corners(NamedTuple):

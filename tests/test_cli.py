@@ -300,12 +300,18 @@ def test_refused_walks_exit_two_with_one_error_line(capsys, tmp_path, monkeypatc
         ("walks.COUNT_BUDGET", 425, "steps", "the row count at N = 17",
          ["counts", "--n", "17", "--m", "2"]),
         ("hullwalk.VERTEX_BUDGET", 76, "vertices", "the hull of C_9", ["vertices", *c9]),
+        ("hullwalk.VERTEX_BUDGET", 76, "vertices", "the hull of C_9",
+         ["vertices", *c9, "--json"]),
         ("hullwalk.EDGE_BUDGET", 189, "edges", "the hull of C_9",
          ["skeleton", *c9, "--format", "dot"]),
         ("hullwalk.FACE_BUDGET", 511, "faces", "the hull of C_9",
          ["skeleton", *c9, "--format", "json"]),
         ("oracle.WALK_BUDGET", 131, "tight-graph tests", "the tight-span walk of 7 points",
          ["oracle", "--metric", metric]),
+        ("oracle.METRIC_BUDGET", 343, "triangle tests", "the metric of 7 points",
+         ["oracle", "--metric", metric]),
+        ("census.BAND_BUDGET", 360, "bit steps", "the band count at N = 9, m = 1",
+         ["counts", "--n", "9", "--m", "1"]),
     ):
         monkeypatch.setattr("cyclehull." + budget, count - 1)
         err = f"error: {what} needs {count} {unit}, more than its budget of {count - 1}\n"
@@ -336,6 +342,11 @@ def test_unbounded_inputs_are_refused_fast(tmp_path):
     # budget.  The oracle's walk is refused only once it passes its
     # budget, so its fresh run lowers the budget first
     metric = write_metric(tmp_path, "cycle", 13)
+    uniform = tmp_path / "uniform1001.txt"
+    uniform.write_text("1001\n" + "".join(
+        " ".join("0" if j == i else "1" for j in range(1001)) + "\n"
+        for i in range(1001)
+    ))
     big = "19,18,17,16,15,14,13,12,11,10,9,8,7,7,6,6,5,4,3,2,1"
     rows = "the row table at N = {0} needs {0:,} rows, more than its budget of 10,001"
     c25 = "the hull of C_25 needs {}, more than its budget of {}"
@@ -371,6 +382,9 @@ def test_unbounded_inputs_are_refused_fast(tmp_path):
         (["fold", "--n", "10000000", "--partition", "1"], "", rows.format(10000000)),
         (["embed", "--n", "10000001", "--partition", "1"], "", rows.format(10000001)),
         (["fibre", "--n", "10000000", "--partition", "1"], "", rows.format(10000000)),
+        (["oracle", "--metric", str(uniform)], "",
+         "the metric of 1001 points needs 1,003,003,001 triangle tests,"
+         " more than its budget of 15,625,000"),
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for argv, patch, err in cases:
@@ -381,6 +395,47 @@ def test_unbounded_inputs_are_refused_fast(tmp_path):
             )
             got = (proc.returncode, proc.stdout, proc.stderr)
             assert got == (2, "", f"error: {err}\n"), (argv, flags)
+
+
+# the same address space for one library call, whose refusal is printed
+LIBRARY = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+from cyclehull import TooLarge
+from cyclehull.{} import {}
+try:
+    {}
+except TooLarge as exc:
+    print(exc)
+"""
+
+
+def test_unbounded_library_walks_are_refused_fast():
+    # the walks of a hull's vertices take their rows from hull_pool, and
+    # count_band sizes its sum: each refuses fresh, asserts stripped or
+    # not, within 2 s, with the one refusal message
+    hull = "the hull of {} needs {} vertices, more than its budget of 1,200,000"
+    cases = (
+        ("hull", "max_cube_decomposition", "max_cube_decomposition(41)",
+         hull.format("C_41", "370,248,451")),
+        ("moebius", "enumerate_circ", "enumerate_circ(41)",
+         hull.format("C_41", "370,248,451")),
+        ("partitions", "enumerate_YN", "enumerate_YN(40)",
+         hull.format("X_40", "549,755,813,888")),
+        ("census", "count_band", "count_band(10**20, 2)",
+         "the band count at N = 100000000000000000000, m = 2 needs"
+         " 670,000,000,000,000,000,013,400,000,000,000,000,000,000 bit steps,"
+         " more than its budget of 150,000,000,000"),
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for module, name, call, err in cases:
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-c", LIBRARY.format(module, name, call)],
+                capture_output=True, text=True, env=env, timeout=2,
+            )
+            got = (proc.returncode, proc.stdout, proc.stderr)
+            assert got == (0, f"{err}\n", ""), (call, flags)
 
 
 def test_oracle_mismatch_exit_one(capsys, tmp_path):
@@ -1007,7 +1062,7 @@ reference.matrix_circcirc = lambda: (reference.matrix_S(), reference.matrix_S())
 expect(IdentityFailure, reference.circcirc_trace, 3)
 expect(OrbitLeavesPool, list, spaces.tau_orbits(((2,),), 3))
 hull_pool = hullwalk.hull_pool
-hullwalk.hull_pool = lambda kind, n: ((range(0, 6), *hull_pool(kind, n)[0][1:]), 0)
+hullwalk.hull_pool = lambda kind, n, *units: ((range(0, 6), *hull_pool(kind, n)[0][1:]), 0)
 expect(OrbitLeavesPool, hull.build_hull, "xn", 7)
 hullwalk.hull_pool = hull_pool
 spaces.tau = lambda lam, n: ()

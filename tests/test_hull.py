@@ -68,6 +68,16 @@ def test_g_vertex_is_shifted_f():
     assert g_vertex((2, 1), 5) == (2, 2, 2, 2, 2)
 
 
+def test_g_vertex_answers_past_the_vertex_budget():
+    # one vertex walks no pool, so the hull's vertex count is not checked:
+    # C_31 has 3,010,349 vertices and C_41 370,248,451
+    for n in (31, 41):
+        k = n // 2
+        lam = tuple(range(k, 0, -1))
+        o = k * (k - 1) // 2
+        assert g_vertex(lam, n) == tuple(x - o for x in f_vertex(lam, n))
+
+
 @given(st.sampled_from(Y7), st.sampled_from(Y7))
 def test_f_vertex_is_short_and_injective(a, b):
     fa, fb = f_vertex(a, 7), f_vertex(b, 7)
@@ -139,7 +149,7 @@ def test_streamed_walk_keeps_the_orbit_check(monkeypatch):
         members = rim_walk(7, pool)
         assert [lam for lam in members if tau(lam, 7) not in members] == [leaver]
         monkeypatch.setattr(
-            hullwalk_module, "hull_pool", lambda kind, n: (pool, 0)
+            hullwalk_module, "hull_pool", lambda kind, n, *units: (pool, 0)
         )
         message = re.escape(f"orbit of {leaver or '()'} reaches {tau(leaver, 7)}")
         for export in (
