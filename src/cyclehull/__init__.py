@@ -15,6 +15,11 @@ bounds.
 
 __version__ = "0.1.0"
 
+# characters per block of command text: cli._write_blocks writes blocks of
+# about this size (unbuffered, each is a system call), and the JSON faces
+# come in pieces of at most half of it or one top's faces
+_BLOCK = 1 << 16
+
 
 class TooLarge(ValueError):
     """A count of the work asked for passes its budget."""

@@ -38,7 +38,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-_BLOCK = 1 << 16  # characters per write; unbuffered, each is a system call
+from . import _BLOCK
 
 
 def _write_blocks(text) -> int:

@@ -6,7 +6,9 @@ order every export prints.  The vertices stream with nothing held per
 vertex.  The JSON faces keep their tuple order: one corner_walk lists
 the tops, and each top's name and its corner rows, one tuple shared by
 the tops with equal ones, are held for the faces and dropped before the
-vertices.  DOT holds what its edges and roles need of its one name walk.
+vertices; each dimension's faces are joined by maps that run in C, with
+no Python step per top.  DOT holds what its edges and roles need of its
+one name walk.
 
 A vertex whose tau image is outside the pool (OrbitLeavesPool) stops a
 streamed export part way, and DOT before it prints.  Every export
@@ -15,9 +17,10 @@ command loads this module; hull.to_json and hull.to_dot import it.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice, repeat
 from typing import Iterator
 
+from . import _BLOCK
 from .hullwalk import hull_pool, name_walk
 from .partitions import one_box_less
 from .walks import corner_walk
@@ -42,12 +45,18 @@ def vertex_lines(kind: str, n: int) -> Iterator[str]:
 _SHUT = '"\n  }'  # closes a face after its top's name
 
 
-def _face_text(removed: tuple[int, ...]) -> str:
-    # one face up to its top's name, led by the previous face's close and
-    # ",\n" as json.dumps(indent=1) prints them
-    rows = ",".join(f"\n    {r}" for r in removed)
-    bracket = "\n   ]" if removed else "]"
-    return _SHUT + ',\n  {\n   "removed": [' + rows + bracket + ',\n   "top": "'
+class _FaceTexts(dict):
+    """removed rows -> one face's text up to its top's name, made once, on
+    first use.  It is led by the previous face's close and ",\n", as
+    json.dumps(indent=1) prints them."""
+
+    def __missing__(self, removed: tuple[int, ...]) -> str:
+        rows = ",".join(f"\n    {r}" for r in removed)
+        bracket = "\n   ]" if removed else "]"
+        text = self[removed] = (
+            _SHUT + ',\n  {\n   "removed": [' + rows + bracket + ',\n   "top": "'
+        )
+        return text
 
 
 def _face_chunks(n: int, rows: tuple[range, ...]) -> Iterator[str]:
@@ -58,28 +67,33 @@ def _face_chunks(n: int, rows: tuple[range, ...]) -> Iterator[str]:
     for lam, corners in corner_walk(n, rows):
         names.append(",".join(map(part, lam)))
         tops.append(shared.setdefault(corners, corners))
+    width = max(map(len, names), default=0)
     skip = len(_SHUT) + 1  # no face before the first to close, no ","
+    empty = [""]  # the template of a top with fewer than v corner rows
     for v in range(max(map(len, shared), default=-1) + 1):
-        texts: dict[tuple[int, ...], str] = {}
-        templates: dict[tuple[int, ...], list[str]] = {}
-        for name, corners in zip(names, tops):
-            if len(corners) < v:
-                continue
-            template = templates.get(corners)
-            if template is None:
-                template = templates[corners] = []
-                for sub in combinations(corners, v):
-                    if sub not in texts:
-                        texts[sub] = _face_text(sub)
-                    template.append(texts[sub])
-                template.append("")
-            yield name.join(template)[skip:]
+        texts = _FaceTexts()
+        templates = {
+            c: [*map(texts.__getitem__, combinations(c, v)), ""]
+            for c in shared if len(c) >= v
+        }
+        # no top's faces are longer, so step tops fill at most half a
+        # block: the writer, which writes a block once it reaches _BLOCK,
+        # then holds less than 1.5 _BLOCK (whole-block pieces cost C_17's
+        # JSON about 150 KB more peak RSS)
+        longest = max(map(len, texts.values())) + width
+        most = (max(map(len, templates.values())) - 1) * longest
+        step = max(1, _BLOCK // 2 // most)
+        faces = map(str.join, names, map(templates.get, tops, repeat(empty)))
+        for _ in range(0, len(tops), step):  # by count: a piece may be empty
+            yield "".join(islice(faces, step))[skip:]
             skip = 0
+        del texts, templates, faces  # before the next dimension's are made
 
 
 def json_chunks(kind: str, n: int, faces: bool = True) -> Iterator[str]:
-    """The JSON export in pieces, made as they are written: one piece per
-    top and face dimension, then one per vertex.
+    """The JSON export in pieces, made as they are written: the faces of
+    each dimension in pieces of at most 32 KiB (half of _BLOCK, the CLI's
+    write block) or one top's faces, then one piece per vertex.
 
     Joined, the pieces are json.dumps(doc, sort_keys=True, indent=1) of
     {"faces": [{"removed": [...], "top": name}, ...], "n": N,
@@ -94,12 +108,18 @@ def json_chunks(kind: str, n: int, faces: bool = True) -> Iterator[str]:
     ones for the 3,571 tops of C_17).  A face's text depends on its top
     only through the name, so the text of each removed-row subset, cut
     where the name goes, is made once; it is led by the previous face's
-    close, so each piece ends on a name.  The v-faces above a top are one
-    template per (v, corner rows), a list of those texts, and each piece
-    is one str.join of the name into it.  Subsets of v rows only occur
-    in dimension v, so texts and templates are dropped when v moves on,
-    and all of it before the vertices' name walk starts.  Partition
-    names are digits and commas, so nothing needs escaping.
+    close.  The v-faces above a top are one template per corner rows of
+    v or more rows, a list of those texts and a last "", and [""] for
+    fewer, so str.join of the top's name into it gives its v-faces, or
+    "".  Each dimension maps str.join over the names and the tops'
+    templates, all in C, and joins the result in pieces of a fixed count
+    of tops: the most that fit half of _BLOCK when each top's faces are
+    as many as the most of one top, each of the longest text and name.
+    The pieces are taken by count, since a piece whose tops have no
+    v-faces is "".  Subsets of v rows only occur in dimension v, so texts
+    and templates are dropped before the next dimension's are made, and
+    all of it before the vertices' name walk starts.  Partition names
+    are digits and commas, so nothing needs escaping.
     """
     if faces:
         rows, _ = hull_pool(kind, n, "vertices", "faces")

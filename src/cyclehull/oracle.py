@@ -55,6 +55,13 @@ WALK_BUDGET = 4_000_000
 METRIC_BUDGET = 15_625_000
 
 
+def _require_checkable(n: int) -> None:
+    """TooLarge if the n^3 triangle tests of n points pass METRIC_BUDGET."""
+    if n**3 > METRIC_BUDGET:
+        raise TooLarge(f"the metric of {n} points", n**3, METRIC_BUDGET,
+                       "triangle tests")
+
+
 class FiniteMetric:
     """Symmetric integer metric with positive off-diagonal distances:
     n points, distance matrix d.  TooLarge before its n^3 triangle
@@ -65,9 +72,7 @@ class FiniteMetric:
     def __init__(self, n: int, d: tuple[tuple[int, ...], ...]):
         if len(d) != n or any(len(r) != n for r in d):
             raise DimensionMismatch(f"matrix is not {n}x{n}")
-        if n**3 > METRIC_BUDGET:
-            raise TooLarge(f"the metric of {n} points", n**3, METRIC_BUDGET,
-                           "triangle tests")
+        _require_checkable(n)
         for i in range(n):
             if d[i][i] != 0:
                 raise ValueError(f"nonzero diagonal at {i}")
@@ -94,11 +99,13 @@ class FiniteMetric:
 
     @classmethod
     def from_text(cls, text: str) -> "FiniteMetric":
-        """Parse 'n' on the first line, then n whitespace-split int rows."""
+        """Parse 'n' on the first line, then n whitespace-split int rows;
+        TooLarge on n, before the rows are parsed."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise DimensionMismatch("metric text is empty")
         n = int(lines[0])
+        _require_checkable(n)  # before a row is split
         rows = [[int(x) for x in ln.split()] for ln in lines[1:]]
         if len(rows) != n:
             raise DimensionMismatch(f"expected {n} rows, got {len(rows)}")

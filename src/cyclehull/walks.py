@@ -88,11 +88,12 @@ def corner_walk(
             settled[-1] = settled[-2]
 
 
-# row_count's steps, at most widths x rows x the widest row range, run in
-# C but on N-bit counts: fresh on a 2-vCPU VM, counts --n 301 --m 150
-# (27,270,901 steps) takes 0.36 s, --n 10001 --m 26 (28,092,809) 4.5 s,
-# and --n 601 --m 300 (217,081,801) 3.0 s
-COUNT_BUDGET = 30_000_000
+# row_count's steps, at most widths x rows x the widest row range, each an
+# add of counts below 2^N, so N bits: its bit steps.  Fresh on a 2-vCPU VM,
+# counts --n 401 --m 200 (25,856,961,601 bit steps) takes 0.7 s and
+# --n 2001 --m 40 (26,270,250,561) 0.5 s, and --n 10001 --m 26
+# (280,956,182,809) 5.9 s
+COUNT_BUDGET = 30_000_000_000
 
 
 def row_count(n: int, rows: tuple[range, ...]) -> int:
@@ -107,11 +108,11 @@ def row_count(n: int, rows: tuple[range, ...]) -> int:
     prefix ends at s parts when s >= fewest_parts(rows), and at most
     N - w rows follow.  The cost is one running sum per row and width,
     O(N^3) at most, not the size of the answer.  TooLarge before any sum
-    if widths x rows x the widest range passes COUNT_BUDGET steps.
+    if widths x rows x the widest range x N passes COUNT_BUDGET bit steps.
     """
-    steps = len(rows[0]) * len(rows) * max(map(len, rows))
-    if steps > COUNT_BUDGET:
-        raise TooLarge(f"the row count at N = {n}", steps, COUNT_BUDGET, "steps")
+    work = len(rows[0]) * len(rows) * max(map(len, rows)) * n
+    if work > COUNT_BUDGET:
+        raise TooLarge(f"the row count at N = {n}", work, COUNT_BUDGET, "bit steps")
     fewest = fewest_parts(rows)
     total = 1 if fewest == 0 else 0
     for w in range(max(1, rows[0].start), rows[0].stop):

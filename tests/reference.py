@@ -29,11 +29,19 @@ instead (hull.max_cube_decomposition walks Y_N° once for those rows).
 The DOT export of a built hull, made from its names, vertices and
 edges() and the cubes of max_cube_decomposition, which export.dot_chunks
 prints from one walk instead.
+
+The "faces" list of the JSON export over any tuple of row ranges, made
+by json.dumps from a sorted list of every face of a pool listed from
+the definition of Y_N, where export.json_chunks joins each dimension's
+faces from templates.
 """
 
 from __future__ import annotations
 
+import json
+
 from dataclasses import dataclass
+from itertools import combinations
 
 from cyclehull.census import IdentityFailure, TPoly
 from cyclehull.hull import CubeCoverFailure, Face, HullComplex, max_cube_decomposition
@@ -435,3 +443,38 @@ def dot_text(hull: HullComplex) -> str:
     pairs = sorted(sorted((ident[a], ident[b])) for a, b in hull.edges())
     lines += [f"  n{a} -- n{b};" for a, b in pairs]
     return "\n".join(lines + ["}"]) + "\n"
+
+
+def _parts(top: int, room: int):
+    # the weakly decreasing tuples of parts from 1 to top, at most room long
+    yield ()
+    if room:
+        for p in range(1, top + 1):
+            for rest in _parts(p, room - 1):
+                yield (p, *rest)
+
+
+def faces_json(n: int, rows: tuple[range, ...]) -> str:
+    """json.dumps(sort_keys=True, indent=1) of {"faces": [...]} over the
+    pool of rows: the lam in Y_N (at most N - lam_1 parts) whose parts,
+    padded with zeros, lie in rows.  A top's corner rows are the rows r
+    where lam less its corner box in row r is in the pool; it tops a face
+    per subset of them, and the faces are sorted by dimension, top and
+    removed rows."""
+    pool = {()} | {
+        (w, *rest) for w in range(1, n) for rest in _parts(w, n - w - 1)
+    }
+    pool = {lam for lam in pool if all(map(range.__contains__, rows, (*lam, *[0] * n)))}
+    faces = []
+    for lam in pool:
+        corners = []
+        for r in range(1, len(lam) + 1):
+            mu = (*lam[:r - 1], lam[r - 1] - 1, *lam[r:])
+            if (mu[:-1] if mu[-1] == 0 else mu) in pool:
+                corners.append(r)
+        for t in range(len(corners) + 1):
+            faces.extend((t, lam, sub) for sub in combinations(corners, t))
+    faces.sort()
+    return json.dumps({"faces": [
+        {"removed": list(sub), "top": ",".join(map(str, lam))} for _, lam, sub in faces
+    ]}, sort_keys=True, indent=1)

@@ -297,7 +297,7 @@ def test_refused_walks_exit_two_with_one_error_line(capsys, tmp_path, monkeypatc
          ["census", "--n", "21", "--v", "3"]),
         ("moebius.FOLD_BUDGET", 189, "flips", "the fold of (1,) at N = 41",
          ["fold", "--n", "41", "--partition", "1"]),
-        ("walks.COUNT_BUDGET", 425, "steps", "the row count at N = 17",
+        ("walks.COUNT_BUDGET", 7225, "bit steps", "the row count at N = 17",
          ["counts", "--n", "17", "--m", "2"]),
         ("hullwalk.VERTEX_BUDGET", 76, "vertices", "the hull of C_9", ["vertices", *c9]),
         ("hullwalk.VERTEX_BUDGET", 76, "vertices", "the hull of C_9",
@@ -314,7 +314,7 @@ def test_refused_walks_exit_two_with_one_error_line(capsys, tmp_path, monkeypatc
          ["counts", "--n", "9", "--m", "1"]),
     ):
         monkeypatch.setattr("cyclehull." + budget, count - 1)
-        err = f"error: {what} needs {count} {unit}, more than its budget of {count - 1}\n"
+        err = f"error: {what} needs {count:,} {unit}, more than its budget of {count - 1:,}\n"
         assert run(capsys, *argv) == (2, "", err), argv
         monkeypatch.setattr("cyclehull." + budget, count)
         assert run(capsys, *argv)[0] == 0, argv
@@ -347,6 +347,11 @@ def test_unbounded_inputs_are_refused_fast(tmp_path):
         " ".join("0" if j == i else "1" for j in range(1001)) + "\n"
         for i in range(1001)
     ))
+    # 18 MB of rows, refused on its first line before a row is parsed
+    uniform3000 = tmp_path / "uniform3000.txt"
+    uniform3000.write_text("3000\n" + "".join(
+        "1 " * i + "0" + " 1" * (2999 - i) + "\n" for i in range(3000)
+    ))
     big = "19,18,17,16,15,14,13,12,11,10,9,8,7,7,6,6,5,4,3,2,1"
     rows = "the row table at N = {0} needs {0:,} rows, more than its budget of 10,001"
     c25 = "the hull of C_25 needs {}, more than its budget of {}"
@@ -366,8 +371,11 @@ def test_unbounded_inputs_are_refused_fast(tmp_path):
          "the tight-span walk of 13 points needs 1,001 tight-graph tests,"
          " more than its budget of 1,000"),
         (["counts", "--n", "601", "--m", "300"], "",
-         "the row count at N = 601 needs 217,081,801 steps,"
-         " more than its budget of 30,000,000"),
+         "the row count at N = 601 needs 130,466,162,401 bit steps,"
+         " more than its budget of 30,000,000,000"),
+        (["counts", "--n", "10001", "--m", "26"], "",
+         "the row count at N = 10001 needs 280,956,182,809 bit steps,"
+         " more than its budget of 30,000,000,000"),
         (["counts", "--n", "15001", "--m", "7000"], "", rows.format(15001)),
         (["counts", "--n", "99999999999999999999", "--m", "2"], "",
          rows.format(99999999999999999999)),
@@ -384,6 +392,9 @@ def test_unbounded_inputs_are_refused_fast(tmp_path):
         (["fibre", "--n", "10000000", "--partition", "1"], "", rows.format(10000000)),
         (["oracle", "--metric", str(uniform)], "",
          "the metric of 1001 points needs 1,003,003,001 triangle tests,"
+         " more than its budget of 15,625,000"),
+        (["oracle", "--metric", str(uniform3000)], "",
+         "the metric of 3000 points needs 27,000,000,000 triangle tests,"
          " more than its budget of 15,625,000"),
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

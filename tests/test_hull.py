@@ -35,6 +35,8 @@ from cyclehull import (
 from cyclehull.hullwalk import doubled_hull, hull_counts, hull_pool
 from cyclehull.partitions import (
     OrbitLeavesPool,
+    band_rows,
+    circ_rows,
     corners,
     enumerate_YN,
     format_partition,
@@ -50,7 +52,7 @@ from cyclehull.spaces import (
     young_distance,
 )
 from cyclehull.walks import rim_walk
-from reference import delta, dot_text, shifted_cubes
+from reference import delta, dot_text, faces_json, shifted_cubes
 
 Y7 = enumerate_YN(7)
 
@@ -435,6 +437,42 @@ def test_to_json_equals_dumps_of_the_face_list():
     for kind, n in cases:
         want = json.dumps(_reference_doc(kind, n), sort_keys=True, indent=1)
         assert to_json(build_hull(kind, n)) == want, (kind, n)
+
+
+def test_json_faces_come_in_few_bounded_pieces():
+    # C_17's faces (10.7 MB) are joined a dimension at a time, not one
+    # piece per top and dimension (20,350 pieces): each piece holds at
+    # most half a write block (_BLOCK), or the faces of one top
+    pieces = list(json_chunks("cycle", 17))
+    faces = pieces[2:pieces.index('"\n  }\n ],\n')]
+    assert len(faces) < 3000, len(faces)
+    text = "".join(pieces)
+    listed = json.loads(text)["faces"]
+    # each face's text runs from its "{" to the next face's
+    spans = text[:text.index('\n ],\n "n"')].split("\n  {")[1:]
+    assert len(spans) == len(listed) == 2**17 - 1
+    one_top = Counter()
+    for face, span in zip(listed, spans):
+        one_top[len(face["removed"]), face["top"]] += len(span) + 4
+    longest = max(one_top.values())
+    assert max(map(len, faces)) <= max(export_module._BLOCK // 2, longest)
+
+
+def test_json_face_pieces_are_taken_by_count(monkeypatch):
+    # at one top per piece, each top with fewer than v corner rows gives
+    # an empty piece, and runs of them lie between the tops with v-faces:
+    # the faces still come out whole, as the reference prints the sorted
+    # list of every face of the pool
+    monkeypatch.setattr(export_module, "_BLOCK", 2)
+    # row ranges with low ends above 0, as a fold fibre's may have
+    ranges = (range(3, 7), range(1, 5), range(1, 4), *[range(0, 3)] * 5)
+    for n, rows in ((8, band_rows(8, 0, 8)), (9, circ_rows(9)), (8, ranges)):
+        pieces = list(export_module._face_chunks(n, rows))
+        tops = len(rim_walk(n, rows))
+        dims = [pieces[i:i + tops] for i in range(0, len(pieces), tops)]
+        assert any(not a and b for dim in dims for a, b in zip(dim, dim[1:])), (n, rows)
+        want = faces_json(n, rows)
+        assert want == '{\n "faces": [' + "".join(pieces) + '"\n  }\n ]\n}', (n, rows)
 
 
 def test_implicit_faces_match_materialized_faces():
